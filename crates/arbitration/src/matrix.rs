@@ -1,24 +1,26 @@
 //! The matrix arbiter of the paper's Figure 10.
 //!
-//! An upper-triangular matrix of state bits records the pairwise priority
-//! between every two requestors. A requestor is granted when it has
-//! priority over every *other active* requestor; on a grant the winner's
-//! priority is set lowest. Starting from a total order and always demoting
-//! the winner to the bottom preserves a total order, so a winner always
-//! exists and is unique — the arbiter is *strongly fair*
-//! (least-recently-served).
+//! A matrix of state bits records the pairwise priority between every two
+//! requestors. A requestor is granted when it has priority over every
+//! *other active* requestor; on a grant the winner's priority is set
+//! lowest. Starting from a total order and always demoting the winner to
+//! the bottom preserves a total order, so a winner always exists and is
+//! unique — the arbiter is *strongly fair* (least-recently-served).
+//!
+//! Each matrix row is one `u64` (bit `j` of row `i` set when `i` beats
+//! `j`), so the grant test for a requestor is a single mask compare and a
+//! demotion is one OR per row — the word-parallel equivalent of the
+//! circuit's per-bit gates.
 
+use crate::{check_width, low_bits, pack};
 use std::fmt;
 
-/// A behavioral `n:1` matrix arbiter.
+/// A behavioral `n:1` matrix arbiter, `n <= 64`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixArbiter {
-    n: usize,
-    /// Flattened `n × n` priority matrix: `beats[i * n + j]` is true when
-    /// requestor `i` has priority over `j` (`i != j`; the diagonal is
-    /// unused and kept false). One contiguous slab — the inner loop of
-    /// every switch/VC arbitration walks it row-wise.
-    beats: Box<[bool]>,
+    /// Priority rows: bit `j` of `rows[i]` is set when requestor `i` has
+    /// priority over `j` (`i != j`; the diagonal bit is always clear).
+    rows: Box<[u64]>,
 }
 
 impl MatrixArbiter {
@@ -27,23 +29,19 @@ impl MatrixArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n > 64`.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "an arbiter needs at least one requestor");
-        let mut beats = vec![false; n * n].into_boxed_slice();
-        for i in 0..n {
-            for j in 0..n {
-                beats[i * n + j] = i < j;
-            }
-        }
-        MatrixArbiter { n, beats }
+        check_width(n);
+        // Row i beats every higher index.
+        let rows = (0..n).map(|i| low_bits(n) & !low_bits(i + 1)).collect();
+        MatrixArbiter { rows }
     }
 
     /// Number of requestors.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
     /// Always false: an arbiter has at least one requestor.
@@ -73,20 +71,32 @@ impl MatrixArbiter {
     /// # Panics
     ///
     /// Panics if `requests.len() != self.len()`.
-    #[inline]
     #[must_use]
     pub fn peek(&self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(
-            requests.len(),
-            self.n,
-            "request vector length {} != arbiter size {}",
-            requests.len(),
-            self.n
+        self.peek_mask(pack(requests, self.len()))
+    }
+
+    /// [`MatrixArbiter::peek`] over a request mask (bit `i` = requestor
+    /// `i`; bits at or above [`MatrixArbiter::len`] must be clear): the
+    /// lowest requestor whose row covers every other request.
+    #[inline]
+    #[must_use]
+    pub fn peek_mask(&self, requests: u64) -> Option<usize> {
+        debug_assert_eq!(
+            requests & !low_bits(self.len()),
+            0,
+            "request mask {requests:#x} wider than the arbiter ({})",
+            self.len()
         );
-        (0..self.n).find(|&i| {
-            let row = &self.beats[i * self.n..(i + 1) * self.n];
-            requests[i] && (0..self.n).all(|j| j == i || !requests[j] || row[j])
-        })
+        let mut candidates = requests;
+        while candidates != 0 {
+            let i = candidates.trailing_zeros() as usize;
+            if requests & !(1 << i) & !self.rows[i] == 0 {
+                return Some(i);
+            }
+            candidates &= candidates - 1;
+        }
+        None
     }
 
     /// Demotes `winner` to lowest priority (the `h` overhead path of the
@@ -99,16 +109,14 @@ impl MatrixArbiter {
     #[inline]
     pub fn demote(&mut self, winner: usize) {
         assert!(
-            winner < self.n,
+            winner < self.len(),
             "requestor {winner} out of range {}",
-            self.n
+            self.len()
         );
-        for j in 0..self.n {
-            if j != winner {
-                self.beats[winner * self.n + j] = false;
-                self.beats[j * self.n + winner] = true;
-            }
+        for row in self.rows.iter_mut() {
+            *row |= 1 << winner;
         }
+        self.rows[winner] = 0;
         debug_assert!(self.is_total_order(), "matrix must remain a total order");
     }
 
@@ -123,52 +131,43 @@ impl MatrixArbiter {
             i != j,
             "priority between a requestor and itself is undefined"
         );
-        assert!(i < self.n && j < self.n, "index out of range");
-        self.beats[i * self.n + j]
+        assert!(i < self.len() && j < self.len(), "index out of range");
+        self.rows[i] & (1 << j) != 0
     }
 
-    /// Invariant check: the matrix encodes a strict total order
-    /// (antisymmetric and, via the demote-only update rule, transitive).
+    /// Invariant check: the matrix encodes a strict total order.
     ///
     /// Allocation-free — it runs inside a `debug_assert!` on the grant
     /// path, and the hot tick must not allocate even in debug builds.
     #[must_use]
     pub fn is_total_order(&self) -> bool {
-        // Antisymmetry.
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j && self.beats[i * self.n + j] == self.beats[j * self.n + i] {
-                    return false;
-                }
-            }
+        let n = self.len();
+        // Irreflexive and in range.
+        if (0..n).any(|i| self.rows[i] & (!low_bits(n) | 1 << i) != 0) {
+            return false;
         }
-        // A strict total order on a finite set has exactly one element
-        // beating k others for each k in 0..n: the win counts are a
-        // permutation of 0..n. With antisymmetry already established,
-        // checking the counts are pairwise distinct suffices.
-        for i in 0..self.n {
-            let wins_i = self.wins(i);
+        // Antisymmetric and complete: exactly one of (i, j), (j, i).
+        for i in 0..n {
             for j in 0..i {
-                if self.wins(j) == wins_i {
+                if (self.rows[i] >> j & 1) == (self.rows[j] >> i & 1) {
                     return false;
                 }
             }
         }
-        true
-    }
-
-    /// How many other requestors `i` currently beats.
-    fn wins(&self, i: usize) -> usize {
-        (0..self.n)
-            .filter(|&j| j != i && self.beats[i * self.n + j])
-            .count()
+        // A complete antisymmetric relation is transitive exactly when
+        // its win counts are a permutation of 0..n.
+        let mut seen = 0u64;
+        for &row in self.rows.iter() {
+            seen |= 1 << row.count_ones();
+        }
+        seen == low_bits(n)
     }
 
     /// The current priority ranking, highest first (diagnostic).
     #[must_use]
     pub fn ranking(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.n).collect();
-        idx.sort_by_key(|&i| std::cmp::Reverse(self.wins(i)));
+        let mut idx: Vec<usize> = (0..self.len()).collect();
+        idx.sort_by_key(|&i| std::cmp::Reverse(self.rows[i].count_ones()));
         idx
     }
 }
@@ -178,7 +177,7 @@ impl fmt::Display for MatrixArbiter {
         write!(
             f,
             "MatrixArbiter(n={}, ranking={:?})",
-            self.n,
+            self.len(),
             self.ranking()
         )
     }
@@ -271,5 +270,25 @@ mod tests {
     #[should_panic(expected = "at least one requestor")]
     fn zero_requestors_rejected() {
         let _ = MatrixArbiter::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "64-bit request mask")]
+    fn more_than_64_requestors_rejected() {
+        let _ = MatrixArbiter::new(65);
+    }
+
+    #[test]
+    fn mask_and_slice_paths_agree_at_full_width() {
+        let mut arb = MatrixArbiter::new(64);
+        let mut reqs = [false; 64];
+        reqs[0] = true;
+        reqs[63] = true;
+        assert_eq!(arb.peek_mask(1 | 1 << 63), Some(0));
+        assert_eq!(arb.arbitrate(&reqs), Some(0));
+        assert_eq!(arb.peek_mask(1 | 1 << 63), Some(63));
+        assert_eq!(arb.arbitrate(&reqs), Some(63));
+        assert!(arb.has_priority(0, 63));
+        assert!(arb.is_total_order());
     }
 }

@@ -4,10 +4,15 @@
 //! output-VC selection in the VC allocator's first stage and virtual
 //! channel selection in the network interface. Weakly fair: a persistent
 //! requestor is served within `n` grants.
+//!
+//! The search is two mask operations: keep the requests at or above the
+//! pointer, fall back to all requests if none are, and take the lowest
+//! set bit.
 
+use crate::{check_width, pack};
 use std::fmt;
 
-/// A behavioral `n:1` round-robin arbiter.
+/// A behavioral `n:1` round-robin arbiter, `n <= 64`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobinArbiter {
     n: usize,
@@ -19,10 +24,10 @@ impl RoundRobinArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n > 64`.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "an arbiter needs at least one requestor");
+        check_width(n);
         RoundRobinArbiter { n, next: 0 }
     }
 
@@ -52,7 +57,7 @@ impl RoundRobinArbiter {
     /// Panics if `requests.len() != self.len()`.
     pub fn arbitrate(&mut self, requests: &[bool]) -> Option<usize> {
         let winner = self.peek(requests)?;
-        self.next = (winner + 1) % self.n;
+        self.advance_past(winner);
         Some(winner)
     }
 
@@ -61,19 +66,26 @@ impl RoundRobinArbiter {
     /// # Panics
     ///
     /// Panics if `requests.len() != self.len()`.
-    #[inline]
     #[must_use]
     pub fn peek(&self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(
-            requests.len(),
-            self.n,
-            "request vector length {} != arbiter size {}",
-            requests.len(),
+        self.peek_mask(pack(requests, self.n))
+    }
+
+    /// [`RoundRobinArbiter::peek`] over a request mask (bit `i` =
+    /// requestor `i`; bits at or above [`RoundRobinArbiter::len`] must be
+    /// clear).
+    #[inline]
+    #[must_use]
+    pub fn peek_mask(&self, requests: u64) -> Option<usize> {
+        debug_assert_eq!(
+            requests & !crate::low_bits(self.n),
+            0,
+            "request mask {requests:#x} wider than the arbiter ({})",
             self.n
         );
-        (0..self.n)
-            .map(|k| (self.next + k) % self.n)
-            .find(|&i| requests[i])
+        let upper = requests & (u64::MAX << self.next);
+        let pick = if upper != 0 { upper } else { requests };
+        (pick != 0).then(|| pick.trailing_zeros() as usize)
     }
 
     /// Advances the pointer past `winner` (commit of a peeked grant).
@@ -81,13 +93,14 @@ impl RoundRobinArbiter {
     /// # Panics
     ///
     /// Panics if `winner >= self.len()`.
+    #[inline]
     pub fn advance_past(&mut self, winner: usize) {
         assert!(
             winner < self.n,
             "requestor {winner} out of range {}",
             self.n
         );
-        self.next = (winner + 1) % self.n;
+        self.next = if winner + 1 == self.n { 0 } else { winner + 1 };
     }
 }
 
@@ -155,5 +168,15 @@ mod tests {
     #[should_panic(expected = "at least one requestor")]
     fn zero_requestors_rejected() {
         let _ = RoundRobinArbiter::new(0);
+    }
+
+    #[test]
+    fn pointer_wraps_at_full_width() {
+        let mut arb = RoundRobinArbiter::new(64);
+        arb.advance_past(5);
+        assert_eq!(arb.peek_mask(1 << 63 | 1 << 5), Some(63));
+        arb.advance_past(63);
+        assert_eq!(arb.pointer(), 0);
+        assert_eq!(arb.peek_mask(1 << 63 | 1 << 5), Some(5));
     }
 }

@@ -14,6 +14,11 @@
 //! does not cost an input its priority. Separable allocation trades a
 //! little matching efficiency for single-cycle implementability — exactly
 //! the trade the paper's §3.2 describes.
+//!
+//! Requests are kept as one `u64` row per input (bit `r` = resource `r`)
+//! and stage 1 fills one `u64` contender mask per resource (bit `i` =
+//! input `i`), so each stage visits only the inputs and resources that
+//! are actually requested, and both dimensions are capped at 64.
 
 use crate::matrix::MatrixArbiter;
 use crate::round_robin::RoundRobinArbiter;
@@ -28,20 +33,20 @@ pub struct Grant {
     pub resource: usize,
 }
 
-/// A separable `n_in × n_out` allocator with persistent arbiter state.
+/// A separable `n_in × n_out` allocator with persistent arbiter state,
+/// `n_in, n_out <= 64`.
 #[derive(Debug, Clone)]
 pub struct SeparableAllocator {
-    n_in: usize,
-    n_out: usize,
     stage1: Vec<RoundRobinArbiter>,
     stage2: Vec<MatrixArbiter>,
-    // Scratch buffers, retained to avoid per-cycle allocation.
-    chosen: Vec<Option<usize>>,
-    contenders: Vec<bool>,
-    /// Per-input request masks over resources, flattened `n_in × n_out`.
-    /// Always all-false between allocations (set and cleared per call).
-    req_mask: Vec<bool>,
-    has_req: Vec<bool>,
+    /// Pending request row per input (bit `r` = resource `r`); every row
+    /// is zero again after an allocation consumes it.
+    rows: Box<[u64]>,
+    /// Inputs with a non-zero row.
+    requesting: u64,
+    /// Stage-1 choices per resource (bit `i` = input `i`), zeroed as
+    /// stage 2 consumes them.
+    contenders: Box<[u64]>,
 }
 
 impl SeparableAllocator {
@@ -49,7 +54,7 @@ impl SeparableAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or exceeds 64.
     #[must_use]
     pub fn new(n_in: usize, n_out: usize) -> Self {
         assert!(
@@ -57,27 +62,24 @@ impl SeparableAllocator {
             "allocator dimensions must be positive"
         );
         SeparableAllocator {
-            n_in,
-            n_out,
             stage1: (0..n_in).map(|_| RoundRobinArbiter::new(n_out)).collect(),
             stage2: (0..n_out).map(|_| MatrixArbiter::new(n_in)).collect(),
-            chosen: vec![None; n_in],
-            contenders: vec![false; n_in],
-            req_mask: vec![false; n_in * n_out],
-            has_req: vec![false; n_in],
+            rows: vec![0; n_in].into_boxed_slice(),
+            requesting: 0,
+            contenders: vec![0; n_out].into_boxed_slice(),
         }
     }
 
     /// Number of inputs.
     #[must_use]
     pub fn inputs(&self) -> usize {
-        self.n_in
+        self.stage1.len()
     }
 
     /// Number of resources.
     #[must_use]
     pub fn outputs(&self) -> usize {
-        self.n_out
+        self.stage2.len()
     }
 
     /// Performs one allocation. `requests` lists `(input, resource)`
@@ -94,69 +96,95 @@ impl SeparableAllocator {
     }
 
     /// [`SeparableAllocator::allocate`] into a caller-provided buffer
-    /// (cleared first). All working state is retained scratch, so a
-    /// steady-state allocation performs no heap allocation at all — the
-    /// router tick path calls this every cycle.
+    /// (cleared first). All working state is retained, so a steady-state
+    /// allocation performs no heap allocation at all.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range.
     pub fn allocate_into(&mut self, requests: &[(usize, usize)], grants: &mut Vec<Grant>) {
+        for &(i, r) in requests {
+            assert!(
+                r < self.outputs(),
+                "resource {r} out of range {}",
+                self.outputs()
+            );
+            self.request(i, 1 << r);
+        }
+        self.allocate_requested(grants);
+    }
+
+    /// Adds a request row: `input` asks for every resource whose bit is
+    /// set in `resources`. Rows accumulate (OR) until the next
+    /// [`SeparableAllocator::allocate_requested`]; an empty row adds
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is out of range.
+    #[inline]
+    pub fn request(&mut self, input: usize, resources: u64) {
+        assert!(
+            input < self.inputs(),
+            "input {input} out of range {}",
+            self.inputs()
+        );
+        debug_assert_eq!(
+            resources & !crate::low_bits(self.outputs()),
+            0,
+            "resource mask {resources:#x} wider than the allocator"
+        );
+        if resources != 0 {
+            self.rows[input] |= resources;
+            self.requesting |= 1 << input;
+        }
+    }
+
+    /// Allocates over the rows added since the last allocation, clearing
+    /// them, and writes the grants into `grants` (cleared first) in
+    /// ascending resource order.
+    pub fn allocate_requested(&mut self, grants: &mut Vec<Grant>) {
         grants.clear();
-        // Build per-input request masks over resources (rows of the
-        // retained flattened mask, cleared again before returning).
-        for &(i, r) in requests {
-            assert!(i < self.n_in, "input {i} out of range {}", self.n_in);
-            assert!(r < self.n_out, "resource {r} out of range {}", self.n_out);
-            self.req_mask[i * self.n_out + r] = true;
-            self.has_req[i] = true;
+        // Stage 1: each requesting input picks one candidate resource
+        // (peek only; commit on final grant).
+        let mut chosen = 0u64;
+        let mut inputs = std::mem::take(&mut self.requesting);
+        while inputs != 0 {
+            let i = inputs.trailing_zeros() as usize;
+            inputs &= inputs - 1;
+            let row = std::mem::take(&mut self.rows[i]);
+            let r = self.stage1[i]
+                .peek_mask(row)
+                .expect("a requesting input has a non-empty row");
+            self.contenders[r] |= 1 << i;
+            chosen |= 1 << r;
         }
-
-        // Stage 1: each input picks one candidate resource (peek only;
-        // commit on final grant).
-        for i in 0..self.n_in {
-            self.chosen[i] = if self.has_req[i] {
-                let row = &self.req_mask[i * self.n_out..(i + 1) * self.n_out];
-                self.stage1[i].peek(row)
-            } else {
-                None
-            };
-        }
-
-        // Stage 2: each resource arbitrates among the inputs that chose it.
-        for r in 0..self.n_out {
-            self.contenders.iter_mut().for_each(|c| *c = false);
-            let mut any = false;
-            for i in 0..self.n_in {
-                if self.chosen[i] == Some(r) {
-                    self.contenders[i] = true;
-                    any = true;
-                }
-            }
-            if !any {
-                continue;
-            }
-            if let Some(winner) = self.stage2[r].peek(&self.contenders) {
-                self.stage2[r].demote(winner);
-                self.stage1[winner].advance_past(r);
-                grants.push(Grant {
-                    input: winner,
-                    resource: r,
-                });
-            }
-        }
-
-        // Restore the all-false invariant by clearing only the set bits.
-        for &(i, r) in requests {
-            self.req_mask[i * self.n_out + r] = false;
-            self.has_req[i] = false;
+        // Stage 2: each chosen resource arbitrates among its contenders.
+        while chosen != 0 {
+            let r = chosen.trailing_zeros() as usize;
+            chosen &= chosen - 1;
+            let contenders = std::mem::take(&mut self.contenders[r]);
+            let winner = self.stage2[r]
+                .peek_mask(contenders)
+                .expect("a chosen resource has a contender");
+            self.stage2[r].demote(winner);
+            self.stage1[winner].advance_past(r);
+            grants.push(Grant {
+                input: winner,
+                resource: r,
+            });
         }
     }
 }
 
 impl fmt::Display for SeparableAllocator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SeparableAllocator({}x{})", self.n_in, self.n_out)
+        write!(
+            f,
+            "SeparableAllocator({}x{})",
+            self.inputs(),
+            self.outputs()
+        )
     }
 }
 
@@ -276,5 +304,30 @@ mod tests {
     #[should_panic(expected = "dimensions must be positive")]
     fn zero_dimension_rejected() {
         let _ = SeparableAllocator::new(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "64-bit request mask")]
+    fn more_than_64_inputs_rejected() {
+        let _ = SeparableAllocator::new(65, 3);
+    }
+
+    #[test]
+    fn row_requests_match_pair_requests() {
+        let mut rows = SeparableAllocator::new(4, 4);
+        let mut pairs = SeparableAllocator::new(4, 4);
+        let mut by_row = Vec::new();
+        let mut by_pair = Vec::new();
+        for round in 0..6 {
+            let reqs = [(0, round % 4), (0, 3), (1, 0), (2, 3), (3, round % 2)];
+            for &(i, r) in &reqs {
+                rows.request(i, 1 << r);
+            }
+            rows.request(1, 0);
+            rows.allocate_requested(&mut by_row);
+            pairs.allocate_into(&reqs, &mut by_pair);
+            assert_eq!(by_row, by_pair, "round {round}");
+            assert!(by_row.windows(2).all(|w| w[0].resource < w[1].resource));
+        }
     }
 }

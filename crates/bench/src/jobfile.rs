@@ -367,6 +367,7 @@ priority = 2.5
                 "[[job]]\nloads = [0.1]\nvcs = 1\nrouter = \"vc\"\ntorus = true\n",
                 "dateline",
             ),
+            ("[[job]]\nloads = [0.1]\nvcs = 13\n", "13 vcs"),
         ] {
             let f = spec::parse(body).expect(body);
             let err = build_batch(&f).expect_err(body);

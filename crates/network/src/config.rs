@@ -257,6 +257,15 @@ pub enum ConfigError {
         /// The configured radix.
         radix: usize,
     },
+    /// Routers with more than [`RouterConfig::MAX_CHANNELS`] input
+    /// channels (`ports × vcs`): the router tick keeps its channel sets
+    /// and allocator requests in `u64` masks.
+    TooManyChannels {
+        /// Ports per router (local port included).
+        ports: usize,
+        /// The configured VCs per port.
+        vcs: usize,
+    },
     /// A zero-cycle rebalance epoch: the work meter needs at least one
     /// executed cycle per decision window.
     RebalanceEpochZero,
@@ -352,6 +361,13 @@ impl fmt::Display for ConfigError {
                 f,
                 "radix {radix} exceeds the route table's one-byte coordinate encoding \
                  (max 256 nodes per dimension); add a dimension instead"
+            ),
+            ConfigError::TooManyChannels { ports, vcs } => write!(
+                f,
+                "routers with {ports} ports x {vcs} vcs have {} input channels, more than \
+                 the {} a router's u64 masks hold; use fewer vcs or fewer dimensions",
+                ports * vcs,
+                RouterConfig::MAX_CHANNELS
             ),
             ConfigError::RebalanceEpochZero => write!(
                 f,
@@ -938,12 +954,17 @@ impl NetworkConfig {
     ///
     /// See [`ConfigError`] for the rejected combinations: a torus
     /// without dateline VCs, west-first outside a 2-D mesh, a turn model
-    /// on a torus, and shapes beyond the route table's compact encoding.
+    /// on a torus, shapes beyond the route table's compact encoding, and
+    /// routers wider than 64 input channels.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.mesh.radix() > 256 {
             return Err(ConfigError::RadixTooLarge {
                 radix: self.mesh.radix(),
             });
+        }
+        let (ports, vcs) = (self.mesh.ports(), self.router.vcs());
+        if ports * vcs > RouterConfig::MAX_CHANNELS {
+            return Err(ConfigError::TooManyChannels { ports, vcs });
         }
         if self.mesh.is_torus() && self.router.vcs() < 2 {
             return Err(ConfigError::TorusNeedsDatelineVcs {
@@ -1304,6 +1325,25 @@ mod tests {
             Ok(()),
             "dimension-ordered has no dimension cap"
         );
+    }
+
+    #[test]
+    fn validate_caps_router_channels_at_64() {
+        let wide = |vcs| RouterKind::SpeculativeVc {
+            vcs,
+            buffers_per_vc: 4,
+        };
+        // 5 ports x 12 VCs fit a mask; 5 x 13 does not.
+        assert_eq!(NetworkConfig::mesh(4, wide(12)).validate(), Ok(()));
+        let err = NetworkConfig::mesh(4, wide(13)).validate().unwrap_err();
+        assert_eq!(err, ConfigError::TooManyChannels { ports: 5, vcs: 13 });
+        let msg = err.to_string();
+        assert!(msg.contains("5 ports") && msg.contains("13 vcs"), "{msg}");
+        // A 3-D mesh has 7-port routers: 7 x 10 = 70 channels.
+        let err = NetworkConfig::for_mesh(Mesh::new(3, 3), wide(10))
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, ConfigError::TooManyChannels { ports: 7, vcs: 10 });
     }
 
     #[test]

@@ -214,6 +214,10 @@ impl RouterConfig {
         self
     }
 
+    /// The most input channels (`ports × vcs`) a router may have: the
+    /// tick keeps its channel sets and VA request rows in `u64` masks.
+    pub const MAX_CHANNELS: usize = arbitration::MAX_WIDTH;
+
     /// Total flit buffers per input port.
     #[must_use]
     pub fn buffers_per_port(&self) -> usize {
@@ -223,6 +227,13 @@ impl RouterConfig {
     fn validate(&self) {
         assert!(self.ports >= 2, "need at least 2 ports, got {}", self.ports);
         assert!(self.vcs >= 1, "need at least 1 VC, got {}", self.vcs);
+        assert!(
+            self.ports * self.vcs <= Self::MAX_CHANNELS,
+            "ports × vcs = {} × {} exceeds the {} channels of a router's masks",
+            self.ports,
+            self.vcs,
+            Self::MAX_CHANNELS
+        );
         assert!(
             !matches!(
                 self.kind,
@@ -329,5 +340,12 @@ mod tests {
     #[should_panic(expected = "at least 2 ports")]
     fn one_port_rejected() {
         let _ = RouterConfig::wormhole(1, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "5 × 13 exceeds the 64 channels")]
+    fn more_than_64_channels_rejected() {
+        let _ = RouterConfig::speculative(5, 12, 4);
+        let _ = RouterConfig::speculative(5, 13, 4);
     }
 }

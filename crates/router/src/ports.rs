@@ -86,7 +86,10 @@ pub struct OutputPort {
     credits: Vec<u64>,
     credit_cap: Vec<u64>,
     /// Which (input port, input VC) owns each output VC, if any.
-    pub owner: Vec<Option<(usize, usize)>>,
+    owner: Vec<Option<(usize, usize)>>,
+    /// The unowned output VCs (bit `i` = VC `i`), kept in step with
+    /// `owner` — the VC allocator ANDs it with a packet's permitted VCs.
+    free: u64,
     /// Which input port holds this output (wormhole only).
     pub holder: Option<usize>,
     sink: bool,
@@ -95,15 +98,50 @@ pub struct OutputPort {
 impl OutputPort {
     /// Creates an output port with `vcs` downstream VCs, zero credits
     /// until [`OutputPort::set_credits`] is called.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcs` is zero or exceeds the 64 bits of the free-VC
+    /// mask.
     #[must_use]
     pub fn new(vcs: usize) -> Self {
+        assert!(
+            (1..=64).contains(&vcs),
+            "an output port has 1 to 64 VCs, got {vcs}"
+        );
         OutputPort {
             credits: vec![0; vcs],
             credit_cap: vec![0; vcs],
             owner: vec![None; vcs],
+            free: arbitration::low_bits(vcs),
             holder: None,
             sink: false,
         }
+    }
+
+    /// The (input port, input VC) owning output VC `vc`, if any.
+    #[must_use]
+    pub fn owner(&self, vc: usize) -> Option<(usize, usize)> {
+        self.owner[vc]
+    }
+
+    /// Hands output VC `vc` to input channel `by` (a VA grant).
+    pub fn claim(&mut self, vc: usize, by: (usize, usize)) {
+        debug_assert!(self.owner[vc].is_none(), "output VC {vc} already owned");
+        self.owner[vc] = Some(by);
+        self.free &= !(1 << vc);
+    }
+
+    /// Frees output VC `vc` (its packet's tail left).
+    pub fn release(&mut self, vc: usize) {
+        self.owner[vc] = None;
+        self.free |= 1 << vc;
+    }
+
+    /// The unowned output VCs as a mask (bit `i` = VC `i`).
+    #[must_use]
+    pub fn free_vcs(&self) -> u64 {
+        self.free
     }
 
     /// Initializes every downstream VC with `per_vc` credits (the depth of
@@ -166,15 +204,6 @@ impl OutputPort {
             "credit overflow on vc {vc}: duplicate credit"
         );
         self.credits[vc] += 1;
-    }
-
-    /// The free (unowned) output VCs, in ascending index order, without
-    /// allocating — the VC allocator walks this every cycle.
-    pub fn free_vcs_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.owner
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.is_none().then_some(i))
     }
 }
 
@@ -245,10 +274,12 @@ mod tests {
     #[test]
     fn free_vcs_tracks_ownership() {
         let mut out = OutputPort::new(3);
-        assert_eq!(out.free_vcs_iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        out.owner[1] = Some((0, 0));
-        assert_eq!(out.free_vcs_iter().collect::<Vec<_>>(), vec![0, 2]);
-        out.owner[1] = None;
-        assert_eq!(out.free_vcs_iter().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(out.free_vcs(), 0b111);
+        out.claim(1, (0, 0));
+        assert_eq!(out.owner(1), Some((0, 0)));
+        assert_eq!(out.free_vcs(), 0b101);
+        out.release(1);
+        assert_eq!(out.owner(1), None);
+        assert_eq!(out.free_vcs(), 0b111);
     }
 }

@@ -30,6 +30,35 @@
 //! both reach a fixed point after a few cycles. The claim is enforced by
 //! the counting-allocator test in `tests/alloc_free.rs`.
 //!
+//! # The hot path works on `u64` masks
+//!
+//! Every set the tick handles is a `u64` bitmask over the flattened
+//! channel index `port * vcs + vc` (or over port numbers), so a router
+//! has at most 64 input channels — [`RouterConfig`] asserts
+//! `ports × vcs <= 64`, and the network configuration reports it as a
+//! typed error. Three channel masks are kept in step with the arena and
+//! the channel states as they change:
+//!
+//! * `occupied` — the ring holds a flit (set on [`Router::accept_flit`],
+//!   cleared when a traversal empties the ring);
+//! * `busy` — the state is not [`VcState::Idle`] (set by RC, cleared by a
+//!   tail's traversal);
+//! * `allocating` — the state is [`VcState::Allocating`] (set by RC,
+//!   cleared by a VA grant or a wormhole hold grant).
+//!
+//! So each stage visits only the channels that can act: RC walks
+//! `occupied & !busy`, VA walks `allocating`, and switch allocation's
+//! first stage walks `busy & !allocating & occupied`, port by port. The
+//! arbiters take the request masks directly (see the `arbitration`
+//! crate): a VA bidder adds one request row, its output port's free-VC
+//! mask ANDed with the VCs the routing function permits; SA stage 1 files
+//! each input port's winner under its output port, so stage 2 visits
+//! only requested outputs; and the speculative plane checks bidders and
+//! VA winners by mask. Grants come out in the same order as a scan over
+//! every channel would produce them, so results are bit-identical to it.
+//! Debug builds check the three masks against the arena and the channel
+//! states after every tick.
+//!
 //! # The tick is a side-effect-free compute half
 //!
 //! The router's cycle is already split into the two halves a
@@ -136,61 +165,54 @@ struct StEntry {
 /// Retained per-phase working buffers: taken out of the router at the
 /// top of a tick, threaded through the phases, and put back — so the
 /// phases can borrow scratch and router state disjointly and no phase
-/// ever allocates in steady state.
+/// ever allocates in steady state. Channel sets are `u64` masks over the
+/// flattened channel index `port * vcs + vc`; port sets are masks over
+/// port numbers.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// ST entries due this cycle (drained from `pending_st`).
     st_due: Vec<StEntry>,
     /// Channels that presented VA requests this cycle.
-    va_bidders: Vec<(usize, usize)>,
-    /// Flattened `(input, resource)` VA requests.
-    va_requests: Vec<(usize, usize)>,
+    va_bidders: u64,
     /// Grants returned by the VC allocator.
     va_grants: Vec<Grant>,
     /// Channels that won an output VC this cycle.
-    va_winners: Vec<(usize, usize)>,
-    /// SA stage-1 winner per input port: `(vc, out_port, out_vc)`.
-    sa_port_winner: Vec<Option<(usize, usize, usize)>>,
-    /// `(in_port, out_port)` pairs granted non-speculatively this cycle.
-    sa_granted: Vec<(usize, usize)>,
-    /// Per-VC request flags (length `vcs`).
-    vc_reqs: Vec<bool>,
-    /// Per-VC SA targets (length `vcs`).
-    vc_targets: Vec<Option<(usize, usize)>>,
-    /// Per-port request flags (length `ports`).
-    port_reqs: Vec<bool>,
-    /// Input ports consumed by non-speculative grants (length `ports`).
-    in_taken: Vec<bool>,
-    /// Output ports consumed by non-speculative grants (length `ports`).
-    out_taken: Vec<bool>,
-    /// Speculative stage-1 winner per input port: `(vc, out_port)`.
-    spec_winner: Vec<Option<(usize, usize)>>,
-    /// Per-VC speculative targets (length `vcs`).
-    spec_targets: Vec<Option<usize>>,
-    /// Wormhole outputs newly held this cycle.
-    newly_held: Vec<usize>,
+    va_winners: u64,
+    /// SA stage-1 winner per input port: `(vc, out_vc)`, valid for the
+    /// ports that have a bit in some `port_reqs` entry.
+    sa_port_winner: Vec<(usize, usize)>,
+    /// Stage-2 requests per output port (bit = input port), filled by
+    /// stage 1 and zeroed again as stage 2 consumes them.
+    port_reqs: Vec<u64>,
+    /// Input ports consumed by non-speculative grants.
+    in_taken: u64,
+    /// Output ports consumed by non-speculative grants.
+    out_taken: u64,
+    /// Speculative stage-1 winning VC per input port.
+    spec_winner: Vec<usize>,
 }
 
 impl Scratch {
-    fn new(ports: usize, vcs: usize) -> Self {
+    fn new(ports: usize) -> Self {
         Scratch {
-            st_due: Vec::new(),
-            va_bidders: Vec::new(),
-            va_requests: Vec::new(),
-            va_grants: Vec::new(),
-            va_winners: Vec::new(),
-            sa_port_winner: vec![None; ports],
-            sa_granted: Vec::new(),
-            vc_reqs: vec![false; vcs],
-            vc_targets: vec![None; vcs],
-            port_reqs: vec![false; ports],
-            in_taken: vec![false; ports],
-            out_taken: vec![false; ports],
-            spec_winner: vec![None; ports],
-            spec_targets: vec![None; vcs],
-            newly_held: Vec::new(),
+            sa_port_winner: vec![(0, 0); ports],
+            port_reqs: vec![0; ports],
+            spec_winner: vec![0; ports],
+            ..Scratch::default()
         }
     }
+}
+
+/// Iterates the set bits of `mask`, lowest first.
+#[inline]
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 /// A cycle-accurate wormhole / VC / speculative-VC router.
@@ -217,6 +239,16 @@ pub struct Router {
     /// Flits currently buffered across all input VCs (wake accounting:
     /// kept in O(1) so [`Router::is_quiescent`] is a cheap field test).
     buffered: usize,
+    /// Channels whose ring holds at least one flit (bit `port * vcs +
+    /// vc`): set by [`Router::accept_flit`], cleared when a traversal
+    /// empties the ring.
+    occupied: u64,
+    /// Channels whose state is not [`VcState::Idle`]: set by RC, cleared
+    /// by a tail's traversal.
+    busy: u64,
+    /// Channels in [`VcState::Allocating`]: set by RC, cleared by a VA
+    /// grant or a wormhole hold grant.
+    allocating: u64,
 }
 
 impl Router {
@@ -238,11 +270,14 @@ impl Router {
             spec_sa1: (0..p).map(|_| MatrixArbiter::new(v)).collect(),
             spec_sa2: (0..p).map(|_| MatrixArbiter::new(p)).collect(),
             pending_st: Vec::new(),
-            scratch: Scratch::new(p, v),
+            scratch: Scratch::new(p),
             stats: RouterStats::default(),
             trace: None,
             last_tick: None,
             buffered: 0,
+            occupied: 0,
+            busy: 0,
+            allocating: 0,
         }
     }
 
@@ -381,7 +416,9 @@ impl Router {
         );
         flit.arrival = now;
         self.record(now, port, flit.vc, flit.packet, PipelineEvent::Arrived);
-        self.arena.push_back(self.chan(port, flit.vc), flit);
+        let chan = self.chan(port, flit.vc);
+        self.arena.push_back(chan, flit);
+        self.occupied |= 1 << chan;
         self.buffered += 1;
     }
 
@@ -449,6 +486,22 @@ impl Router {
         }
 
         self.scratch = s;
+        debug_assert!(
+            self.channel_masks_agree(),
+            "channel masks out of step with the arena and channel states"
+        );
+    }
+
+    /// Whether `occupied`, `busy` and `allocating` match the arena and
+    /// every channel's [`VcState`] (the debug-build check of the masks).
+    fn channel_masks_agree(&self) -> bool {
+        (0..self.inputs.len()).all(|chan| {
+            let bit = |mask: u64| mask >> chan & 1 == 1;
+            let state = self.inputs[chan].state;
+            bit(self.occupied) != self.arena.is_empty(chan)
+                && bit(self.busy) == (state != VcState::Idle)
+                && bit(self.allocating) == matches!(state, VcState::Allocating { .. })
+        })
     }
 
     // ----- ST ---------------------------------------------------------
@@ -528,6 +581,9 @@ impl Router {
             .pop_front(chan)
             .expect("granted traversal with empty queue");
         self.buffered -= 1;
+        if self.arena.is_empty(chan) {
+            self.occupied &= !(1 << chan);
+        }
         if let VcState::Active { packet, .. } = self.inputs[chan].state {
             debug_assert_eq!(packet, flit.packet, "foreign flit on an active channel");
         }
@@ -538,9 +594,10 @@ impl Router {
                 FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough => {
                     self.outputs[e.out_port].holder = None;
                 }
-                _ => self.outputs[e.out_port].owner[e.out_vc] = None,
+                _ => self.outputs[e.out_port].release(e.out_vc),
             }
             self.inputs[chan].state = VcState::Idle;
+            self.busy &= !(1 << chan);
         }
         self.stats.flits_switched += 1;
         self.stats.credits_sent += 1;
@@ -566,17 +623,17 @@ impl Router {
 
     // ----- RC ---------------------------------------------------------
 
+    /// Route computation for every idle channel holding a flit — which,
+    /// at an idle channel, must be a packet's head.
     fn phase_rc(&mut self, now: u64, route: &dyn RoutingOracle) {
         let rc_delay = self.cfg.timing.rc_delay;
         let ports = self.cfg.ports;
         let v = self.cfg.vcs;
-        for chan in 0..ports * v {
-            if self.inputs[chan].state != VcState::Idle {
-                continue;
-            }
-            let Some(front) = self.arena.front(chan) else {
-                continue;
-            };
+        for chan in bits(self.occupied & !self.busy) {
+            let front = self
+                .arena
+                .front(chan)
+                .expect("occupied channel without a front flit");
             assert!(
                 front.kind.is_head(),
                 "non-head flit {front} at the front of an idle channel"
@@ -585,7 +642,7 @@ impl Router {
             assert!(out_port < ports, "routing returned port {out_port}");
             let vc_mask = route.vc_mask(front, out_port);
             assert!(
-                vc_mask & (u64::MAX >> (64 - v)) != 0,
+                vc_mask & arbitration::low_bits(v) != 0,
                 "routing permitted no output VC at port {out_port}"
             );
             let packet = front.packet;
@@ -594,6 +651,8 @@ impl Router {
                 request_at: now + rc_delay,
                 vc_mask,
             };
+            self.busy |= 1 << chan;
+            self.allocating |= 1 << chan;
             self.record(
                 now,
                 chan / v,
@@ -606,13 +665,15 @@ impl Router {
 
     // ----- VA ---------------------------------------------------------
 
-    /// Runs VC allocation, filling `s.va_bidders` with the channels that
-    /// presented VA requests this cycle and `s.va_winners` with the subset
+    /// Runs VC allocation, setting `s.va_bidders` to the channels that
+    /// presented VA requests this cycle and `s.va_winners` to the subset
     /// that won an output VC — the speculative switch allocator needs
-    /// both.
+    /// both. A bidder's request row is its output port's free VCs that
+    /// the routing function permits, placed at that port's resource
+    /// offset.
     fn phase_va(&mut self, now: u64, s: &mut Scratch) {
-        s.va_bidders.clear();
-        s.va_winners.clear();
+        s.va_bidders = 0;
+        s.va_winners = 0;
         if matches!(
             self.cfg.kind,
             FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough
@@ -620,40 +681,36 @@ impl Router {
             return;
         }
         let v = self.cfg.vcs;
-        s.va_requests.clear();
-        for port in 0..self.cfg.ports {
-            for vc in 0..v {
-                let chan = port * v + vc;
-                let VcState::Allocating {
-                    out_port,
-                    request_at,
-                    vc_mask,
-                } = self.inputs[chan].state
-                else {
-                    continue;
-                };
-                if now < request_at {
-                    continue;
-                }
-                s.va_bidders.push((port, vc));
-                for free in self.outputs[out_port].free_vcs_iter() {
-                    if free < 64 && vc_mask & (1 << free) != 0 {
-                        s.va_requests.push((chan, out_port * v + free));
-                    }
-                }
+        let mut requested = false;
+        for chan in bits(self.allocating) {
+            let VcState::Allocating {
+                out_port,
+                request_at,
+                vc_mask,
+            } = self.inputs[chan].state
+            else {
+                unreachable!("allocating mask names a non-allocating channel");
+            };
+            if now < request_at {
+                continue;
+            }
+            s.va_bidders |= 1 << chan;
+            let free = self.outputs[out_port].free_vcs() & vc_mask;
+            if free != 0 {
+                self.va.request(chan, free << (out_port * v));
+                requested = true;
             }
         }
-        if s.va_requests.is_empty() {
+        if !requested {
             // Nothing bid (the common case while bodies stream): skip the
             // allocator's stage scans entirely.
             return;
         }
-        self.va.allocate_into(&s.va_requests, &mut s.va_grants);
+        self.va.allocate_requested(&mut s.va_grants);
         for g in &s.va_grants {
             let (port, vc) = (g.input / v, g.input % v);
             let (out_port, out_vc) = (g.resource / v, g.resource % v);
-            debug_assert!(self.outputs[out_port].owner[out_vc].is_none());
-            self.outputs[out_port].owner[out_vc] = Some((port, vc));
+            self.outputs[out_port].claim(out_vc, (port, vc));
             let packet = self
                 .arena
                 .front(g.input)
@@ -676,19 +733,19 @@ impl Router {
                 sa_request_at,
                 packet,
             };
+            self.allocating &= !(1 << g.input);
             self.stats.va_grants += 1;
             self.record(now, port, vc, packet, PipelineEvent::VaGranted { out_vc });
-            s.va_winners.push((port, vc));
+            s.va_winners |= 1 << g.input;
         }
     }
 
     // ----- SA ---------------------------------------------------------
 
-    /// Whether channel `(port, vc)` has a switch request this cycle:
-    /// active, with an eligible front flit and a downstream credit.
-    fn sa_request(&self, now: u64, port: usize, vc: usize) -> Option<(usize, usize)> {
+    /// Whether active channel `chan` has a switch request this cycle: an
+    /// eligible front flit and a downstream credit.
+    fn sa_request(&self, now: u64, chan: usize) -> bool {
         let t = self.cfg.timing;
-        let chan = port * self.cfg.vcs + vc;
         let VcState::Active {
             out_port,
             out_vc,
@@ -696,65 +753,93 @@ impl Router {
             ..
         } = self.inputs[chan].state
         else {
-            return None;
+            unreachable!("switch request from a channel that is not active");
         };
-        let front = self.arena.front(chan)?;
+        let front = self
+            .arena
+            .front(chan)
+            .expect("occupied channel without a front flit");
         let eligible = if front.kind.is_head() {
             now >= sa_request_at
         } else {
             now >= front.arrival + t.body_sa_delay
         };
-        (eligible && self.outputs[out_port].has_credit(out_vc)).then_some((out_port, out_vc))
+        eligible && self.outputs[out_port].has_credit(out_vc)
+    }
+
+    /// Splits channel mask `chans` by input port: yields `(port, vcs)`
+    /// with `vcs` the port's channels as a VC mask, ports ascending.
+    fn by_port(&self, mut chans: u64) -> impl Iterator<Item = (usize, u64)> {
+        let v = self.cfg.vcs;
+        let vc_bits = arbitration::low_bits(v);
+        std::iter::from_fn(move || {
+            (chans != 0).then(|| {
+                let port = chans.trailing_zeros() as usize / v;
+                let base = port * v;
+                let vcs = chans >> base & vc_bits;
+                chans &= !(vc_bits << base);
+                (port, vcs)
+            })
+        })
     }
 
     /// Non-speculative separable switch allocation (VC and speculative
     /// routers; the speculative plane runs after this and never overrides
-    /// its grants). Fills `s.sa_granted` with the `(in_port, out_port)`
-    /// pairs granted this cycle — the crossbar connections the
-    /// speculative plane must avoid.
+    /// its grants). Stage 1 visits only active channels holding a flit
+    /// and files each port's winner under its output in `s.port_reqs`.
+    /// Sets `s.in_taken` / `s.out_taken` to the crossbar connections
+    /// granted this cycle — the ones the speculative plane must avoid.
     fn phase_sa_vc(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
-        let p = self.cfg.ports;
         let v = self.cfg.vcs;
+        s.in_taken = 0;
+        s.out_taken = 0;
 
         // Stage 1: per input port, pick one requesting VC.
-        let mut any_winner = false;
-        for port in 0..p {
-            s.sa_port_winner[port] = None;
-            let mut any_req = false;
-            for vc in 0..v {
-                s.vc_targets[vc] = self.sa_request(now, port, vc);
-                s.vc_reqs[vc] = s.vc_targets[vc].is_some();
-                any_req |= s.vc_reqs[vc];
-            }
-            if !any_req {
-                continue;
-            }
-            if let Some(winner_vc) = self.sa1[port].peek(&s.vc_reqs) {
-                let (op, ov) = s.vc_targets[winner_vc].expect("stage-1 winner had a request");
-                s.sa_port_winner[port] = Some((winner_vc, op, ov));
-                any_winner = true;
-            }
-        }
-
-        // Stage 2: per output port, pick one input port.
-        s.sa_granted.clear();
-        if !any_winner {
-            return;
-        }
-        for out_port in 0..p {
-            for (port, w) in s.sa_port_winner.iter().enumerate() {
-                s.port_reqs[port] = matches!(w, Some((_, op, _)) if *op == out_port);
-            }
-            let Some(win_port) = self.sa2[out_port].peek(&s.port_reqs) else {
+        let mut requested_outs = 0u64;
+        for (port, vcs) in self.by_port(self.busy & !self.allocating & self.occupied) {
+            let base = port * v;
+            let reqs = bits(vcs)
+                .filter(|&vc| self.sa_request(now, base + vc))
+                .fold(0u64, |m, vc| m | 1 << vc);
+            let Some(vc) = self.sa1[port].peek_mask(reqs) else {
                 continue;
             };
-            let (vc, _, out_vc) = s.sa_port_winner[win_port].expect("stage-2 winner had a request");
+            let VcState::Active {
+                out_port, out_vc, ..
+            } = self.inputs[base + vc].state
+            else {
+                unreachable!("stage-1 winner is active");
+            };
+            s.sa_port_winner[port] = (vc, out_vc);
+            s.port_reqs[out_port] |= 1 << port;
+            requested_outs |= 1 << out_port;
+        }
+
+        // Stage 2: per requested output port, pick one input port.
+        for out_port in bits(requested_outs) {
+            let reqs = std::mem::take(&mut s.port_reqs[out_port]);
+            let win_port = self.sa2[out_port]
+                .peek_mask(reqs)
+                .expect("a requested output has a winner");
+            let (vc, out_vc) = s.sa_port_winner[win_port];
             self.sa2[out_port].demote(win_port);
             self.sa1[win_port].demote(vc);
             let entry = self.st_entry(now, win_port, vc, (out_port, out_vc));
             self.grant_switch(now, entry, false, out);
             self.stats.sa_grants += 1;
-            s.sa_granted.push((win_port, out_port));
+            s.in_taken |= 1 << win_port;
+            s.out_taken |= 1 << out_port;
+        }
+    }
+
+    /// The output port a VA bidder speculatively requests: its routed
+    /// port, whether VA failed (still allocating) or succeeded (active).
+    fn spec_target(&self, chan: usize) -> Option<usize> {
+        match self.inputs[chan].state {
+            VcState::Allocating { out_port, .. } | VcState::Active { out_port, .. } => {
+                Some(out_port)
+            }
+            VcState::Idle => None,
         }
     }
 
@@ -765,84 +850,60 @@ impl Router {
     /// ports and input ports already granted non-speculatively are
     /// excluded — non-speculative requests have strict priority.
     fn phase_sa_speculative(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
-        let p = self.cfg.ports;
         let v = self.cfg.vcs;
-        if s.va_bidders.is_empty() {
-            return;
-        }
 
-        // Crossbar connections consumed by this cycle's non-speculative
-        // grants (they traverse in the same cycle as any speculative grant
-        // issued now, so they conflict; traversals of *earlier* grants do
-        // not).
-        s.in_taken.iter_mut().for_each(|t| *t = false);
-        s.out_taken.iter_mut().for_each(|t| *t = false);
-        for &(in_port, out_port) in &s.sa_granted {
-            s.in_taken[in_port] = true;
-            s.out_taken[out_port] = true;
-        }
-
-        // Stage 1: per input port, pick one speculatively bidding VC.
-        let mut any_winner = false;
-        for port in 0..p {
-            s.spec_winner[port] = None;
-            if s.in_taken[port] {
+        // Stage 1: per input port not granted non-speculatively this
+        // cycle (those grants traverse in the same cycle as any
+        // speculative grant issued now, so they conflict; traversals of
+        // *earlier* grants do not), pick one speculatively bidding VC.
+        let mut requested_outs = 0u64;
+        for (port, vcs) in self.by_port(s.va_bidders) {
+            if s.in_taken & 1 << port != 0 {
                 continue;
             }
-            s.vc_reqs.iter_mut().for_each(|r| *r = false);
-            s.spec_targets.iter_mut().for_each(|t| *t = None);
-            for &(bp, bvc) in &s.va_bidders {
-                if bp != port {
-                    continue;
+            let base = port * v;
+            let mut reqs = 0u64;
+            for vc in bits(vcs) {
+                if self.spec_target(base + vc).is_some() {
+                    reqs |= 1 << vc;
+                    self.stats.spec_requests += 1;
                 }
-                // The channel bid for VA this cycle; its head (at the
-                // queue front) speculatively requests its output port.
-                let out_port = match self.inputs[bp * v + bvc].state {
-                    VcState::Allocating { out_port, .. } => out_port, // VA failed
-                    VcState::Active { out_port, .. } => out_port,     // VA succeeded
-                    VcState::Idle => continue,
-                };
-                s.vc_reqs[bvc] = true;
-                s.spec_targets[bvc] = Some(out_port);
-                self.stats.spec_requests += 1;
             }
-            if let Some(winner_vc) = self.spec_sa1[port].peek(&s.vc_reqs) {
-                s.spec_winner[port] =
-                    Some((winner_vc, s.spec_targets[winner_vc].expect("had target")));
-                any_winner = true;
-            }
-        }
-        if !any_winner {
-            return;
-        }
-
-        // Stage 2: per output port not already granted, pick one port.
-        for out_port in 0..p {
-            if s.out_taken[out_port] {
-                continue;
-            }
-            for (port, w) in s.spec_winner.iter().enumerate() {
-                s.port_reqs[port] = matches!(w, Some((_, op)) if *op == out_port);
-            }
-            let Some(win_port) = self.spec_sa2[out_port].peek(&s.port_reqs) else {
+            let Some(vc) = self.spec_sa1[port].peek_mask(reqs) else {
                 continue;
             };
-            let (vc, _) = s.spec_winner[win_port].expect("stage-2 winner had a request");
+            let out_port = self.spec_target(base + vc).expect("had target");
+            s.spec_winner[port] = vc;
+            s.port_reqs[out_port] |= 1 << port;
+            requested_outs |= 1 << out_port;
+        }
+
+        // Stage 2: per requested output port not already granted, pick
+        // one input port.
+        for out_port in bits(requested_outs) {
+            let reqs = std::mem::take(&mut s.port_reqs[out_port]);
+            if s.out_taken & 1 << out_port != 0 {
+                continue;
+            }
+            let win_port = self.spec_sa2[out_port]
+                .peek_mask(reqs)
+                .expect("a requested output has a winner");
+            let vc = s.spec_winner[win_port];
             self.spec_sa2[out_port].demote(win_port);
             self.spec_sa1[win_port].demote(vc);
 
             // Validate the speculation: the channel must have won VA this
             // very cycle and the granted output VC must have a credit.
-            let valid = s.va_winners.contains(&(win_port, vc));
-            if !valid {
+            let chan = win_port * v + vc;
+            if s.va_winners & 1 << chan == 0 {
                 self.stats.spec_wasted += 1;
-                if let Some(front) = self.arena.front(win_port * v + vc) {
+                if let Some(front) = self.arena.front(chan) {
                     let packet = front.packet;
                     self.record(now, win_port, vc, packet, PipelineEvent::SpecWasted);
                 }
                 continue;
             }
-            let VcState::Active { out_vc, .. } = self.inputs[win_port * v + vc].state else {
+            let VcState::Active { out_vc, .. } = self.inputs[chan].state else {
                 unreachable!("VA winner must be active");
             };
             if !self.outputs[out_port].has_credit(out_vc) {
@@ -857,47 +918,54 @@ impl Router {
 
     /// Wormhole switch arbitration: channels bid to *hold* a free output
     /// port; held ports then stream flits (see [`Router::wormhole_flow`]).
+    /// With one VC per port, a channel index is its input port.
     fn phase_sa_wormhole(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
-        let p = self.cfg.ports;
-        let v = self.cfg.vcs;
-        s.newly_held.clear();
-        for out_port in 0..p {
-            if self.outputs[out_port].holder.is_some() {
-                continue;
-            }
-            for port in 0..p {
-                let chan = port * v;
-                let mut r = matches!(
-                    self.inputs[chan].state,
-                    VcState::Allocating { out_port: op, request_at, .. }
-                        if op == out_port && now >= request_at
-                );
-                // Cut-through admission: the downstream buffer must have
-                // room for the entire packet before it may advance.
-                if r && self.cfg.kind == FlowControlKind::VirtualCutThrough {
-                    let head = self.arena.front(chan).expect("bid without head");
-                    let room = self.outputs[out_port].is_sink()
-                        || self.outputs[out_port].credit_count(0) >= u64::from(head.len);
-                    r = room;
-                }
-                s.port_reqs[port] = r;
-            }
-            let Some(winner) = self.sa2[out_port].peek(&s.port_reqs) else {
-                continue;
+        debug_assert_eq!(self.cfg.vcs, 1, "hold-based routers have one VC");
+        let mut requested_outs = 0u64;
+        for port in bits(self.allocating) {
+            let VcState::Allocating {
+                out_port,
+                request_at,
+                ..
+            } = self.inputs[port].state
+            else {
+                unreachable!("allocating mask names a non-allocating channel");
             };
+            if now < request_at || self.outputs[out_port].holder.is_some() {
+                continue;
+            }
+            // Cut-through admission: the downstream buffer must have
+            // room for the entire packet before it may advance.
+            if self.cfg.kind == FlowControlKind::VirtualCutThrough {
+                let head = self.arena.front(port).expect("bid without head");
+                let room = self.outputs[out_port].is_sink()
+                    || self.outputs[out_port].credit_count(0) >= u64::from(head.len);
+                if !room {
+                    continue;
+                }
+            }
+            s.port_reqs[out_port] |= 1 << port;
+            requested_outs |= 1 << out_port;
+        }
+        for out_port in bits(requested_outs) {
+            let reqs = std::mem::take(&mut s.port_reqs[out_port]);
+            let winner = self.sa2[out_port]
+                .peek_mask(reqs)
+                .expect("a requested output has a winner");
             self.sa2[out_port].demote(winner);
             let packet = self
                 .arena
-                .front(winner * v)
+                .front(winner)
                 .expect("switch bid without a head flit")
                 .packet;
             self.outputs[out_port].holder = Some(winner);
-            self.inputs[winner * v].state = VcState::Active {
+            self.inputs[winner].state = VcState::Active {
                 out_port,
                 out_vc: 0,
                 sa_request_at: now + self.cfg.timing.st_delay, // flow_start
                 packet,
             };
+            self.allocating &= !(1 << winner);
             self.stats.sa_grants += 1;
             self.record(
                 now,
@@ -906,12 +974,12 @@ impl Router {
                 packet,
                 PipelineEvent::SaGranted { speculative: false },
             );
-            s.newly_held.push(out_port);
         }
-        // Single-cycle routers start flowing in the grant cycle itself.
+        // Single-cycle routers start flowing in the grant cycle itself
+        // (every requested output was granted above).
         if self.cfg.timing.st_delay == 0 {
-            for i in 0..s.newly_held.len() {
-                self.wormhole_flow(now, s.newly_held[i], out);
+            for out_port in bits(requested_outs) {
+                self.wormhole_flow(now, out_port, out);
             }
         }
     }

@@ -119,3 +119,39 @@ fn empty_mask_is_rejected() {
     r.accept_flit(0, Flit::head(PacketId::new(1), 9, 0, 0), 10);
     let _ = r.tick(10, &MaskedOracle(0));
 }
+
+#[test]
+fn full_width_router_reaches_the_top_channel() {
+    // 8 ports x 8 VCs = 64 channels, the most a router's masks hold. A
+    // packet on the last input channel (port 7, VC 7 = bit 63) is
+    // confined to the last output VC (resource 63) and must still get
+    // through, on both the VC and the speculative pipeline.
+    struct LastVc;
+    impl RoutingOracle for LastVc {
+        fn output_port(&self, _f: &Flit) -> usize {
+            7
+        }
+        fn vc_mask(&self, _f: &Flit, _p: usize) -> u64 {
+            1 << 7
+        }
+    }
+    for cfg in [
+        RouterConfig::virtual_channel(8, 8, 4),
+        RouterConfig::speculative(8, 8, 4),
+    ] {
+        let mut r = Router::new(cfg);
+        for port in 0..8 {
+            r.set_output_credits(port, 4);
+        }
+        for f in Flit::packet(PacketId::new(1), 9, 7, 0, 3) {
+            r.accept_flit(7, f, 10 + u64::from(f.seq));
+        }
+        let mut out_vcs = Vec::new();
+        for now in 10..25 {
+            out_vcs.extend(r.tick(now, &LastVc).departures.iter().map(|d| d.flit.vc));
+        }
+        assert_eq!(out_vcs, vec![7, 7, 7], "{cfg}");
+        assert_eq!(r.stats().va_grants, 1, "{cfg}");
+        assert!(r.is_quiescent(), "{cfg}");
+    }
+}
