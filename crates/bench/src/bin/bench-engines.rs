@@ -42,7 +42,9 @@
 //! `dropped_packets` with a per-reason breakdown, and
 //! `unreachable_pairs`; every row (healthy or degraded) reports the
 //! latency percentiles `p50`/`p95`/`p99`, so the file shows the tail
-//! shift a degraded fabric causes next to the healthy baseline.
+//! shift a degraded fabric causes next to the healthy baseline. A
+//! quantile past the histogram's range is written as `null` (`>5000` in
+//! the text table), never as 0.
 //!
 //! `--metrics-out PATH` streams epoch-boundary metrics snapshots (one
 //! JSON object per line — the [`noc_network::JsonlTap`] format) from one
@@ -79,8 +81,8 @@
 
 use noc_network::config::EngineKind;
 use noc_network::{
-    parse_faults, BarrierKind, DropReason, DropStats, FaultSpec, JsonlTap, Mesh, Network,
-    NetworkConfig, PhaseNanos, RouterKind, RunResult, TrafficPattern,
+    parse_faults, BarrierKind, DropReason, DropStats, FaultSpec, Histogram, JsonlTap, Mesh,
+    Network, NetworkConfig, Percentiles, PhaseNanos, RouterKind, RunResult, TrafficPattern,
 };
 use repro_bench::meta;
 use runqueue::{run_tasks, CancelToken, Task};
@@ -96,12 +98,9 @@ struct Point {
     phases: PhaseNanos,
     baseline_event_ms: Option<f64>,
     parallel: Option<ParallelPoint>,
-    /// Latency percentile upper bounds of the (verified-identical)
-    /// reference run, so degraded rows show their tail shift against
-    /// the healthy ones.
-    p50: u64,
-    p95: u64,
-    p99: u64,
+    /// Latency percentiles of the (verified-identical) reference run,
+    /// so degraded rows show their tail shift against the healthy ones.
+    tail: Tail,
     /// Source→destination flows that delivered tagged packets, and the
     /// worst flow's percentiles — from the telemetry-carrying
     /// verification run (worst = max by (p99, p95, p50)).
@@ -111,6 +110,43 @@ struct Point {
     flow_p99: u64,
     /// Fault accounting when this row ran under `--faults`.
     degraded: Option<Degraded>,
+}
+
+/// A row's p50/p95/p99 latency upper bounds. A quantile that fell past
+/// the histogram's range reads `None` and prints as clipped — JSON
+/// `null`, `>LIMIT` in the text table — never as a fake 0.
+struct Tail {
+    pct: Percentiles,
+    /// The histogram's range: a clipped quantile lies beyond it.
+    limit: u64,
+}
+
+impl Tail {
+    fn of(h: &Histogram) -> Self {
+        Tail {
+            pct: h.percentiles(),
+            limit: h.limit(),
+        }
+    }
+
+    fn quantiles(&self) -> [Option<u64>; 3] {
+        [self.pct.p50, self.pct.p95, self.pct.p99]
+    }
+
+    /// The `"p50": …, "p95": …, "p99": …` JSON fields.
+    fn json(&self) -> String {
+        let [p50, p95, p99] = self
+            .quantiles()
+            .map(|q| q.map_or_else(|| "null".to_string(), |v| v.to_string()));
+        format!("\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}")
+    }
+
+    /// `p50/p95/p99` for the text table.
+    fn text(&self) -> String {
+        self.quantiles()
+            .map(|q| q.map_or_else(|| format!(">{}", self.limit), |v| v.to_string()))
+            .join("/")
+    }
 }
 
 /// What the fault plan cost one degraded row, from the reference run
@@ -612,7 +648,6 @@ fn measure_point(
                 .map(|&(_, ms)| ms)
         })
         .flatten();
-    let pct = reference.histogram.percentiles();
     let worst = reference.flow_stats.as_ref().and_then(|f| f.worst());
     Point {
         load,
@@ -624,9 +659,7 @@ fn measure_point(
         phases,
         baseline_event_ms: baseline_event,
         parallel,
-        p50: pct.p50.unwrap_or(0),
-        p95: pct.p95.unwrap_or(0),
-        p99: pct.p99.unwrap_or(0),
+        tail: Tail::of(&reference.histogram),
         flows: reference.flow_stats.as_ref().map_or(0, |f| f.flows()),
         flow_p50: worst.map_or(0, |(_, _, p)| p.p50),
         flow_p95: worst.map_or(0, |(_, _, p)| p.p95),
@@ -1058,8 +1091,7 @@ fn main() {
                 "    {{\"offered_load\": {:.2}, \"pattern\": \"{}\", \
                  \"cycle_driven_ms\": {:.2}, \
                  \"event_driven_ms\": {:.2}, \"speedup\": {:.2}, \
-                 \"router_ticks_skipped_pct\": {:.1}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}, \
+                 \"router_ticks_skipped_pct\": {:.1}, {}, \
                  \"flows\": {}, \"flow_p50\": {}, \"flow_p95\": {}, \"flow_p99\": {}, \
                  \"phase_pct\": {{\"delivery\": {:.1}, \"sources\": {:.1}, \
                  \"router_tick\": {:.1}, \"stats\": {:.1}}}\
@@ -1070,9 +1102,7 @@ fn main() {
                 p.event_ms,
                 p.speedup,
                 p.ticks_skipped_pct,
-                p.p50,
-                p.p95,
-                p.p99,
+                p.tail.json(),
                 p.flows,
                 p.flow_p50,
                 p.flow_p95,
@@ -1112,15 +1142,13 @@ fn main() {
             if let Some(d) = &p.degraded {
                 println!(
                     "       degraded({}): delivered {:.4}, dropped {} flits / {} packets, \
-                     {} unreachable pairs, p50/p95/p99 {}/{}/{}",
+                     {} unreachable pairs, p50/p95/p99 {}",
                     opts.faults_spec,
                     d.delivered_ratio,
                     d.dropped_flits,
                     d.dropped_packets,
                     d.unreachable_pairs,
-                    p.p50,
-                    p.p95,
-                    p.p99,
+                    p.tail.text(),
                 );
             }
             if let Some(pp) = &p.parallel {
@@ -1151,5 +1179,33 @@ fn main() {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Far past hotspot saturation, tagged packets wait at their sources
+    /// for longer than the histogram's 5000-cycle range: the tail is
+    /// clipped and must print as clipped, not as 0.
+    #[test]
+    fn clipped_tail_prints_as_null_not_zero() {
+        let cfg = NetworkConfig::mesh(4, RouterKind::Wormhole { buffers: 4 })
+            .with_pattern(TrafficPattern::Hotspot {
+                hotspot: 5,
+                hotness: 0.5,
+            })
+            .with_injection(0.6)
+            .with_warmup(100)
+            .with_sample(1_000)
+            .with_max_cycles(12_000);
+        let run = Network::new(cfg).run();
+        assert!(run.saturated, "the point must be past saturation");
+        assert!(run.histogram.overflow() > 0, "{}", run.histogram);
+        let tail = Tail::of(&run.histogram);
+        assert_eq!(tail.pct.p99, None);
+        assert!(tail.json().ends_with("\"p99\": null"), "{}", tail.json());
+        assert!(tail.text().ends_with("/>5000"), "{}", tail.text());
     }
 }

@@ -10,10 +10,13 @@
 use crate::topology::Mesh;
 use std::fmt;
 
-/// Flit counts per directed channel, indexed `[node][out_port]`.
+/// Flit counts per directed channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelLoad {
-    counts: Vec<Vec<u64>>,
+    /// Ports per node, the row stride of `counts`.
+    ports: usize,
+    /// One flat row per node, indexed `node * ports + out_port`.
+    counts: Box<[u64]>,
     cycles: u64,
 }
 
@@ -22,14 +25,17 @@ impl ChannelLoad {
     #[must_use]
     pub fn new(mesh: &Mesh) -> Self {
         ChannelLoad {
-            counts: vec![vec![0; mesh.ports()]; mesh.nodes()],
+            ports: mesh.ports(),
+            counts: vec![0; mesh.nodes() * mesh.ports()].into_boxed_slice(),
             cycles: 0,
         }
     }
 
     /// Records a flit leaving `node` through `out_port`.
+    #[inline]
     pub fn record(&mut self, node: usize, out_port: usize) {
-        self.counts[node][out_port] += 1;
+        debug_assert!(out_port < self.ports, "port {out_port} out of range");
+        self.counts[node * self.ports + out_port] += 1;
     }
 
     /// Advances the observation window by one cycle.
@@ -53,7 +59,7 @@ impl ChannelLoad {
     /// Flits that crossed `(node, out_port)`.
     #[must_use]
     pub fn count(&self, node: usize, out_port: usize) -> u64 {
-        self.counts[node][out_port]
+        self.counts[node * self.ports + out_port]
     }
 
     /// Utilization of a channel in flits/cycle over the window.
@@ -62,7 +68,7 @@ impl ChannelLoad {
         if self.cycles == 0 {
             0.0
         } else {
-            self.counts[node][out_port] as f64 / self.cycles as f64
+            self.count(node, out_port) as f64 / self.cycles as f64
         }
     }
 

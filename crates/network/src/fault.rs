@@ -276,9 +276,6 @@ pub struct FaultModel {
     /// Distinct flaky duty cycles present anywhere in the plan (for
     /// fast-forward clamping).
     flaky: Vec<(u32, u32, u32)>,
-    /// Downstream node per (node, port < local), `u32::MAX` at mesh
-    /// edges; indexed `node * ports + port`.
-    nbr: Box<[u32]>,
     overlay: Option<Overlay>,
 }
 
@@ -331,7 +328,7 @@ impl FaultModel {
                     // incoming link (the neighbor's opposite port), the
                     // ejection channel, and the injection pseudo-link.
                     for port in 0..local {
-                        if let Some(nb) = mesh.neighbor(node, port) {
+                        if let Some(nb) = table.neighbor(node, port) {
                             apply(&mut links[node * stride + port], spec.kind, true);
                             apply(&mut links[nb * stride + (port ^ 1)], spec.kind, true);
                         }
@@ -351,14 +348,6 @@ impl FaultModel {
         let mut flaky: Vec<(u32, u32, u32)> = links.iter().filter_map(|lf| lf.flaky).collect();
         flaky.sort_unstable();
         flaky.dedup();
-        let mut nbr = vec![u32::MAX; nodes * ports].into_boxed_slice();
-        for node in 0..nodes {
-            for port in 0..local {
-                if let Some(nb) = mesh.neighbor(node, port) {
-                    nbr[node * ports + port] = nb as u32;
-                }
-            }
-        }
         let mut fm = FaultModel {
             nodes,
             ports,
@@ -368,7 +357,6 @@ impl FaultModel {
             links,
             kills,
             flaky,
-            nbr,
             overlay: None,
         };
         if !fm.kills.is_empty() {
@@ -461,7 +449,9 @@ impl FaultModel {
                 return p;
             }
             if !self.dead_in_epoch(epoch, node, p)
-                && self.reachable(epoch, self.nbr[node * self.ports + p] as usize, dest)
+                && table
+                    .neighbor(node, p)
+                    .is_some_and(|nb| self.reachable(epoch, nb, dest))
             {
                 live[m] = pc;
                 m += 1;
@@ -578,11 +568,11 @@ impl FaultModel {
                         cand[..m].iter().any(|&pc| {
                             let p = pc as usize;
                             debug_assert_ne!(p, self.local, "non-local pair routed local");
-                            !self.dead_in_epoch(e, s, p) && {
-                                let nb = self.nbr[s * self.ports + p] as usize;
-                                let i = (e * n + nb) * n + d;
-                                reach[i / 64] >> (i % 64) & 1 == 1
-                            }
+                            !self.dead_in_epoch(e, s, p)
+                                && table.neighbor(s, p).is_some_and(|nb| {
+                                    let i = (e * n + nb) * n + d;
+                                    reach[i / 64] >> (i % 64) & 1 == 1
+                                })
                         })
                     };
                     if ok {

@@ -58,6 +58,13 @@ impl Histogram {
         self.overflow
     }
 
+    /// The top of the bucketed range: samples at or beyond it land in
+    /// the overflow bucket, and a quantile among them reads `None`.
+    #[must_use]
+    pub fn limit(&self) -> u64 {
+        self.bucket_width * self.counts.len() as u64
+    }
+
     /// The `q`-quantile (0 < q ≤ 1) as an upper bucket bound, or `None`
     /// if empty or the quantile falls in the overflow bucket.
     ///

@@ -13,8 +13,10 @@
 //! direction/dateline table shared by every dimension, and sign-code
 //! candidate sets for the adaptive turn models) and the per-flit route
 //! computation becomes a scan over at most `n` coordinate bytes plus one
-//! table load. The table is exhaustively checked against the definitions
-//! in `crates/network/tests/route_table.rs`.
+//! table load. The table also holds every node's neighbors, so the
+//! engines forward flits and credits without coordinate arithmetic. The
+//! table is exhaustively checked against the definitions in
+//! `crates/network/tests/route_table.rs`.
 
 use crate::config::RoutingAlgo;
 use crate::topology::Mesh;
@@ -237,6 +239,12 @@ pub struct RouteTable {
     /// Candidate sets indexed by sign code, present only for adaptive
     /// algorithms.
     candidates: Option<Box<[CandidateSet]>>,
+    /// `mesh.ports()`, the row stride of `nbr`.
+    ports: usize,
+    /// `nbr[node * ports + port]`: the node a flit leaving `node`
+    /// through `port` arrives at, `u32::MAX` at a mesh edge and for the
+    /// local port.
+    nbr: Box<[u32]>,
 }
 
 impl RouteTable {
@@ -343,6 +351,16 @@ impl RouteTable {
             }
         };
 
+        let ports = mesh.ports();
+        let mut nbr = vec![u32::MAX; nodes * ports].into_boxed_slice();
+        for node in 0..nodes {
+            for port in 0..mesh.local_port() {
+                if let Some(nb) = mesh.neighbor(node, port) {
+                    nbr[node * ports + port] = nb as u32;
+                }
+            }
+        }
+
         RouteTable {
             dims,
             radix: k,
@@ -352,7 +370,27 @@ impl RouteTable {
             dir,
             masks,
             candidates,
+            ports,
+            nbr,
         }
+    }
+
+    /// The local (injection/ejection) port index.
+    #[inline]
+    #[must_use]
+    pub fn local_port(&self) -> usize {
+        self.local_port
+    }
+
+    /// The neighbor of `node` through `port`, or `None` at a mesh edge or
+    /// for the local port — [`Mesh::neighbor`] as one table load, for the
+    /// per-flit paths.
+    #[inline]
+    #[must_use]
+    pub fn neighbor(&self, node: usize, port: usize) -> Option<usize> {
+        debug_assert!(port < self.ports, "port {port} out of range");
+        let nb = self.nbr[node * self.ports + port];
+        (nb != u32::MAX).then_some(nb as usize)
     }
 
     /// The output port for a packet at `node` heading to `dest`.

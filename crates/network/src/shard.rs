@@ -15,7 +15,7 @@
 //!    never leaves this section), evaluates the stop condition, and
 //!    decides whether the next cycles can be **fast-forwarded**: every
 //!    shard votes (via a `fetch_min` register) the earliest future cycle
-//!    at which it has any work — pending wheel deliveries, staged
+//!    at which it has any work — pending link events, staged
 //!    boundary mail, active routers, or a source about to cross its
 //!    injection threshold — and when the minimum lies beyond the next
 //!    cycle, the skipped cycles are provably no-ops for *every* shard
@@ -24,32 +24,31 @@
 //!    sense-reversing spin barrier or a sense-reversing combining tree
 //!    ([`crate::config::BarrierKind`]); both spin briefly then yield.
 //! 2. **Fused compute** (parallel, no internal barrier) — each shard:
-//!    applies the boundary flits and credits other shards published
-//!    *last* round (flits are pushed into the shard's own delay pipes
-//!    with their original emission cycle; credits carry an absolute due
-//!    cycle and sit on a private `remote_credits` wheel until it
-//!    arrives), drains its own wheel's due deliveries, steps its sources
-//!    in node order, and ticks its active routers in node order.
-//!    Departures and credits bound for another shard are staged in
-//!    per-shard-pair mailboxes **at emission time** — tagged with enough
-//!    timing (`FlitMsg::at`, `CreditMsg::due`) that the receiver can
-//!    apply them a full round later without any mid-cycle exchange
-//!    barrier. Tail ejections, channel-load events, and created packet
-//!    ids are recorded per shard in node order for the next gate's
-//!    serial commit.
+//!    schedules the boundary flits and credits other shards published
+//!    *last* round onto its own link wheel (each carries its absolute
+//!    due cycle), delivers the wheel's events due this cycle, steps its
+//!    sources in node order, and ticks its active routers in node order.
+//!    A shard's wheel holds exactly the [`LinkEvent`]s that target its
+//!    own nodes: departures and credits bound for another shard are
+//!    staged in per-shard-pair mailboxes **at emission time**, stamped
+//!    with the cycle they are due, so the receiver can schedule them a
+//!    full round later without any mid-cycle exchange barrier. Tail
+//!    ejections, channel-load events, and created packet ids are
+//!    recorded per shard in node order for the next gate's serial
+//!    commit.
 //!
 //! Why this is bit-identical: within one cycle the serial engine's
-//! delivery operations commute (disjoint queues and counters — the same
-//! argument the event engine rests on), credit application commutes
-//! (pure counter increments) and lands in the same cycle it would have
-//! under the serial engine (the staged `due` cycle *is* the serial
-//! delivery cycle), sources interact with nothing but their own state
-//! and their own injection pipe, and routers only interact through
-//! pipes with ≥ 1 cycle of latency. Fast-forwarded cycles are cycles in
-//! which no shard would deliver, inject, or tick anything — sources
-//! advance their fractional accumulators by pure repeated addition
-//! ([`Source::fast_forward`]), exactly the operations the skipped steps
-//! would have performed, so even the floating-point state is identical.
+//! deliveries commute (disjoint buffers and counters — the same argument
+//! the event engine rests on), every event lands in the same cycle it
+//! would have under the serial engine (the staged due cycle *is* the
+//! serial delivery cycle), sources interact with nothing but their own
+//! state and their own injection channel, and routers only interact
+//! through links with ≥ 1 cycle of latency. Fast-forwarded cycles are
+//! cycles in which no shard would deliver, inject, or tick anything —
+//! sources advance their fractional accumulators by pure repeated
+//! addition ([`Source::fast_forward`]), exactly the operations the
+//! skipped steps would have performed, so even the floating-point state
+//! is identical.
 //! The only order-sensitive state — the global tagging counter and the
 //! floating-point latency accumulators — never leaves the serial commit.
 //!
@@ -64,7 +63,7 @@
 //! pattern the shard holding the hot column does most of the ticking
 //! while its siblings spin at the gate. When
 //! [`crate::config::NetworkConfig::with_rebalance`] is set, every node
-//! accrues a work meter (weighted router ticks, pipe deliveries, and
+//! accrues a work meter (weighted router ticks, flit deliveries, and
 //! departures — all pure functions of simulation state, so the meter is
 //! identical for every partition and thread schedule), folded into a
 //! per-node EWMA at the end of every `epoch` *executed* cycles. Each
@@ -73,14 +72,12 @@
 //! totals and, when `work_max / work_mean` exceeds the configured
 //! threshold, recuts the partition along the EWMA curve
 //! ([`crate::topology::Mesh::weighted_shard_ranges_into`] — still
-//! contiguous and row-seam-snapped) and **migrates**: every wheel is
-//! drained with its due cycles intact, staged boundary mail and parked
-//! remote credits are re-homed onto the new owners' wheels, and credit
-//! pipes whose upstream consumer moved across a new seam are converted
-//! to mailbox-style credits (same due cycle) on the consumer's wheel.
-//! No new barrier is added — the decision rides the existing gate, and
-//! the migration happens between worker-pool *eras* while no worker
-//! holds a shard view. Because the meter, the epoch boundaries (counted
+//! contiguous and row-seam-snapped) and **migrates**: every wheel and
+//! the staged boundary mail are drained with their due cycles intact,
+//! and each event is re-homed onto the wheel of the shard that now owns
+//! its target node. No new barrier is added — the decision rides the
+//! existing gate, and the migration happens between worker-pool *eras*
+//! while no worker holds a shard view. Because the meter, the epoch boundaries (counted
 //! in executed cycles, which every shard executes in lockstep), and the
 //! cut computation are all deterministic, the partition *sequence* is
 //! deterministic — and since no partition choice ever affects results
@@ -90,12 +87,12 @@
 use crate::config::{BarrierKind, RebalanceConfig};
 use crate::fault::{clip, ClipSlot, DropReason, DropStats, FaultModel};
 use crate::routing::RouteTable;
-use crate::sim::{Delivery, NodeOracle};
+use crate::sim::{LinkEvent, NodeOracle};
 use crate::source::{Source, SourceStep};
 use crate::stats::PhaseNanos;
 use crate::topology::Mesh;
 use crate::traffic::TrafficPattern;
-use router_core::{DelayPipe, EventWheel, Flit, PacketId, Router, TickOutput};
+use router_core::{EventWheel, Flit, PacketId, Router, TickOutput};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -106,10 +103,10 @@ use std::sync::{Mutex, MutexGuard};
 /// cycle.
 pub(crate) const SRC_SCAN_CAP: u64 = 4096;
 
-/// Work-meter weight of one router tick relative to one pipe delivery
+/// Work-meter weight of one router tick relative to one flit delivery
 /// or departure. A tick runs route computation, VC and switch
 /// allocation, and the crossbar pass — several times the cost of
-/// popping one flit off a pipe — so the meter weights it accordingly.
+/// delivering one flit — so the meter weights it accordingly.
 /// Only the *ratios* between per-node meters matter to the cuts.
 const W_TICK: u64 = 4;
 
@@ -405,29 +402,9 @@ impl Lockstep {
     }
 }
 
-/// A flit crossing a shard boundary: deliver `flit` into input
-/// `(node, port)` of the receiving shard, emitted during cycle `at`
-/// (the receiver pushes it into its own delay pipe with that original
-/// timestamp, so it arrives at `at + 1 + link_delay` exactly as a
-/// same-shard departure would).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FlitMsg {
-    pub node: u32,
-    pub port: u8,
-    pub flit: Flit,
-    pub at: u64,
-}
-
-/// A credit crossing a shard boundary: return one credit for output
-/// `(node, port)`, VC `vc`, of the receiving shard at cycle `due` — the
-/// same cycle the serial engine's credit pipe would have delivered it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CreditMsg {
-    pub node: u32,
-    pub port: u8,
-    pub vc: u32,
-    pub due: u64,
-}
+/// A link event crossing a shard boundary, stamped with the cycle it is
+/// due — the cycle the serial engine would deliver it.
+pub(crate) type Mail = (u64, LinkEvent);
 
 /// Preallocated per-shard-pair mailboxes. Slot `(from, to)` is written
 /// by shard `from` at the end of its fused compute phase and drained by
@@ -437,18 +414,14 @@ pub(crate) struct CreditMsg {
 #[derive(Debug)]
 pub(crate) struct Mailboxes {
     shards: usize,
-    flits: Vec<Mutex<Vec<FlitMsg>>>,
-    credits: Vec<Mutex<Vec<CreditMsg>>>,
+    slots: Vec<Mutex<Vec<Mail>>>,
 }
 
 impl Mailboxes {
     pub(crate) fn new(shards: usize) -> Self {
         Mailboxes {
             shards,
-            flits: (0..shards * shards)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            credits: (0..shards * shards)
+            slots: (0..shards * shards)
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
         }
@@ -458,35 +431,27 @@ impl Mailboxes {
         self.shards
     }
 
-    /// Boundary flits currently staged (emitted but not yet applied by
+    /// Boundary flits currently staged (emitted but not yet scheduled by
     /// their receiving shard). They live here across a cycle boundary,
     /// so flit conservation must count them as in flight.
     pub(crate) fn staged_flits(&self) -> u64 {
-        self.flits
+        self.slots
             .iter()
-            .map(|m| lock_mailbox(m).len() as u64)
+            .map(|m| lock_mailbox(m).iter().filter(|(_, e)| e.is_flit()).count() as u64)
             .sum()
     }
 
-    /// Drains every staged message into the migration scratch (the
-    /// timing tags — `FlitMsg::at`, `CreditMsg::due` — carry everything
-    /// needed to re-home them onto the new owners' wheels). Called only
-    /// between eras, when no shard holds a mailbox lock.
-    pub(crate) fn drain_all(&self, flits: &mut Vec<FlitMsg>, credits: &mut Vec<(u64, CreditMsg)>) {
-        for slot in &self.flits {
-            flits.extend(lock_mailbox(slot).drain(..));
-        }
-        for slot in &self.credits {
-            credits.extend(lock_mailbox(slot).drain(..).map(|m| (m.due, m)));
+    /// Drains every staged event into the migration scratch (each
+    /// carries its due cycle, everything needed to re-home it). Called
+    /// only between eras, when no shard holds a mailbox lock.
+    pub(crate) fn drain_all(&self, into: &mut Vec<Mail>) {
+        for slot in &self.slots {
+            into.append(&mut lock_mailbox(slot));
         }
     }
 
-    fn flit_slot(&self, from: usize, to: usize) -> &Mutex<Vec<FlitMsg>> {
-        &self.flits[from * self.shards + to]
-    }
-
-    fn credit_slot(&self, from: usize, to: usize) -> &Mutex<Vec<CreditMsg>> {
-        &self.credits[from * self.shards + to]
+    fn slot(&self, from: usize, to: usize) -> &Mutex<Vec<Mail>> {
+        &self.slots[from * self.shards + to]
     }
 }
 
@@ -529,11 +494,9 @@ pub(crate) struct ShardOut {
 /// event-driven machinery plus its outbound mailbox staging).
 #[derive(Debug)]
 pub(crate) struct ShardAux {
-    /// Scheduled pipe deliveries for this shard's nodes.
-    pub wheel: EventWheel<Delivery>,
-    /// Cross-shard credits received by mail, parked until their due
-    /// cycle (the wheel indexes them by `CreditMsg::due`).
-    pub remote_credits: EventWheel<CreditMsg>,
+    /// Every flit and credit in flight to this shard's nodes, keyed by
+    /// delivery cycle.
+    pub wheel: EventWheel<LinkEvent>,
     /// Reused router tick output buffer.
     pub tick_buf: TickOutput,
     /// Reused source step buffer.
@@ -555,17 +518,14 @@ pub(crate) struct ShardAux {
     busy: bool,
     /// Whether this cycle staged any outbound boundary mail.
     sent_mail: bool,
-    /// Outbound flit staging, one buffer per destination shard.
-    out_flits: Vec<Vec<FlitMsg>>,
-    /// Outbound credit staging, one buffer per destination shard.
-    out_credits: Vec<Vec<CreditMsg>>,
+    /// Outbound boundary staging, one buffer per destination shard.
+    out_mail: Vec<Vec<Mail>>,
 }
 
 impl ShardAux {
-    pub(crate) fn new(shards: usize, horizon: u64) -> Self {
+    pub(crate) fn new(shards: usize, horizon: u64, per_slot: usize) -> Self {
         ShardAux {
-            wheel: EventWheel::new(horizon),
-            remote_credits: EventWheel::new(horizon),
+            wheel: EventWheel::with_slot_capacity(horizon, per_slot),
             tick_buf: TickOutput::default(),
             step_buf: SourceStep::default(),
             router_ticks: 0,
@@ -573,8 +533,7 @@ impl ShardAux {
             src_next: 0,
             busy: false,
             sent_mail: false,
-            out_flits: (0..shards).map(|_| Vec::new()).collect(),
-            out_credits: (0..shards).map(|_| Vec::new()).collect(),
+            out_mail: (0..shards).map(|_| Vec::new()).collect(),
         }
     }
 }
@@ -617,14 +576,9 @@ pub(crate) struct RebalanceState {
     /// The leader's snapshot of [`Lockstep::shard_work`], one slot per
     /// shard.
     pub(crate) epoch_totals: Vec<u64>,
-    /// Wheel deliveries drained with their due cycles.
-    deliveries: Vec<(u64, Delivery)>,
-    /// Parked and staged cross-shard credits, keyed by due cycle.
-    credits: Vec<(u64, CreditMsg)>,
-    /// Staged boundary flits.
-    flits: Vec<FlitMsg>,
-    /// One credit pipe's contents, mid-conversion: `(due, vc)`.
-    pipe_credits: Vec<(u64, usize)>,
+    /// Every in-flight link event, drained from the wheels and the
+    /// mailboxes with its due cycle.
+    events: Vec<Mail>,
     /// Row prefix-sum scratch for the weighted cut.
     pub(crate) prefix: Vec<u128>,
     /// The candidate partition the cut computes into.
@@ -633,10 +587,11 @@ pub(crate) struct RebalanceState {
 
 impl RebalanceState {
     fn new(enabled: bool, shards: usize, mesh: &Mesh, horizon: u64) -> Self {
-        // Worst-case pending volume: every pipe can hold one item per
-        // cycle of the wheel horizon, each with one scheduled delivery.
-        let slots = if enabled {
-            mesh.nodes() * mesh.ports() * (horizon as usize + 1)
+        // Worst-case in-flight volume: each input port receives at most
+        // one flit and frees at most one credit per cycle, and each is
+        // pending for at most `latency + 1 <= horizon - 1` cycles.
+        let events = if enabled {
+            mesh.nodes() * mesh.ports() * 2 * (horizon as usize - 1)
         } else {
             0
         };
@@ -645,16 +600,7 @@ impl RebalanceState {
             next_decision: 0,
             stride: 1,
             epoch_totals: vec![0; if enabled { shards } else { 0 }],
-            deliveries: Vec::with_capacity(slots),
-            credits: Vec::with_capacity(slots),
-            // One staged flit per mailbox slot is the hard ceiling (one
-            // emission per (node, port) per cycle).
-            flits: Vec::with_capacity(if enabled {
-                mesh.nodes() * mesh.ports()
-            } else {
-                0
-            }),
-            pipe_credits: Vec::with_capacity(if enabled { horizon as usize + 1 } else { 0 }),
+            events: Vec::with_capacity(events),
             prefix: Vec::with_capacity(if enabled { rows + 1 } else { 0 }),
             new_ranges: Vec::with_capacity(if enabled { shards } else { 0 }),
         }
@@ -716,10 +662,25 @@ impl ShardSet {
                 *slot = i as u32;
             }
         }
+        // Each input port receives at most one flit and frees at most one
+        // buffer per cycle, so a wheel slot never holds more than two
+        // events per port of the nodes the shard can come to own.
+        let per_slot = |&(lo, hi): &(usize, usize)| {
+            let owned = if rebalance.is_some() {
+                mesh.nodes()
+            } else {
+                hi - lo
+            };
+            2 * owned * mesh.ports()
+        };
+        let aux = ranges
+            .iter()
+            .map(|r| ShardAux::new(s, horizon, per_slot(r)))
+            .collect();
         ShardSet {
             ranges,
             node_shard,
-            aux: (0..s).map(|_| ShardAux::new(s, horizon)).collect(),
+            aux,
             mail: Mailboxes::new(s),
             outs: (0..s).map(|_| Mutex::new(ShardOut::default())).collect(),
             work_epoch: vec![0; mesh.nodes()],
@@ -734,47 +695,27 @@ impl ShardSet {
     }
 
     /// Repartitions the flat per-node state along `rebal.new_ranges`,
-    /// re-homing every in-flight artifact onto its new owner. Runs
-    /// between eras — no worker holds a shard view — right after an
-    /// executed cycle `N`, which pins the timing invariants: every
-    /// wheel's cursor is at `N`, every pending delivery/credit is due in
-    /// `(N, N + horizon]`, and staged mailbox flits carry `at == N` — so
-    /// every re-schedule below satisfies the wheels' horizon asserts.
-    ///
-    /// The one subtle case is a **credit pipe crossing a new seam**:
-    /// `credit_back[node][port]`'s consumer is the *upstream* router,
-    /// so if the new cut separates `node` from its upstream the pending
-    /// pipe contents are converted — due cycles intact — into
-    /// mailbox-style [`CreditMsg`]s on the consumer's `remote_credits`
-    /// wheel (exactly where an emission-time cross-shard credit would
-    /// have gone), and the pipe's deliveries are dropped with the
-    /// emptied pipe. Local-port credits never convert: their consumer
-    /// is the node's own source. Returns how many nodes changed owner.
-    pub(crate) fn migrate(
-        &mut self,
-        mesh: &Mesh,
-        flit_in: &mut [Vec<DelayPipe<Flit>>],
-        credit_back: &mut [Vec<DelayPipe<usize>>],
-        link_delay: u64,
-    ) -> u64 {
+    /// re-homing every in-flight link event onto the wheel of the shard
+    /// that now owns its target node. Runs between eras — no worker
+    /// holds a shard view — right after an executed cycle `N`, which pins
+    /// the timing invariants: every wheel's cursor is at `N`, and every
+    /// pending or staged event is due in `(N, N + horizon]` — so every
+    /// re-schedule below satisfies the wheels' horizon asserts. Returns
+    /// how many nodes changed owner.
+    pub(crate) fn migrate(&mut self) -> u64 {
         let rebal = &mut self.rebal;
         debug_assert_eq!(rebal.new_ranges.len(), self.ranges.len());
-        // 1. Strip every shard's event state into the scratch, due
-        //    cycles intact. The cached source horizons are partition
-        //    scoped only in the sense that a new owner re-votes them;
-        //    reset forces that re-vote.
-        rebal.deliveries.clear();
-        rebal.credits.clear();
-        rebal.flits.clear();
+        // 1. Strip every shard's wheel and the staged boundary mail into
+        //    the scratch, due cycles intact. The cached source horizons
+        //    are partition scoped only in the sense that a new owner
+        //    re-votes them; reset forces that re-vote.
+        rebal.events.clear();
         for aux in &mut self.aux {
-            aux.wheel.drain_pending_into(&mut rebal.deliveries);
-            aux.remote_credits.drain_pending_into(&mut rebal.credits);
+            aux.wheel.drain_pending_into(&mut rebal.events);
             aux.src_next = 0;
         }
-        // 2. Staged boundary mail (published during cycle N, not yet
-        //    applied by its receivers).
-        self.mail.drain_all(&mut rebal.flits, &mut rebal.credits);
-        // 3. Install the new partition.
+        self.mail.drain_all(&mut rebal.events);
+        // 2. Install the new partition.
         let mut moved = 0u64;
         self.ranges.copy_from_slice(&rebal.new_ranges);
         for (i, &(lo, hi)) in self.ranges.iter().enumerate() {
@@ -785,56 +726,10 @@ impl ShardSet {
                 }
             }
         }
-        // 4. Re-home everything onto the new owners.
-        let local = mesh.local_port();
-        for &(at, d) in &rebal.deliveries {
-            let node = d.node as usize;
-            let owner = self.node_shard[node] as usize;
-            let port = d.port as usize;
-            let seam_upstream = (d.credit && port != local)
-                .then(|| {
-                    mesh.neighbor(node, port)
-                        .expect("credit on an unwired port")
-                })
-                .filter(|&up| self.node_shard[up] as usize != owner);
-            if let Some(up) = seam_upstream {
-                // Convert the pipe's pending credits for the moved
-                // consumer; a later delivery for the same (now empty)
-                // pipe converts nothing and is likewise dropped.
-                rebal.pipe_credits.clear();
-                credit_back[node][port].drain_all_into(&mut rebal.pipe_credits);
-                let up_owner = self.node_shard[up] as usize;
-                for &(due, vc) in &rebal.pipe_credits {
-                    self.aux[up_owner].remote_credits.schedule(
-                        due,
-                        CreditMsg {
-                            node: up as u32,
-                            port: mesh.opposite(port) as u8,
-                            vc: vc as u32,
-                            due,
-                        },
-                    );
-                }
-            } else {
-                self.aux[owner].wheel.schedule(at, d);
-            }
-        }
-        for &(due, m) in &rebal.credits {
-            let owner = self.node_shard[m.node as usize] as usize;
-            self.aux[owner].remote_credits.schedule(due, m);
-        }
-        for m in &rebal.flits {
-            let node = m.node as usize;
-            let owner = self.node_shard[node] as usize;
-            flit_in[node][m.port as usize].push(m.at, m.flit);
-            self.aux[owner].wheel.schedule(
-                m.at + 1 + link_delay,
-                Delivery {
-                    node: m.node,
-                    port: m.port,
-                    credit: false,
-                },
-            );
+        // 3. Re-home every event onto its target's new owner.
+        for &(due, ev) in &rebal.events {
+            let owner = self.node_shard[ev.node()] as usize;
+            self.aux[owner].wheel.schedule(due, ev);
         }
         moved
     }
@@ -874,8 +769,6 @@ pub(crate) struct ShardCtx<'a> {
     pub lo: usize,
     pub routers: &'a mut [Router],
     pub sources: &'a mut [Source],
-    pub flit_in: &'a mut [Vec<DelayPipe<Flit>>],
-    pub credit_back: &'a mut [Vec<DelayPipe<usize>>],
     /// Reassembly slots of this shard's nodes (`(hi - lo) * vcs` entries).
     pub eject_slots: &'a mut [(PacketId, u32)],
     /// Clip-at-head slots of this shard's nodes' output links
@@ -896,91 +789,28 @@ pub(crate) struct ShardCtx<'a> {
 }
 
 impl ShardCtx<'_> {
-    /// Phase 0: applies the boundary mail other shards published last
-    /// round. Flits are pushed into this shard's own delay pipes with
-    /// their original emission cycle (`FlitMsg::at`), so they deliver at
-    /// exactly the cycle a same-shard departure would have; credits are
-    /// parked on the `remote_credits` wheel by their absolute due cycle,
-    /// and the ones due *this* cycle are applied (pure commuting counter
-    /// increments — the serial engine applies them in its delivery
-    /// phase of the same cycle).
-    pub(crate) fn begin_cycle(&mut self, env: &ShardEnv<'_>, now: u64) {
+    /// Phase 1a: schedules the boundary mail other shards published last
+    /// round onto this shard's wheel, each event at its stamped due
+    /// cycle (exactly where a same-shard send would have put it), then
+    /// delivers every event due at `now`. Mirrors the serial engines'
+    /// delivery phase.
+    pub(crate) fn phase_deliver(&mut self, env: &ShardEnv<'_>, now: u64) {
         for from in 0..env.mail.shards() {
             if from == self.idx {
                 continue;
             }
-            let mut slot = lock_mailbox(env.mail.flit_slot(from, self.idx));
-            for m in slot.drain(..) {
-                let i = m.node as usize - self.lo;
-                self.flit_in[i][m.port as usize].push(m.at, m.flit);
-                self.aux.wheel.schedule(
-                    m.at + 1 + env.link_delay,
-                    Delivery {
-                        node: m.node,
-                        port: m.port,
-                        credit: false,
-                    },
-                );
-            }
-            let mut slot = lock_mailbox(env.mail.credit_slot(from, self.idx));
-            for m in slot.drain(..) {
-                self.aux.remote_credits.schedule(m.due, m);
+            let mut slot = lock_mailbox(env.mail.slot(from, self.idx));
+            for (due, ev) in slot.drain(..) {
+                self.aux.wheel.schedule(due, ev);
             }
         }
-        let mut due = self.aux.remote_credits.take_due(now);
-        for m in due.drain(..) {
-            self.routers[m.node as usize - self.lo].accept_credit(
-                m.port as usize,
-                m.vc as usize,
-                now,
-            );
-        }
-        self.aux.remote_credits.restore(now, due);
-    }
-
-    /// Phase 1a: drains every pipe delivery due at `now` on this shard's
-    /// wheel. Mirrors the serial engines' delivery phase. Every credit
-    /// pipe drained here has a same-shard upstream (or the local
-    /// source) — cross-shard credits travel by mailbox at emission time
-    /// and never enter these pipes.
-    pub(crate) fn phase_deliver(&mut self, env: &ShardEnv<'_>, now: u64) {
-        let mesh = env.mesh;
-        let local = mesh.local_port();
         let metering = env.rebalance_epoch != 0;
         let mut due = self.aux.wheel.take_due(now);
-        for d in due.drain(..) {
-            let node = d.node as usize;
-            let i = node - self.lo;
-            let port = d.port as usize;
-            if d.credit {
-                while let Some(vc) = self.credit_back[i][port].pop_ready(now) {
-                    if port == local {
-                        self.sources[i].credit(vc);
-                    } else {
-                        let upstream = mesh
-                            .neighbor(node, port)
-                            .expect("credit on an unwired port");
-                        debug_assert_eq!(
-                            env.node_shard[upstream] as usize, self.idx,
-                            "cross-shard credit leaked into a credit pipe"
-                        );
-                        self.routers[upstream - self.lo].accept_credit(
-                            mesh.opposite(port),
-                            vc,
-                            now,
-                        );
-                    }
-                }
-            } else {
-                let mut popped = 0u64;
-                while let Some(flit) = self.flit_in[i][port].pop_ready(now) {
-                    self.routers[i].accept_flit(port, flit, now);
-                    self.active[i] = true;
-                    popped += 1;
-                }
-                if metering {
-                    self.work_epoch[i] += popped;
-                }
+        for ev in due.drain(..) {
+            let i = ev.node() - self.lo;
+            let flit = ev.deliver(now, self.lo, self.routers, self.sources, self.active);
+            if metering && flit {
+                self.work_epoch[i] += 1;
             }
         }
         self.aux.wheel.restore(now, due);
@@ -1014,13 +844,12 @@ impl ShardCtx<'_> {
                     }
                     continue;
                 }
-                self.flit_in[i][local].push(now, flit);
                 self.aux.wheel.schedule(
                     now + 1 + env.link_delay,
-                    Delivery {
+                    LinkEvent::Flit {
                         node: (self.lo + i) as u32,
                         port: local as u8,
-                        credit: false,
+                        flit,
                     },
                 );
             }
@@ -1031,11 +860,10 @@ impl ShardCtx<'_> {
 
     /// Phase 2: ticks this shard's active routers in node order.
     /// Cross-shard departures and credits are staged in the mailboxes at
-    /// emission time (tagged with their emission/due cycle); ejections
-    /// and channel-load events are recorded for the serial commit.
+    /// emission time (stamped with their due cycle); ejections and
+    /// channel-load events are recorded for the serial commit.
     pub(crate) fn phase_tick(&mut self, env: &ShardEnv<'_>, now: u64) {
-        let mesh = env.mesh;
-        let local = mesh.local_port();
+        let local = env.mesh.local_port();
         let metering = env.rebalance_epoch != 0;
         self.aux.busy = false;
         self.aux.sent_mail = false;
@@ -1068,57 +896,13 @@ impl ShardCtx<'_> {
                 if dep.out_port == local {
                     self.eject(env, node, dep.flit, &mut out);
                 } else {
-                    let next = mesh
-                        .neighbor(node, dep.out_port)
-                        .expect("departure off the mesh edge");
-                    let in_port = mesh.opposite(dep.out_port);
-                    let owner = env.node_shard[next] as usize;
-                    if owner == self.idx {
-                        self.flit_in[next - self.lo][in_port].push(now, dep.flit);
-                        self.aux.wheel.schedule(
-                            now + 1 + env.link_delay,
-                            Delivery {
-                                node: next as u32,
-                                port: in_port as u8,
-                                credit: false,
-                            },
-                        );
-                    } else {
-                        out.mail_flits += 1;
-                        self.aux.out_flits[owner].push(FlitMsg {
-                            node: next as u32,
-                            port: in_port as u8,
-                            flit: dep.flit,
-                            at: now,
-                        });
-                    }
+                    let ev = LinkEvent::departure(env.route_table, node, dep.out_port, dep.flit);
+                    self.send(env, now + 1 + env.link_delay, ev, &mut out);
                 }
             }
             for c in buf.credits.drain(..) {
-                let upstream = (c.in_port != local).then(|| {
-                    mesh.neighbor(node, c.in_port)
-                        .expect("credit on an unwired port")
-                });
-                let owner = upstream.map_or(self.idx, |up| env.node_shard[up] as usize);
-                if owner == self.idx {
-                    self.credit_back[i][c.in_port].push(now, c.vc);
-                    self.aux.wheel.schedule(
-                        now + 1 + env.credit_latency,
-                        Delivery {
-                            node: node as u32,
-                            port: c.in_port as u8,
-                            credit: true,
-                        },
-                    );
-                } else {
-                    out.mail_credits += 1;
-                    self.aux.out_credits[owner].push(CreditMsg {
-                        node: upstream.expect("cross-shard credit has an upstream") as u32,
-                        port: mesh.opposite(c.in_port) as u8,
-                        vc: c.vc as u32,
-                        due: now + 1 + env.credit_latency,
-                    });
-                }
+                let ev = LinkEvent::credit(env.route_table, node, c.in_port, c.vc);
+                self.send(env, now + 1 + env.credit_latency, ev, &mut out);
             }
             if self.routers[i].is_quiescent() {
                 self.active[i] = false;
@@ -1134,33 +918,45 @@ impl ShardCtx<'_> {
             if to == self.idx {
                 continue;
             }
-            if !self.aux.out_flits[to].is_empty() {
-                let mut slot = lock_mailbox(env.mail.flit_slot(self.idx, to));
-                slot.extend(self.aux.out_flits[to].drain(..));
+            if !self.aux.out_mail[to].is_empty() {
+                let mut slot = lock_mailbox(env.mail.slot(self.idx, to));
+                slot.append(&mut self.aux.out_mail[to]);
                 self.aux.sent_mail = true;
             }
-            if !self.aux.out_credits[to].is_empty() {
-                let mut slot = lock_mailbox(env.mail.credit_slot(self.idx, to));
-                slot.extend(self.aux.out_credits[to].drain(..));
-                self.aux.sent_mail = true;
+        }
+    }
+
+    /// Sends `ev`, due at cycle `due`: onto this shard's wheel when it
+    /// targets one of the shard's own nodes, otherwise into the staging
+    /// buffer for the owning shard's mailbox.
+    #[inline]
+    fn send(&mut self, env: &ShardEnv<'_>, due: u64, ev: LinkEvent, out: &mut ShardOut) {
+        let owner = env.node_shard[ev.node()] as usize;
+        if owner == self.idx {
+            self.aux.wheel.schedule(due, ev);
+        } else {
+            if ev.is_flit() {
+                out.mail_flits += 1;
+            } else {
+                out.mail_credits += 1;
             }
+            self.aux.out_mail[owner].push((due, ev));
         }
     }
 
     /// Casts this shard's quiescence vote after executing cycle `now`:
     /// the earliest future cycle at which it has any work. A busy shard
     /// (active routers, or mail published this cycle that the receiver
-    /// must apply next round) votes `now + 1`; an idle one votes the
-    /// earliest of its pending wheel deliveries, parked remote credits,
-    /// and the next possible source-injection crossing (cached — a quiet
+    /// must schedule next round) votes `now + 1`; an idle one votes the
+    /// earliest of its pending link events and the next possible
+    /// source-injection crossing (cached — a quiet
     /// source's crossing schedule is fixed arithmetic, so the cache
     /// stays valid until reached).
     pub(crate) fn vote(&mut self, lockstep: &Lockstep, now: u64) {
         let next = if self.aux.busy || self.aux.sent_mail {
             now + 1
         } else {
-            let mut v = self.aux.wheel.next_due().unwrap_or(u64::MAX);
-            v = v.min(self.aux.remote_credits.next_due().unwrap_or(u64::MAX));
+            let v = self.aux.wheel.next_due().unwrap_or(u64::MAX);
             if now + 1 >= self.aux.src_next {
                 let mut s = u64::MAX;
                 for src in self.sources.iter() {
@@ -1214,7 +1010,6 @@ impl ShardCtx<'_> {
     pub(crate) fn run_cycle(&mut self, env: &ShardEnv<'_>, lockstep: &Lockstep, now: u64) {
         if env.trace {
             let t0 = std::time::Instant::now();
-            self.begin_cycle(env, now);
             self.phase_deliver(env, now);
             let t1 = std::time::Instant::now();
             self.phase_sources(env, now);
@@ -1228,7 +1023,6 @@ impl ShardCtx<'_> {
             }
             drop(out);
         } else {
-            self.begin_cycle(env, now);
             self.phase_deliver(env, now);
             self.phase_sources(env, now);
             self.phase_tick(env, now);
@@ -1240,15 +1034,14 @@ impl ShardCtx<'_> {
     /// Fast-forwards this shard over the quiescent cycles
     /// `[now, target)`: sources advance their accumulators by pure
     /// repeated addition (bit-identical to stepping them through cycles
-    /// that inject nothing), and the wheels skip ahead (debug-asserting
-    /// that no pending delivery is jumped — the vote guarantees it).
+    /// that inject nothing), and the wheel skips ahead (debug-asserting
+    /// that no pending event is jumped — the vote guarantees it).
     pub(crate) fn fast_forward(&mut self, now: u64, target: u64) {
         debug_assert!(target > now, "fast-forward must move forward");
         for src in self.sources.iter_mut() {
             src.fast_forward(target - now);
         }
         self.aux.wheel.advance_to(target - 1);
-        self.aux.remote_credits.advance_to(target - 1);
     }
 
     /// The shard-local mirror of the serial engines' departure clip

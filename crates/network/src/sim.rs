@@ -1,33 +1,48 @@
-//! The network simulator: routers wired by delay pipes, driven by
-//! constant-rate sources, measured with the paper's warm-up + tagged
+//! The network simulator: routers wired by fixed-latency links, driven
+//! by constant-rate sources, measured with the paper's warm-up + tagged
 //! sample protocol.
 //!
-//! # Two engines, one result
+//! # One link layer
 //!
-//! The network can be advanced by either of two engines (selected with
-//! [`crate::config::EngineKind`]):
+//! Every wire crossing — a flit switched onto a link or injected by a
+//! source, a credit returned for a freed buffer — is scheduled once, as a
+//! [`LinkEvent`] on a calendar wheel ([`EventWheel`]) at the cycle it is
+//! delivered: `now + 1 + link_delay` for flits, `now + 1 +
+//! credit_latency` for credits. The event already names its receiver
+//! (the downstream input, the upstream output, or the node's own source),
+//! resolved through the [`RouteTable`]'s neighbor table at send time, so
+//! delivery is one call. Each wire has one latency, so its items land in
+//! one wheel slot per cycle in send order: the per-link FIFO order is
+//! kept.
 //!
-//! * **cycle-driven** — every cycle, poll every channel and tick every
-//!   router. The reference implementation: obviously correct, O(nodes)
+//! # Two serial engines, one result
+//!
+//! The network can be advanced by either of two serial engines (selected
+//! with [`crate::config::EngineKind`]); both drain the same wheel slot at
+//! the start of every cycle:
+//!
+//! * **cycle-driven** — tick every router every cycle and never skip a
+//!   cycle. The reference implementation: obviously correct, O(nodes)
 //!   work per cycle no matter how idle the fabric is.
-//! * **event-driven** — the default. Deliveries are scheduled on a
-//!   calendar wheel when flits/credits are pushed, so idle channels are
-//!   never polled; routers are ticked only while non-quiescent (see
-//!   [`Router::is_quiescent`]), and are woken by flit arrival. At the
-//!   sub-saturation loads that dominate a latency–throughput curve, most
-//!   routers are idle in most cycles, so this skips the bulk of the work.
+//! * **event-driven** — the default. Routers are ticked only while
+//!   non-quiescent (see [`Router::is_quiescent`]) and are woken by flit
+//!   arrival, and a run fast-forwards over cycles in which nothing can
+//!   happen. At the sub-saturation loads that dominate a
+//!   latency–throughput curve, most routers are idle in most cycles, so
+//!   this skips the bulk of the work.
 //!
 //! The engines produce **bit-identical** results, because the event
 //! engine only elides provable no-ops: a quiescent router's tick changes
-//! no state (arbiter priorities move only on grants), credits are
-//! push-delivered, and per-channel FIFO order is preserved by the pipes
-//! regardless of when they are drained. Within a delivery phase the
-//! per-pipe drains commute (they touch disjoint queues/counters), sources
-//! are stepped in node order, routers are ticked in node order, and
-//! routers only interact through pipes with ≥ 1 cycle of latency — so
-//! every cross-engine reordering is of commuting operations. The claim is
-//! enforced, not assumed: `tests/engine_equivalence.rs` runs both engines
-//! over randomized configurations and asserts identical measurements.
+//! no state (arbiter priorities move only on grants), and credits are
+//! push-delivered. Within a delivery phase the deliveries commute (they
+//! touch disjoint buffers and counters), so schedule order is as good as
+//! node order; sources are stepped in node order, routers are ticked in
+//! node order, and routers only interact through links with ≥ 1 cycle of
+//! latency — so every cross-engine reordering is of commuting operations.
+//! The claim is enforced, not assumed: `tests/engine_equivalence.rs` runs
+//! the engines over randomized configurations and asserts identical
+//! measurements, and `tests/golden_results.rs` pins exact results across
+//! commits.
 
 use crate::channel_load::ChannelLoad;
 use crate::config::{ConfigError, EngineKind, NetworkConfig};
@@ -41,7 +56,7 @@ use crate::source::{packet_seq, packet_source, Source, SourceStep};
 use crate::stats::{EngineWork, LatencyStats, PhaseNanos};
 use crate::tap::{BoundaryCounts, EngineView, TelemetryState};
 use crate::topology::Mesh;
-use router_core::{DelayPipe, EventWheel, Flit, PacketId, Router, RoutingOracle, TickOutput};
+use router_core::{EventWheel, Flit, PacketId, Router, RoutingOracle, TickOutput};
 use runqueue::CancelToken;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
@@ -152,14 +167,106 @@ pub struct RunResult {
     pub trace: Option<TraceLog>,
 }
 
-/// A wake-up notice scheduled on the event wheel: "pipe `(node, port)`
-/// has an item arriving; drain it".
+/// One wire crossing in flight, scheduled on a link wheel at the cycle
+/// it is delivered. It names its receiver, so delivery needs no neighbor
+/// lookup.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Delivery {
-    pub(crate) node: u32,
-    pub(crate) port: u8,
-    /// Credit pipe (`credit_back`) rather than flit pipe (`flit_in`).
-    pub(crate) credit: bool,
+pub(crate) enum LinkEvent {
+    /// A flit arriving at input `port` of router `node`.
+    Flit { node: u32, port: u8, flit: Flit },
+    /// A credit for VC `vc` of output `port` of router `node`: the
+    /// downstream input that output feeds freed a buffer.
+    Credit { node: u32, port: u8, vc: u32 },
+    /// A credit for VC `vc` of `node`'s injection channel, for its
+    /// source.
+    SourceCredit { node: u32, vc: u32 },
+}
+
+impl LinkEvent {
+    /// A flit leaving `node` through `out_port`, bound for the input
+    /// that port is wired to: the paired direction of the same dimension
+    /// ([`Mesh::opposite`]).
+    #[inline]
+    pub(crate) fn departure(table: &RouteTable, node: usize, out_port: usize, flit: Flit) -> Self {
+        let next = table
+            .neighbor(node, out_port)
+            .expect("departure off the mesh edge");
+        LinkEvent::Flit {
+            node: next as u32,
+            port: (out_port ^ 1) as u8,
+            flit,
+        }
+    }
+
+    /// The credit freed at input `in_port` of `node`, bound for what
+    /// feeds that input: the upstream router's output, or the node's own
+    /// source on the local port.
+    #[inline]
+    pub(crate) fn credit(table: &RouteTable, node: usize, in_port: usize, vc: usize) -> Self {
+        if in_port == table.local_port() {
+            return LinkEvent::SourceCredit {
+                node: node as u32,
+                vc: vc as u32,
+            };
+        }
+        let up = table
+            .neighbor(node, in_port)
+            .expect("credit on an unwired port");
+        LinkEvent::Credit {
+            node: up as u32,
+            port: (in_port ^ 1) as u8,
+            vc: vc as u32,
+        }
+    }
+
+    /// The node whose state the event changes (the shard that owns it
+    /// holds the event).
+    #[inline]
+    pub(crate) fn node(&self) -> usize {
+        match *self {
+            LinkEvent::Flit { node, .. }
+            | LinkEvent::Credit { node, .. }
+            | LinkEvent::SourceCredit { node, .. } => node as usize,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn is_flit(&self) -> bool {
+        matches!(self, LinkEvent::Flit { .. })
+    }
+
+    /// Delivers the event at `now` into the per-node state slices, whose
+    /// first entry is node `lo`. A flit wakes its router; a credit needs
+    /// no wake-up, because it only *enables* work for flits the receiver
+    /// already buffers (a non-quiescent receiver is already active, a
+    /// quiescent one stays a no-op until a flit arrives — see
+    /// [`Router::is_quiescent`]). Returns whether the event was a flit.
+    #[inline]
+    pub(crate) fn deliver(
+        self,
+        now: u64,
+        lo: usize,
+        routers: &mut [Router],
+        sources: &mut [Source],
+        active: &mut [bool],
+    ) -> bool {
+        match self {
+            LinkEvent::Flit { node, port, flit } => {
+                let i = node as usize - lo;
+                routers[i].accept_flit(port as usize, flit, now);
+                active[i] = true;
+                true
+            }
+            LinkEvent::Credit { node, port, vc } => {
+                routers[node as usize - lo].accept_credit(port as usize, vc as usize, now);
+                false
+            }
+            LinkEvent::SourceCredit { node, vc } => {
+                sources[node as usize - lo].credit(vc as usize);
+                false
+            }
+        }
+    }
 }
 
 /// A mesh of routers under simulation.
@@ -168,20 +275,18 @@ pub struct Network {
     cfg: NetworkConfig,
     routers: Vec<Router>,
     sources: Vec<Source>,
-    /// Precomputed per-node routing decisions (see [`RouteTable`]).
+    /// Precomputed per-node routing decisions and neighbors (see
+    /// [`RouteTable`]).
     route_table: RouteTable,
-    /// `flit_in[node][port]`: channel delivering flits into that input.
-    flit_in: Vec<Vec<DelayPipe<Flit>>>,
-    /// `credit_back[node][port]`: carries freed-buffer credits of that
-    /// input port back to its upstream (router or source).
-    credit_back: Vec<Vec<DelayPipe<usize>>>,
     now: u64,
     /// Credit return latency (propagation + processing − 1), cached.
     credit_latency: u64,
-    // Event-engine state (unused by the cycle-driven engine).
-    /// Scheduled pipe deliveries, indexed by arrival cycle.
-    wheel: EventWheel<Delivery>,
-    /// Routers with work pending; ticked each cycle until quiescent.
+    /// Every flit and credit on a wire, keyed by delivery cycle (the
+    /// serial engines' link layer; the sharded engine keeps one wheel
+    /// per shard instead).
+    wheel: EventWheel<LinkEvent>,
+    /// Routers with work pending; the event engine ticks them each cycle
+    /// until quiescent.
     router_active: Vec<bool>,
     /// Reused tick output buffer.
     tick_buf: TickOutput,
@@ -358,14 +463,7 @@ impl Network {
         let route_table = RouteTable::new(mesh, cfg.routing, rcfg.vcs);
         let fault = FaultModel::new(&cfg, &route_table);
         let credit_latency = cfg.credit_prop_delay + cfg.credit_proc_delay - 1;
-        let flit_in = (0..nodes)
-            .map(|_| (0..ports).map(|_| DelayPipe::new(cfg.link_delay)).collect())
-            .collect();
-        let credit_back = (0..nodes)
-            .map(|_| (0..ports).map(|_| DelayPipe::new(credit_latency)).collect())
-            .collect();
-
-        // Horizon: a delivery pushed during cycle `t` arrives at
+        // Horizon: an event sent during cycle `t` arrives at
         // `t + 1 + latency`, so the wheel must reach that far ahead.
         let horizon = 1 + cfg.link_delay.max(credit_latency) + 1;
         let channel_load = ChannelLoad::new(&cfg.mesh);
@@ -375,6 +473,15 @@ impl Network {
                 Some(ShardSet::new(&cfg.mesh, shards, horizon, cfg.rebalance))
             }
             EngineKind::CycleDriven | EngineKind::EventDriven => None,
+        };
+        // Each input port receives at most one flit and frees at most one
+        // buffer per cycle, which bounds a wheel slot; presized, the
+        // serial link wheel never allocates (the sharded engine keeps
+        // per-shard wheels instead).
+        let per_slot = if shards.is_some() {
+            0
+        } else {
+            2 * nodes * ports
         };
         // One trace lane per effective shard (the partition may clamp
         // below the requested count); the serial engines use lane 0.
@@ -387,11 +494,9 @@ impl Network {
             routers,
             sources,
             route_table,
-            flit_in,
-            credit_back,
             now: 0,
             credit_latency,
-            wheel: EventWheel::new(horizon),
+            wheel: EventWheel::with_slot_capacity(horizon, per_slot),
             router_active: vec![false; nodes],
             tick_buf: TickOutput::default(),
             source_step_buf: SourceStep::default(),
@@ -463,94 +568,49 @@ impl Network {
     /// wall-clock speed. [`Network::run`] is where the worker pool lives.
     pub fn step(&mut self) {
         match self.cfg.engine {
-            EngineKind::CycleDriven => self.step_cycle(),
-            EngineKind::EventDriven => self.step_event(),
+            EngineKind::CycleDriven | EngineKind::EventDriven => self.step_serial(),
             EngineKind::ParallelShards { .. } => self.step_parallel_inline(),
         }
     }
 
-    /// The reference engine: poll every pipe, tick every router.
-    fn step_cycle(&mut self) {
+    /// One cycle of a serial engine: deliver what the wheel holds for
+    /// this cycle, step the sources, tick the routers. The cycle-driven
+    /// engine ticks every router; the event engine ticks only the active
+    /// set. See the module docs for the equivalence argument.
+    fn step_serial(&mut self) {
         let now = self.now;
         let mesh = self.cfg.mesh;
-        let nodes = mesh.nodes();
         let timing = self.cfg.phase_timing;
         let t0 = timing.then(Instant::now);
 
-        // 1. Deliver flits into input buffers.
-        for node in 0..nodes {
-            for port in 0..mesh.ports() {
-                self.drain_flit_pipe(now, node, port);
-            }
-        }
-
-        // 2. Deliver credits to the upstream of each input port.
-        for node in 0..nodes {
-            for port in 0..mesh.ports() {
-                self.drain_credit_pipe(now, &mesh, node, port);
-            }
-        }
-
-        let t1 = timing.then(Instant::now);
-
-        // 3. Sources generate and inject.
-        self.step_sources(now, &mesh);
-
-        let t2 = timing.then(Instant::now);
-
-        // 4. Routers advance; forward their departures and credits.
-        for node in 0..nodes {
-            self.tick_router(now, &mesh, node);
-        }
-
-        let t3 = timing.then(Instant::now);
-        self.meas.channel_load.tick();
-        self.now += 1;
-        if let (Some(t0), Some(t1), Some(t2), Some(t3)) = (t0, t1, t2, t3) {
-            self.phases.accumulate(t0, t1, t2, t3, Instant::now());
-        }
-        self.telemetry_boundary();
-    }
-
-    /// The event-driven engine: drain only the pipes with a delivery due
-    /// (scheduled on the wheel at push time) and tick only the routers in
-    /// the active set. See the module docs for the equivalence argument.
-    fn step_event(&mut self) {
-        let now = self.now;
-        let mesh = self.cfg.mesh;
-        let nodes = mesh.nodes();
-        let timing = self.cfg.phase_timing;
-        let t0 = timing.then(Instant::now);
-
-        // 1+2. Deliver everything due this cycle. Per-pipe drains commute,
-        // so processing them in schedule order (not node order) is
-        // equivalent to the cycle engine's fixed sweep.
+        // 1. Deliver every flit and credit due this cycle.
         let mut due = self.wheel.take_due(now);
-        for d in due.drain(..) {
-            let (node, port) = (d.node as usize, d.port as usize);
-            if d.credit {
-                self.drain_credit_pipe(now, &mesh, node, port);
-            } else {
-                self.drain_flit_pipe(now, node, port);
-            }
+        for ev in due.drain(..) {
+            ev.deliver(
+                now,
+                0,
+                &mut self.routers,
+                &mut self.sources,
+                &mut self.router_active,
+            );
         }
         self.wheel.restore(now, due);
 
         let t1 = timing.then(Instant::now);
 
-        // 3. Sources generate and inject (every cycle: constant-rate
-        // accumulation must add `rate` exactly once per cycle to stay
-        // bit-identical with the reference engine).
+        // 2. Sources generate and inject (every cycle: constant-rate
+        // accumulation must add `rate` exactly once per cycle).
         self.step_sources(now, &mesh);
 
         let t2 = timing.then(Instant::now);
 
-        // 4. Tick the active routers in node order (eject order feeds the
-        // latency accumulator, whose floating-point state is
-        // order-sensitive), retiring the ones that went quiescent.
-        for node in 0..nodes {
-            if self.router_active[node] {
-                self.tick_router(now, &mesh, node);
+        // 3. Tick routers in node order (eject order feeds the latency
+        // accumulator, whose floating-point state is order-sensitive).
+        // The event engine skips and retires quiescent routers.
+        let tick_all = self.cfg.engine == EngineKind::CycleDriven;
+        for node in 0..mesh.nodes() {
+            if tick_all || self.router_active[node] {
+                self.tick_router(now, node);
                 if self.routers[node].is_quiescent() {
                     self.router_active[node] = false;
                 }
@@ -605,42 +665,11 @@ impl Network {
         );
     }
 
-    /// Delivers every flit due by `now` on `flit_in[node][port]`, waking
-    /// the receiving router.
-    fn drain_flit_pipe(&mut self, now: u64, node: usize, port: usize) {
-        while let Some(flit) = self.flit_in[node][port].pop_ready(now) {
-            self.routers[node].accept_flit(port, flit, now);
-            self.router_active[node] = true;
-        }
-    }
-
-    /// Delivers every credit due by `now` on `credit_back[node][port]` to
-    /// the upstream router or source.
-    ///
-    /// No wake-up is needed: a credit only *enables* work for flits the
-    /// receiver already buffers. A non-quiescent receiver is already in
-    /// the active set; a quiescent one stays a no-op until a flit arrives
-    /// (see [`Router::is_quiescent`]).
-    fn drain_credit_pipe(&mut self, now: u64, mesh: &Mesh, node: usize, port: usize) {
-        let local = mesh.local_port();
-        while let Some(vc) = self.credit_back[node][port].pop_ready(now) {
-            if port == local {
-                self.sources[node].credit(vc);
-            } else {
-                let upstream = mesh
-                    .neighbor(node, port)
-                    .expect("credit on an unwired port");
-                self.routers[upstream].accept_credit(mesh.opposite(port), vc, now);
-            }
-        }
-    }
-
-    /// Steps every source in node order; tags sample packets and pushes
-    /// injected flits onto the local input channel.
+    /// Steps every source in node order; tags sample packets and sends
+    /// injected flits over the local input channel.
     fn step_sources(&mut self, now: u64, mesh: &Mesh) {
         let local = mesh.local_port();
         let measuring = now >= self.cfg.warmup_cycles;
-        let event_driven = self.cfg.engine == EngineKind::EventDriven;
         let mut step = std::mem::take(&mut self.source_step_buf);
         for node in 0..mesh.nodes() {
             self.sources[node].step_into(now, mesh, &self.cfg.pattern, &mut step);
@@ -672,17 +701,14 @@ impl Network {
                     }
                     continue;
                 }
-                self.flit_in[node][local].push(now, flit);
-                if event_driven {
-                    self.wheel.schedule(
-                        now + 1 + self.cfg.link_delay,
-                        Delivery {
-                            node: node as u32,
-                            port: local as u8,
-                            credit: false,
-                        },
-                    );
-                }
+                self.wheel.schedule(
+                    now + 1 + self.cfg.link_delay,
+                    LinkEvent::Flit {
+                        node: node as u32,
+                        port: local as u8,
+                        flit,
+                    },
+                );
             }
         }
         self.source_step_buf = step;
@@ -731,11 +757,10 @@ impl Network {
         true
     }
 
-    /// Ticks router `node`, forwarding its departures and credits (and,
-    /// under the event engine, scheduling the wake-ups they imply).
-    fn tick_router(&mut self, now: u64, mesh: &Mesh, node: usize) {
-        let local = mesh.local_port();
-        let event_driven = self.cfg.engine == EngineKind::EventDriven;
+    /// Ticks router `node`, sending its departures and credits over
+    /// their links.
+    fn tick_router(&mut self, now: u64, node: usize) {
+        let local = self.cfg.mesh.local_port();
         let oracle = NodeOracle {
             table: &self.route_table,
             node,
@@ -752,35 +777,17 @@ impl Network {
             if dep.out_port == local {
                 self.eject(node, dep.flit);
             } else {
-                let next = mesh
-                    .neighbor(node, dep.out_port)
-                    .expect("departure off the mesh edge");
-                let in_port = mesh.opposite(dep.out_port);
-                self.flit_in[next][in_port].push(now, dep.flit);
-                if event_driven {
-                    self.wheel.schedule(
-                        now + 1 + self.cfg.link_delay,
-                        Delivery {
-                            node: next as u32,
-                            port: in_port as u8,
-                            credit: false,
-                        },
-                    );
-                }
+                self.wheel.schedule(
+                    now + 1 + self.cfg.link_delay,
+                    LinkEvent::departure(&self.route_table, node, dep.out_port, dep.flit),
+                );
             }
         }
         for c in out.credits.drain(..) {
-            self.credit_back[node][c.in_port].push(now, c.vc);
-            if event_driven {
-                self.wheel.schedule(
-                    now + 1 + self.credit_latency,
-                    Delivery {
-                        node: node as u32,
-                        port: c.in_port as u8,
-                        credit: true,
-                    },
-                );
-            }
+            self.wheel.schedule(
+                now + 1 + self.credit_latency,
+                LinkEvent::credit(&self.route_table, node, c.in_port, c.vc),
+            );
         }
         self.tick_buf = out;
     }
@@ -861,8 +868,6 @@ impl Network {
                         lo,
                         routers: &mut self.routers[lo..hi],
                         sources: &mut self.sources[lo..hi],
-                        flit_in: &mut self.flit_in[lo..hi],
-                        credit_back: &mut self.credit_back[lo..hi],
                         eject_slots: &mut self.eject_slots[lo * vcs..hi * vcs],
                         clip_out: &mut self.clip_out[lo * pv..hi * pv],
                         clip_in: &mut self.clip_in[lo * vcs..hi * vcs],
@@ -876,9 +881,7 @@ impl Network {
             }
             let shards = set.ranges.len();
             for s in 0..shards {
-                let mut c = ctx!(s);
-                c.begin_cycle(&env, now);
-                c.phase_deliver(&env, now);
+                ctx!(s).phase_deliver(&env, now);
             }
             mark(&mut stamps, 1);
             for s in 0..shards {
@@ -935,12 +938,7 @@ impl Network {
         );
         let mut migrated = false;
         if ok && set.rebal.new_ranges != set.ranges {
-            let moved = set.migrate(
-                &self.cfg.mesh,
-                &mut self.flit_in,
-                &mut self.credit_back,
-                self.cfg.link_delay,
-            );
+            let moved = set.migrate();
             self.phases.rebalances += 1;
             self.phases.migrated_nodes += moved;
             migrated = true;
@@ -1022,8 +1020,6 @@ impl Network {
                 pv,
                 &mut self.routers,
                 &mut self.sources,
-                &mut self.flit_in,
-                &mut self.credit_back,
                 &mut self.eject_slots,
                 &mut self.clip_out,
                 &mut self.clip_in,
@@ -1145,7 +1141,6 @@ impl Network {
                     lockstep.gate.release();
                     // ---- fused compute phase, shard 0's share ----
                     let t2 = timing.then(Instant::now);
-                    ctx0.begin_cycle(&env, now);
                     ctx0.phase_deliver(&env, now);
                     let t3 = timing.then(Instant::now);
                     ctx0.phase_sources(&env, now);
@@ -1188,12 +1183,7 @@ impl Network {
                     );
                     let mut migrated = false;
                     if ok && set.rebal.new_ranges != set.ranges {
-                        let moved = set.migrate(
-                            &self.cfg.mesh,
-                            &mut self.flit_in,
-                            &mut self.credit_back,
-                            self.cfg.link_delay,
-                        );
+                        let moved = set.migrate();
                         self.phases.rebalances += 1;
                         self.phases.migrated_nodes += moved;
                         migrated = true;
@@ -1298,20 +1288,19 @@ impl Network {
         self.meas.flits_ejected
     }
 
-    /// Flits currently on a wire (pushed into a channel, not yet
-    /// delivered).
+    /// Flits currently on a wire (sent over a link, not yet delivered).
     #[must_use]
     pub fn flits_in_flight(&self) -> u64 {
-        let piped: u64 = self
-            .flit_in
-            .iter()
-            .flat_map(|ports| ports.iter())
-            .map(|pipe| pipe.len() as u64)
-            .sum();
-        // Boundary flits can sit in a shard mailbox across a cycle
-        // boundary (published at emission, applied by the receiver at
-        // the start of its next round) — they are on the wire too.
-        piped + self.shards.as_ref().map_or(0, |s| s.mail.staged_flits())
+        let on_wheel = |w: &EventWheel<LinkEvent>| w.iter().filter(|e| e.is_flit()).count() as u64;
+        let mut n = on_wheel(&self.wheel);
+        if let Some(set) = &self.shards {
+            // Boundary flits sit in a shard mailbox across a cycle
+            // boundary (staged at emission, scheduled by the receiver at
+            // the start of its next round) — they are on the wire too.
+            n += set.aux.iter().map(|a| on_wheel(&a.wheel)).sum::<u64>();
+            n += set.mail.staged_flits();
+        }
+        n
     }
 
     /// Flits currently buffered inside routers.
@@ -1501,8 +1490,6 @@ fn split_shards<'a>(
     pv: usize,
     mut routers: &'a mut [Router],
     mut sources: &'a mut [Source],
-    mut flit_in: &'a mut [Vec<DelayPipe<Flit>>],
-    mut credit_back: &'a mut [Vec<DelayPipe<usize>>],
     mut eject_slots: &'a mut [(PacketId, u32)],
     mut clip_out: &'a mut [ClipSlot],
     mut clip_in: &'a mut [ClipSlot],
@@ -1520,10 +1507,6 @@ fn split_shards<'a>(
         routers = rest;
         let (s, rest) = std::mem::take(&mut sources).split_at_mut(n);
         sources = rest;
-        let (f, rest) = std::mem::take(&mut flit_in).split_at_mut(n);
-        flit_in = rest;
-        let (c, rest) = std::mem::take(&mut credit_back).split_at_mut(n);
-        credit_back = rest;
         let (e, rest) = std::mem::take(&mut eject_slots).split_at_mut(n * vcs);
         eject_slots = rest;
         let (co, rest) = std::mem::take(&mut clip_out).split_at_mut(n * pv);
@@ -1543,8 +1526,6 @@ fn split_shards<'a>(
             lo,
             routers: r,
             sources: s,
-            flit_in: f,
-            credit_back: c,
             eject_slots: e,
             clip_out: co,
             clip_in: ci,
@@ -1810,6 +1791,107 @@ mod tests {
             r.accepted,
             expected
         );
+    }
+
+    /// The link timing: a flit that departs at `t` is accepted
+    /// downstream at `t + 1 + link_delay`, and the credit its departure
+    /// frees is due upstream at `t + 1 + credit_latency`. Flits are
+    /// matched through the routers' event traces, credits through the
+    /// wheel's schedule (that the wheel delivers at the due cycle is
+    /// `link.rs`'s contract). `tests/fig16_turnaround.rs` checks the same
+    /// credit loop end to end, as the throughput of a saturated link.
+    #[test]
+    fn links_deliver_after_their_latency() {
+        use router_core::PipelineEvent;
+        const SOURCE: usize = usize::MAX;
+        for engine in [EngineKind::CycleDriven, EngineKind::EventDriven] {
+            for (link_delay, credit_prop) in [(1, 1), (3, 4)] {
+                let mut cfg = NetworkConfig::mesh(
+                    2,
+                    RouterKind::VirtualChannel {
+                        vcs: 2,
+                        buffers_per_vc: 4,
+                    },
+                )
+                .with_pattern(crate::traffic::TrafficPattern::NearestNeighbor)
+                .with_injection(0.5)
+                .with_credit_prop_delay(credit_prop)
+                .with_engine(engine);
+                cfg.mesh = Mesh::new(2, 1);
+                cfg.link_delay = link_delay;
+                let mesh = cfg.mesh;
+                let local = mesh.local_port();
+                let mut net = Network::new(cfg);
+                for r in &mut net.routers {
+                    r.enable_trace(1 << 16);
+                }
+                let credit_latency = net.credit_latency;
+                let mut credits = 0;
+                for _ in 0..300 {
+                    let now = net.cycle();
+                    net.step();
+                    // Credits freed by this cycle's traversals, keyed by
+                    // receiver: (node, output port or SOURCE, vc).
+                    let mut freed = Vec::new();
+                    for (node, r) in net.routers.iter().enumerate() {
+                        for e in r.trace().entries().iter().filter(|e| e.cycle == now) {
+                            if let PipelineEvent::Traversed { .. } = e.event {
+                                freed.push(if e.in_port == local {
+                                    (node, SOURCE, e.in_vc)
+                                } else {
+                                    let up = mesh.neighbor(node, e.in_port).unwrap();
+                                    (up, mesh.opposite(e.in_port), e.in_vc)
+                                });
+                            }
+                        }
+                    }
+                    let mut pending = Vec::new();
+                    net.wheel.clone().drain_pending_into(&mut pending);
+                    let mut due: Vec<_> = pending
+                        .into_iter()
+                        .filter(|(at, _)| *at == now + 1 + credit_latency)
+                        .filter_map(|(_, ev)| match ev {
+                            LinkEvent::Credit { node, port, vc } => {
+                                Some((node as usize, port as usize, vc as usize))
+                            }
+                            LinkEvent::SourceCredit { node, vc } => {
+                                Some((node as usize, SOURCE, vc as usize))
+                            }
+                            LinkEvent::Flit { .. } => None,
+                        })
+                        .collect();
+                    freed.sort_unstable();
+                    due.sort_unstable();
+                    assert_eq!(due, freed, "{engine}: credits sent at {now}");
+                    credits += freed.len();
+                }
+                // Every departure over a link arrives exactly
+                // `1 + link_delay` cycles later, on the same VC.
+                let end = net.cycle();
+                let (mut sent, mut arrived) = (Vec::new(), Vec::new());
+                for (node, r) in net.routers.iter().enumerate() {
+                    for e in r.trace().entries() {
+                        match e.event {
+                            PipelineEvent::Traversed { out_port, out_vc }
+                                if out_port != local && e.cycle + 1 + link_delay < end =>
+                            {
+                                let next = mesh.neighbor(node, out_port).unwrap();
+                                let port = mesh.opposite(out_port);
+                                sent.push((e.cycle + 1 + link_delay, next, port, out_vc, e.packet));
+                            }
+                            PipelineEvent::Arrived if e.in_port != local => {
+                                arrived.push((e.cycle, node, e.in_port, e.in_vc, e.packet));
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                sent.sort_unstable();
+                arrived.sort_unstable();
+                assert!(!sent.is_empty() && credits > 0, "{engine}: no traffic");
+                assert_eq!(sent, arrived, "{engine}: link_delay {link_delay}");
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@ use std::time::Instant;
 /// only that total wall-clock moved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
-    /// Draining flit/credit pipes into routers, sources, and upstreams
-    /// (under the sharded-parallel engine: pipe drains plus mailbox
-    /// application).
+    /// Delivering the flits and credits due this cycle from the link
+    /// wheel into routers and sources (under the sharded-parallel
+    /// engine: scheduling the boundary mail, then the shard's wheel).
     pub delivery: u64,
     /// Source packet generation and injection.
     pub sources: u64,
@@ -65,7 +65,7 @@ impl PhaseNanos {
     /// thread, whose shard is representative of the (balanced) others:
     /// `t[0]..t[1]` the gate wait for follower shards plus the skip
     /// decision, `t[1]..t[2]` the serial measurement commit, `t[2]..t[3]`
-    /// cycle-begin mail application plus wheel delivery, `t[3]..t[4]`
+    /// boundary-mail scheduling plus wheel delivery, `t[3]..t[4]`
     /// source injection, `t[4]..t[5]` router ticks (the fused compute
     /// phase runs `t[2]..t[5]` with no internal barrier).
     pub fn accumulate_parallel(&mut self, t: &[Instant; 6]) {

@@ -116,7 +116,7 @@ pub(crate) enum EngineView {
     Serial {
         /// Total router ticks so far.
         router_ticks: u64,
-        /// Events currently pending on the delivery wheel.
+        /// Flits and credits currently on the link wheel.
         wheel_pending: u64,
     },
     /// The sharded engine: gauges and spans were accumulated shard by

@@ -45,6 +45,30 @@ fn dor_table_matches_function_on_mesh_and_torus() {
     }
 }
 
+/// The neighbor table the engines forward flits and credits through is
+/// `Mesh::neighbor` entry by entry, edges and the local port included.
+#[test]
+fn neighbor_table_matches_mesh_neighbor() {
+    for mesh in [
+        Mesh::new(2, 1),
+        Mesh::new(4, 2),
+        Mesh::new(3, 3),
+        Mesh::new(4, 2).into_torus(),
+        Mesh::new(5, 3).into_torus(),
+    ] {
+        let table = RouteTable::new(&mesh, RoutingAlgo::DimensionOrdered, 2);
+        for node in 0..mesh.nodes() {
+            for port in 0..mesh.ports() {
+                assert_eq!(
+                    table.neighbor(node, port),
+                    mesh.neighbor(node, port),
+                    "{mesh} node {node} port {port}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn adaptive_table_matches_west_first_for_every_selector_class() {
     let mesh = Mesh::new(6, 2);

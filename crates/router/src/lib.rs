@@ -56,7 +56,7 @@ pub mod trace;
 pub use arena::FlitArena;
 pub use config::{FlowControlKind, RouterConfig, Timing};
 pub use flit::{Flit, FlitKind, PacketFlits, PacketId};
-pub use link::{DelayPipe, EventWheel};
+pub use link::EventWheel;
 pub use router::{CreditOut, Departure, Router, RoutingOracle, TickOutput};
 pub use stats::RouterStats;
 pub use trace::{PipelineEvent, Trace, TraceEntry, TraceSink};

@@ -1,115 +1,14 @@
-//! Fixed-latency delay pipes modeling channels and credit wires, and the
-//! calendar wheel the event-driven engine schedules deliveries on.
+//! The calendar wheel every engine schedules wire crossings on.
 //!
-//! A [`DelayPipe`] delivers each item exactly `latency + 1` cycles after
-//! the cycle it was pushed in: an item sent during the switch-traversal
-//! phase of cycle `t` spends `latency` cycles on the wire (cycles `t+1 ..=
-//! t+latency`) and is delivered at the start of cycle `t + 1 + latency`.
-//! With the paper's 1-cycle propagation delay, a flit switched at `t`
-//! arrives downstream at `t + 2`.
-//!
-//! An [`EventWheel`] complements the pipes: where a pipe holds the items
-//! themselves, the wheel holds *wake-up notices* ("something arrives on
-//! pipe X at cycle T") so an event-driven simulator can skip polling every
-//! pipe every cycle. Because all link latencies are small fixed constants,
-//! a ring of `horizon` slots indexed by `cycle % horizon` suffices — no
-//! heap, no ordering, O(1) schedule and drain.
-
-use std::collections::VecDeque;
-use std::fmt;
-
-/// A FIFO conveyor with fixed latency.
-#[derive(Debug, Clone)]
-pub struct DelayPipe<T> {
-    latency: u64,
-    queue: VecDeque<(u64, T)>, // (deliver_at, item)
-    last_push: Option<u64>,
-}
-
-impl<T> DelayPipe<T> {
-    /// Creates a pipe with the given propagation latency in cycles
-    /// (0 means delivery at the start of the next cycle).
-    #[must_use]
-    pub fn new(latency: u64) -> Self {
-        DelayPipe {
-            latency,
-            queue: VecDeque::new(),
-            last_push: None,
-        }
-    }
-
-    /// The propagation latency, in cycles.
-    #[must_use]
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
-    /// Pushes an item during cycle `now`; it will be delivered at
-    /// `now + 1 + latency`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if pushes are not in non-decreasing cycle order (the pipe is
-    /// a synchronous wire, not a scheduler).
-    pub fn push(&mut self, now: u64, item: T) {
-        if let Some(last) = self.last_push {
-            assert!(now >= last, "pushes must be in cycle order: {now} < {last}");
-        }
-        self.last_push = Some(now);
-        self.queue.push_back((now + 1 + self.latency, item));
-    }
-
-    /// Pops the next item if it has arrived by cycle `now`.
-    pub fn pop_ready(&mut self, now: u64) -> Option<T> {
-        if self.queue.front().is_some_and(|(at, _)| *at <= now) {
-            self.queue.pop_front().map(|(_, item)| item)
-        } else {
-            None
-        }
-    }
-
-    /// Drains every item that has arrived by cycle `now`, in FIFO order.
-    pub fn drain_ready(&mut self, now: u64) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(item) = self.pop_ready(now) {
-            out.push(item);
-        }
-        out
-    }
-
-    /// Drains every in-flight item with its delivery cycle, regardless
-    /// of the current cycle (the shard-migration primitive: a pipe whose
-    /// consumer moved to another shard is emptied and its contents
-    /// re-expressed as timed cross-shard messages). The push-order
-    /// cursor is preserved, so the pipe keeps accepting pushes in cycle
-    /// order afterwards.
-    pub fn drain_all_into(&mut self, into: &mut Vec<(u64, T)>) {
-        into.extend(self.queue.drain(..));
-    }
-
-    /// Number of items in flight.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether nothing is in flight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-}
-
-impl<T> fmt::Display for DelayPipe<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "DelayPipe(latency={}, in_flight={})",
-            self.latency,
-            self.queue.len()
-        )
-    }
-}
+//! A synchronous network's wires have small fixed latencies: an item sent
+//! during the switch-traversal phase of cycle `t` over a wire of latency
+//! `L` spends cycles `t+1 ..= t+L` on it and is delivered at the start of
+//! cycle `t + 1 + L` (with the paper's 1-cycle propagation delay, a flit
+//! switched at `t` arrives downstream at `t + 2`). An [`EventWheel`]
+//! holds such items themselves, keyed by delivery cycle: a ring of
+//! `horizon` slots indexed by `cycle % horizon` suffices — no heap, no
+//! ordering, O(1) schedule and drain. Items due in the same cycle come
+//! out in push order, so a wire of one latency keeps its FIFO order.
 
 /// A bounded calendar queue: schedule items at future cycles, drain the
 /// items due at the current cycle in O(1).
@@ -142,6 +41,23 @@ impl<T> EventWheel<T> {
             slots: (0..horizon).map(|_| Vec::new()).collect(),
             cursor: None,
         }
+    }
+
+    /// Creates a wheel like [`EventWheel::new`] whose slots start with
+    /// room for `per_slot` items each. A caller that can bound how many
+    /// items fall due in one cycle thereby never makes the wheel
+    /// allocate again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon == 0`.
+    #[must_use]
+    pub fn with_slot_capacity(horizon: u64, per_slot: usize) -> Self {
+        let mut wheel = Self::new(horizon);
+        for slot in &mut wheel.slots {
+            slot.reserve_exact(per_slot);
+        }
+        wheel
     }
 
     /// How many cycles ahead the wheel can schedule.
@@ -203,6 +119,12 @@ impl<T> EventWheel<T> {
         self.slots.iter().map(Vec::len).sum()
     }
 
+    /// Every scheduled item, in no particular order (for accounting that
+    /// must look inside the wheel, such as counting items of one kind).
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+
     /// The earliest cycle with an item scheduled, or `None` if the wheel
     /// is empty. Every pending item lives within `horizon` cycles of the
     /// drain cursor, so one pass over the ring suffices — this is what
@@ -249,7 +171,7 @@ impl<T> EventWheel<T> {
     ///
     /// The caller must know the skipped cycles were empty (i.e. `now` is
     /// below [`EventWheel::next_due`]); this is debug-asserted, because a
-    /// violation would silently drop scheduled deliveries.
+    /// violation would silently drop scheduled items.
     pub fn advance_to(&mut self, now: u64) {
         debug_assert!(
             self.next_due().is_none_or(|due| due > now),
@@ -269,63 +191,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_cycle_link_delivers_two_cycles_later() {
-        let mut pipe = DelayPipe::new(1);
-        pipe.push(10, "flit");
-        assert_eq!(pipe.pop_ready(10), None);
-        assert_eq!(pipe.pop_ready(11), None);
-        assert_eq!(pipe.pop_ready(12), Some("flit"));
-        assert!(pipe.is_empty());
-    }
-
-    #[test]
-    fn zero_latency_delivers_next_cycle() {
-        let mut pipe = DelayPipe::new(0);
-        pipe.push(5, 1u32);
-        assert_eq!(pipe.pop_ready(5), None);
-        assert_eq!(pipe.pop_ready(6), Some(1));
-    }
-
-    #[test]
-    fn fifo_order_preserved() {
-        let mut pipe = DelayPipe::new(2);
-        for (t, x) in [(0u64, 'a'), (1, 'b'), (2, 'c')] {
-            pipe.push(t, x);
-        }
-        assert_eq!(pipe.drain_ready(3), vec!['a']);
-        assert_eq!(pipe.drain_ready(5), vec!['b', 'c']);
-    }
-
-    #[test]
-    fn drain_all_preserves_delivery_cycles() {
-        let mut pipe = DelayPipe::new(1);
-        pipe.push(3, 'a');
-        pipe.push(5, 'b');
-        let mut out = Vec::new();
-        pipe.drain_all_into(&mut out);
-        assert_eq!(out, vec![(5, 'a'), (7, 'b')]);
-        assert!(pipe.is_empty());
-        pipe.push(5, 'c'); // cycle-order cursor survives the drain
-        assert_eq!(pipe.pop_ready(7), Some('c'));
-    }
-
-    #[test]
-    fn late_pop_still_delivers_everything() {
-        let mut pipe = DelayPipe::new(1);
-        pipe.push(0, 1);
-        pipe.push(1, 2);
-        assert_eq!(pipe.drain_ready(100), vec![1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cycle order")]
-    fn out_of_order_push_rejected() {
-        let mut pipe = DelayPipe::new(1);
-        pipe.push(5, ());
-        pipe.push(4, ());
-    }
-
-    #[test]
     fn wheel_delivers_at_scheduled_cycle() {
         let mut w: EventWheel<u32> = EventWheel::new(4);
         w.schedule(2, 20);
@@ -339,6 +204,46 @@ mod tests {
         assert_eq!(due, vec![20, 21]);
         w.restore(2, due);
         assert_eq!(w.take_due(3), vec![30]);
+    }
+
+    #[test]
+    fn one_cycle_link_delivers_two_cycles_later() {
+        // Sent at 10 over a wire of latency 1: due at 10 + 1 + 1.
+        let mut w: EventWheel<&str> = EventWheel::new(3);
+        let b = w.take_due(10);
+        w.restore(10, b);
+        w.schedule(10 + 1 + 1, "flit");
+        let b = w.take_due(11);
+        assert!(b.is_empty());
+        w.restore(11, b);
+        assert_eq!(w.take_due(12), vec!["flit"]);
+        assert_eq!(w.pending(), 0);
+    }
+
+    #[test]
+    fn zero_latency_delivers_next_cycle() {
+        let mut w: EventWheel<u32> = EventWheel::new(2);
+        let b = w.take_due(5);
+        w.restore(5, b);
+        w.schedule(5 + 1, 1);
+        assert_eq!(w.next_due(), Some(6));
+        assert_eq!(w.take_due(6), vec![1]);
+    }
+
+    #[test]
+    fn fifo_order_preserved() {
+        // The per-wire FIFO: a wire has one latency, so its items land in
+        // one slot per cycle in the order they were sent.
+        let mut w: EventWheel<char> = EventWheel::new(3);
+        let b = w.take_due(7);
+        w.restore(7, b);
+        for x in ['a', 'b', 'c'] {
+            w.schedule(9, x);
+        }
+        w.schedule(8, 'z');
+        w.schedule(9, 'd');
+        assert_eq!(w.take_due(8), vec!['z']);
+        assert_eq!(w.take_due(9), vec!['a', 'b', 'c', 'd']);
     }
 
     #[test]
@@ -356,6 +261,20 @@ mod tests {
         w.schedule(6, 1); // lands in the same slot (4 % 2 == 6 % 2)
         let again = w.take_due(6);
         assert!(again.capacity() >= cap, "slot buffer was recycled");
+    }
+
+    #[test]
+    fn presized_slots_keep_their_capacity() {
+        let mut w: EventWheel<u32> = EventWheel::with_slot_capacity(3, 8);
+        for now in 0..10 {
+            let cap = w.slots[(now % 3) as usize].capacity();
+            assert!(cap >= 8, "slot of cycle {now} lost its room ({cap})");
+            let due = w.take_due(now);
+            w.restore(now, due);
+            for x in 0..8 {
+                w.schedule(now + 2, x);
+            }
+        }
     }
 
     #[test]
@@ -447,6 +366,44 @@ mod tests {
             w2.schedule(at, x);
         }
         assert_eq!(w2.take_due(11), vec![1, 3]);
+    }
+
+    #[test]
+    fn drain_all_preserves_delivery_cycles() {
+        // The migration primitive: drain one wheel, schedule every entry
+        // onto another wheel at the same cursor, and each cycle still
+        // delivers the same items in the same order.
+        let mut a: EventWheel<u32> = EventWheel::new(3);
+        let mut b: EventWheel<u32> = EventWheel::new(3);
+        for w in [&mut a, &mut b] {
+            let buf = w.take_due(20);
+            w.restore(20, buf);
+        }
+        for (at, x) in [(22, 1), (21, 2), (23, 3), (22, 4), (21, 5), (23, 6)] {
+            a.schedule(at, x);
+        }
+        b.schedule(22, 0); // already pending on the receiving wheel
+        let mut moved = Vec::new();
+        a.drain_pending_into(&mut moved);
+        assert_eq!(a.pending(), 0);
+        for (at, x) in moved {
+            b.schedule(at, x);
+        }
+        assert_eq!(b.take_due(21), vec![2, 5]);
+        assert_eq!(b.take_due(22), vec![0, 1, 4]);
+        assert_eq!(b.take_due(23), vec![3, 6]);
+        assert_eq!(b.pending(), 0);
+    }
+
+    #[test]
+    fn iter_visits_every_pending_item() {
+        let mut w: EventWheel<u32> = EventWheel::new(4);
+        w.schedule(1, 10);
+        w.schedule(3, 30);
+        w.schedule(1, 11);
+        let mut seen: Vec<u32> = w.iter().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![10, 11, 30]);
     }
 
     #[test]

@@ -81,22 +81,46 @@ proptest! {
 }
 
 /// Flit conservation: at every cycle boundary, every flit a source has
-/// injected is ejected, on a wire, or buffered in a router — under both
-/// engines, at a load high enough to exercise blocking and backpressure.
+/// injected is ejected, on a wire, or buffered in a router — under every
+/// engine, at a load high enough to exercise blocking and backpressure.
+/// The sharded cases count flits on the shard wheels and in staged
+/// boundary mail; the rebalancing one does so across live migrations.
 /// (`Network::run` re-checks the same invariant at the end of every run.)
 #[test]
 fn flits_are_conserved_every_cycle() {
-    for engine in [EngineKind::CycleDriven, EngineKind::EventDriven] {
-        let cfg = NetworkConfig::mesh(
-            4,
-            RouterKind::SpeculativeVc {
-                vcs: 2,
-                buffers_per_vc: 4,
-            },
-        )
-        .with_injection(0.4)
-        .with_warmup(100)
-        .with_engine(engine);
+    let base = NetworkConfig::mesh(
+        4,
+        RouterKind::SpeculativeVc {
+            vcs: 2,
+            buffers_per_vc: 4,
+        },
+    )
+    .with_injection(0.4)
+    .with_warmup(100);
+    // A skewed 8x8, so the weighted cut has rows to move across.
+    let hotspot = NetworkConfig::mesh(
+        8,
+        RouterKind::SpeculativeVc {
+            vcs: 2,
+            buffers_per_vc: 4,
+        },
+    )
+    .with_pattern(TrafficPattern::Hotspot {
+        hotspot: 59,
+        hotness: 0.5,
+    })
+    .with_injection(0.1)
+    .with_warmup(100)
+    .with_rebalance(200, 1.05);
+    let cases = [
+        base.clone().with_engine(EngineKind::CycleDriven),
+        base.clone().with_engine(EngineKind::EventDriven),
+        base.with_engine(EngineKind::parallel(2)),
+        hotspot.with_engine(EngineKind::parallel(2)),
+    ];
+    for cfg in cases {
+        let engine = cfg.engine;
+        let rebalancing = cfg.rebalance.is_some();
         let mut net = Network::new(cfg);
         for _ in 0..3_000 {
             net.step();
@@ -110,6 +134,12 @@ fn flits_are_conserved_every_cycle() {
             net.flits_in_flight() + net.flits_buffered() > 0,
             "{engine}: mid-run snapshot should catch flits en route"
         );
+        if rebalancing {
+            assert!(
+                net.rebalances() > 0,
+                "{engine}: the hotspot must trigger a live migration"
+            );
+        }
     }
 }
 
