@@ -99,25 +99,30 @@ impl fmt::Display for RouterKind {
     }
 }
 
-/// Which simulation engine advances the network.
+/// Which schedule of the one engine loop advances the network.
 ///
-/// All engines produce **bit-identical** results — the event-driven
-/// engine only skips work that is provably a no-op (quiescent routers,
-/// channels with nothing due), and the sharded-parallel engine only
-/// reorders operations that provably commute, replaying every
-/// order-sensitive accumulation serially in node order. The equivalence
-/// is enforced by the differential harness in
-/// `tests/engine_equivalence.rs`, which runs the engines across router
-/// kinds, topologies, traffic patterns, loads, and shard counts and
-/// asserts identical measurements.
+/// Every kind runs the same lockstep round over a partition of the mesh
+/// into contiguous shards (see [`crate::shard`]): the serial kinds are
+/// one-shard schedules of it. All kinds produce **bit-identical**
+/// results — ticking only the active set and fast-forwarding quiet
+/// cycles skip only provable no-ops, and sharding only reorders
+/// operations that provably commute, replaying every order-sensitive
+/// accumulation serially in node order. The equivalence is enforced by
+/// the differential harness in `tests/engine_equivalence.rs`, which runs
+/// the kinds across router kinds, topologies, traffic patterns, loads,
+/// and shard counts and asserts identical measurements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Tick every router every cycle (the reference engine; simple,
-    /// obviously correct, O(nodes) per cycle regardless of load).
+    /// One shard that ticks every router every cycle and is never
+    /// granted a fast-forward (the reference; simple, obviously correct,
+    /// O(nodes) per cycle regardless of load, and the oracle the active
+    /// set and the quiescence vote are checked against).
     CycleDriven,
-    /// Tick only routers with work pending, waking them on flit delivery
-    /// (the default: at the low loads that dominate a latency–throughput
-    /// sweep, most routers are idle in most cycles).
+    /// One shard that ticks only routers with work pending, waking them
+    /// on flit delivery, and fast-forwards quiet stretches — exactly
+    /// `ParallelShards { shards: 1 }` (the default: at the low loads
+    /// that dominate a latency–throughput sweep, most routers are idle in
+    /// most cycles).
     #[default]
     EventDriven,
     /// Partition the mesh into contiguous shards and run lockstep rounds
@@ -128,9 +133,9 @@ pub enum EngineKind {
     /// work); the released round then runs delivery, sources, and router
     /// ticks as one fused parallel phase, exchanging boundary
     /// flits/credits through preallocated per-shard-pair mailboxes
-    /// stamped at emission time. Results are bit-identical to the serial
-    /// engines for any shard count, thread schedule, and
-    /// [`BarrierKind`] (see [`crate::shard`]).
+    /// stamped at emission time. Results are bit-identical to the
+    /// cycle-driven oracle for any shard count, thread schedule, and
+    /// [`BarrierKind`].
     ParallelShards {
         /// Worker shards (≥ 1; clamped to the node count). Each shard
         /// runs on its own thread during [`crate::sim::Network::run`].
@@ -442,7 +447,9 @@ impl std::error::Error for ConfigError {}
 /// exceeds `threshold`, the partition is re-cut along weighted row seams
 /// and in-flight state migrates to the new owners. All inputs are pure
 /// functions of simulation state, so results stay bit-identical to the
-/// serial engines — the knob trades wall-clock, never correctness.
+/// cycle-driven oracle — the knob trades wall-clock, never correctness.
+/// The serial kinds run one shard, which has nothing to balance: there
+/// the knob is a no-op.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// Decision window in executed cycles (≥ 1). Executed cycles — not
@@ -673,8 +680,8 @@ pub struct NetworkConfig {
     pub mesh: Mesh,
     /// Routing algorithm.
     pub routing: RoutingAlgo,
-    /// Simulation engine (cycle-driven reference or the event-driven
-    /// active-set engine; results are identical).
+    /// Engine schedule (the cycle-driven reference, the event-driven
+    /// default, or sharded; results are identical).
     pub engine: EngineKind,
     /// Barrier implementation for the sharded-parallel engine's
     /// per-cycle gate (ignored by the serial engines; results are

@@ -1,56 +1,69 @@
-//! Deterministic sharded-parallel execution of the network simulator.
-//!
-//! The [`crate::config::EngineKind::ParallelShards`] engine partitions the
-//! mesh's routers into contiguous per-thread shards
-//! ([`crate::topology::Mesh::shard_ranges`]) and executes the simulation
-//! in lockstep rounds whose results are **bit-identical** to the serial
-//! engines for any shard count and any thread schedule. Each round is one
-//! *gate* barrier episode followed by one fused compute phase:
+//! The engine loop: every [`crate::config::EngineKind`] advances the
+//! network in lockstep rounds over a partition of the mesh's routers
+//! into contiguous shards ([`crate::topology::Mesh::shard_ranges`]).
+//! `ParallelShards(n)` cuts `n` shards; the serial kinds are one-shard
+//! schedules of the same round — `EventDriven` is `ParallelShards(1)`,
+//! and `CycleDriven` ticks every router and is never granted a
+//! fast-forward, which keeps it the never-skipping oracle for the active
+//! set and the quiescence vote. Results are **bit-identical** for every
+//! kind, shard count and thread schedule. Each round is one *gate*
+//! barrier episode followed by one fused compute phase:
 //!
 //! 1. **Gate** — workers arrive and block; the coordinator waits for
-//!    them, then runs the serial section alone: it commits the previous
-//!    cycle's measurement records **in fixed node order** (sample
-//!    tagging, then the floating-point latency / histogram /
-//!    channel-load accumulators — the only order-sensitive state, which
-//!    never leaves this section), evaluates the stop condition, and
-//!    decides whether the next cycles can be **fast-forwarded**: every
-//!    shard votes (via a `fetch_min` register) the earliest future cycle
-//!    at which it has any work — pending link events, staged
-//!    boundary mail, active routers, or a source about to cross its
-//!    injection threshold — and when the minimum lies beyond the next
-//!    cycle, the skipped cycles are provably no-ops for *every* shard
-//!    and are elided exactly the way the serial event engine elides
-//!    quiescent-router ticks. The gate is either a central
+//!    them, then runs the serial section alone (see `crate::sim`): it
+//!    commits the previous cycle's measurement records **in fixed node
+//!    order** (sample tagging, then the floating-point latency /
+//!    histogram / channel-load accumulators — the only order-sensitive
+//!    state, which never leaves this section), emits the telemetry
+//!    boundary, takes the rebalance decision, evaluates the stop
+//!    condition, and decides whether the next cycles can be
+//!    **fast-forwarded**: every shard votes (via a `fetch_min` register)
+//!    the earliest future cycle at which it has any work — pending link
+//!    events, staged boundary mail, active routers, or a source about to
+//!    cross its injection threshold — and when the minimum lies beyond
+//!    the next cycle, the skipped cycles are provably no-ops for *every*
+//!    shard and are elided. The gate is either a central
 //!    sense-reversing spin barrier or a sense-reversing combining tree
-//!    ([`crate::config::BarrierKind`]); both spin briefly then yield.
+//!    ([`crate::config::BarrierKind`]); both spin briefly then yield, and
+//!    with one party neither blocks.
 //! 2. **Fused compute** (parallel, no internal barrier) — each shard:
 //!    schedules the boundary flits and credits other shards published
-//!    *last* round onto its own link wheel (each carries its absolute
-//!    due cycle), delivers the wheel's events due this cycle, steps its
-//!    sources in node order, and ticks its active routers in node order.
-//!    A shard's wheel holds exactly the [`LinkEvent`]s that target its
-//!    own nodes: departures and credits bound for another shard are
-//!    staged in per-shard-pair mailboxes **at emission time**, stamped
-//!    with the cycle they are due, so the receiver can schedule them a
-//!    full round later without any mid-cycle exchange barrier. Tail
-//!    ejections, channel-load events, and created packet ids are
-//!    recorded per shard in node order for the next gate's serial
-//!    commit.
+//!    onto its own link wheel (each carries its absolute due cycle),
+//!    delivers the wheel's events due this cycle, steps its sources in
+//!    node order, and ticks its active routers in node order. A shard's
+//!    wheel holds exactly the [`LinkEvent`]s that target its own nodes:
+//!    departures and credits bound for another shard are staged in
+//!    per-shard-pair mailboxes **at emission time**, stamped with the
+//!    cycle they are due (≥ the next cycle), so the receiver can schedule
+//!    them whenever it next drains its mailboxes without any mid-cycle
+//!    exchange barrier. Tail ejections, channel-load events, and created
+//!    packet ids are recorded per shard in node order for the next
+//!    gate's serial commit.
 //!
-//! Why this is bit-identical: within one cycle the serial engine's
-//! deliveries commute (disjoint buffers and counters — the same argument
-//! the event engine rests on), every event lands in the same cycle it
-//! would have under the serial engine (the staged due cycle *is* the
-//! serial delivery cycle), sources interact with nothing but their own
-//! state and their own injection channel, and routers only interact
-//! through links with ≥ 1 cycle of latency. Fast-forwarded cycles are
+//! [`crate::sim::Network::run`] runs shard 0 on the calling thread and
+//! every other shard on a scoped worker; [`crate::sim::Network::step`]
+//! runs one round with every shard on the calling thread, shard after
+//! shard in index order, which is one legal interleaving of the fused
+//! phase.
+//!
+//! Why this is bit-identical: within one cycle the deliveries commute
+//! (they touch disjoint buffers and counters), every event lands in the
+//! same cycle under every partition (the staged due cycle *is* the cycle
+//! a same-shard send would have used), sources interact with nothing but
+//! their own state and their own injection channel, and routers only
+//! interact through links with ≥ 1 cycle of latency. Ticking only the
+//! active set elides provable no-ops: a quiescent router's tick changes
+//! no state (arbiter priorities move only on grants), and a credit needs
+//! no wake-up (see [`LinkEvent::deliver`]). Fast-forwarded cycles are
 //! cycles in which no shard would deliver, inject, or tick anything —
 //! sources advance their fractional accumulators by pure repeated
 //! addition ([`Source::fast_forward`]), exactly the operations the
 //! skipped steps would have performed, so even the floating-point state
-//! is identical.
-//! The only order-sensitive state — the global tagging counter and the
-//! floating-point latency accumulators — never leaves the serial commit.
+//! is identical. The only order-sensitive state — the global tagging
+//! counter and the floating-point latency accumulators — never leaves
+//! the serial commit. `tests/engine_equivalence.rs` enforces the claim
+//! against the cycle-driven oracle, and `tests/golden_results.rs` pins
+//! exact results across commits.
 //!
 //! Everything here is allocation-free in steady state: mailboxes,
 //! wheels, scratch buffers, and the per-cycle record vectors are
@@ -75,33 +88,35 @@
 //! contiguous and row-seam-snapped) and **migrates**: every wheel and
 //! the staged boundary mail are drained with their due cycles intact,
 //! and each event is re-homed onto the wheel of the shard that now owns
-//! its target node. No new barrier is added — the decision rides the
-//! existing gate, and the migration happens between worker-pool *eras*
-//! while no worker holds a shard view. Because the meter, the epoch boundaries (counted
-//! in executed cycles, which every shard executes in lockstep), and the
-//! cut computation are all deterministic, the partition *sequence* is
-//! deterministic — and since no partition choice ever affects results
-//! (the serial commit owns all order-sensitive state), rebalanced runs
-//! stay bit-identical to the serial engines.
+//! its target node ([`ShardSet::rebalance`]). No new barrier is added —
+//! the decision rides the existing gate, and the migration happens
+//! between *eras* of the engine loop, while no shard view exists.
+//! Because the meter, the epoch boundaries (counted in executed cycles,
+//! which every shard executes in lockstep), and the cut computation are
+//! all deterministic, the partition *sequence* is deterministic — and
+//! since no partition choice ever affects results (the serial commit
+//! owns all order-sensitive state), rebalanced runs stay bit-identical
+//! to the cycle-driven oracle. The serial kinds run a single shard,
+//! which has nothing to balance, so they never meter.
 
-use crate::config::{BarrierKind, RebalanceConfig};
+use crate::config::{BarrierKind, NetworkConfig, RebalanceConfig};
 use crate::fault::{clip, ClipSlot, DropReason, DropStats, FaultModel};
 use crate::routing::RouteTable;
 use crate::sim::{LinkEvent, NodeOracle};
 use crate::source::{Source, SourceStep};
 use crate::stats::PhaseNanos;
 use crate::topology::Mesh;
-use crate::traffic::TrafficPattern;
 use router_core::{EventWheel, Flit, PacketId, Router, TickOutput};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Cap on how far ahead one quiescence vote scans a source's injection
 /// accumulator ([`Source::quiet_horizon`]). Bounds the per-vote cost on
 /// near-zero-rate sources; a longer quiet stretch is simply covered by
 /// several consecutive fast-forwards, each re-voted after one executed
 /// cycle.
-pub(crate) const SRC_SCAN_CAP: u64 = 4096;
+const SRC_SCAN_CAP: u64 = 4096;
 
 /// Work-meter weight of one router tick relative to one flit delivery
 /// or departure. A tick runs route computation, VC and switch
@@ -362,7 +377,8 @@ impl Drop for PoisonGuard<'_> {
 
 /// The coordination state shared by the leader and every worker: the
 /// gate plus the broadcast (stop / fast-forward target) and gather
-/// (quiescence vote) registers around it.
+/// (quiescence vote, rebalance epoch totals) registers around it. Built
+/// once per network; [`Lockstep::restart`] rearms it for each era.
 #[derive(Debug)]
 pub(crate) struct Lockstep {
     pub(crate) gate: Gate,
@@ -377,22 +393,31 @@ pub(crate) struct Lockstep {
     /// cycle with work. Read and reset by the leader at the gate.
     pub(crate) next_work: AtomicU64,
     /// Workers → leader: each shard's work-EWMA total, published at the
-    /// end of every rebalance epoch (the worker folds its own slice of
-    /// the per-node meters — the leader cannot read worker-borrowed
-    /// state — and the gate's happens-before makes the totals visible
-    /// in the next serial section). Unused when rebalancing is off.
+    /// end of every rebalance epoch (each shard folds its own slice of
+    /// the per-node meters, and the gate's happens-before makes the
+    /// totals visible in the next serial section). Unused when
+    /// rebalancing is off.
     pub(crate) shard_work: Vec<AtomicU64>,
 }
 
 impl Lockstep {
-    pub(crate) fn new(kind: BarrierKind, parties: usize, start: u64) -> Self {
+    pub(crate) fn new(kind: BarrierKind, parties: usize) -> Self {
         Lockstep {
             gate: Gate::new(kind, parties),
             stop: AtomicBool::new(false),
-            skip_to: AtomicU64::new(start),
+            skip_to: AtomicU64::new(0),
             next_work: AtomicU64::new(u64::MAX),
             shard_work: (0..parties).map(|_| AtomicU64::new(0)).collect(),
         }
+    }
+
+    /// Rearms the registers for an era whose first round executes cycle
+    /// `start`. The gate needs no reset: the previous era ended with a
+    /// release, and its workers have all returned.
+    pub(crate) fn restart(&self, start: u64) {
+        self.stop.store(false, Ordering::Relaxed);
+        self.skip_to.store(start, Ordering::Relaxed);
+        self.next_work.store(u64::MAX, Ordering::Relaxed);
     }
 
     /// Leader side: takes the round's combined vote and resets the
@@ -400,10 +425,19 @@ impl Lockstep {
     pub(crate) fn take_vote(&self) -> u64 {
         self.next_work.swap(u64::MAX, Ordering::AcqRel)
     }
+
+    /// Leader side: opens the gate into a round that resumes at cycle
+    /// `skip_to` (see [`Lockstep::skip_to`]), or, with `stop`, sends the
+    /// workers home.
+    pub(crate) fn release(&self, skip_to: u64, stop: bool) {
+        self.skip_to.store(skip_to, Ordering::Release);
+        self.stop.store(stop, Ordering::Release);
+        self.gate.release();
+    }
 }
 
 /// A link event crossing a shard boundary, stamped with the cycle it is
-/// due — the cycle the serial engine would deliver it.
+/// due — the cycle a same-shard send would be delivered.
 pub(crate) type Mail = (u64, LinkEvent);
 
 /// Preallocated per-shard-pair mailboxes. Slot `(from, to)` is written
@@ -431,13 +465,14 @@ impl Mailboxes {
         self.shards
     }
 
-    /// Boundary flits currently staged (emitted but not yet scheduled by
-    /// their receiving shard). They live here across a cycle boundary,
-    /// so flit conservation must count them as in flight.
-    pub(crate) fn staged_flits(&self) -> u64 {
+    /// Staged events that satisfy `keep` (emitted but not yet scheduled
+    /// by their receiving shard). They live here across a cycle
+    /// boundary, so flit conservation and the `wheel_pending` gauge
+    /// count them as in flight.
+    pub(crate) fn staged(&self, keep: impl Fn(&LinkEvent) -> bool) -> u64 {
         self.slots
             .iter()
-            .map(|m| lock_mailbox(m).iter().filter(|(_, e)| e.is_flit()).count() as u64)
+            .map(|m| lock_mailbox(m).iter().filter(|(_, e)| keep(e)).count() as u64)
             .sum()
     }
 
@@ -458,7 +493,7 @@ impl Mailboxes {
 /// What one shard reports to the serial commit each cycle. Every vector
 /// is filled in node order during the parallel phases and drained by the
 /// coordinating thread, so concatenating the shards in index order
-/// replays the serial engine's exact event sequence.
+/// replays the one-shard schedule's exact event sequence.
 #[derive(Debug, Default)]
 pub(crate) struct ShardOut {
     /// Packets created this cycle, in node order.
@@ -488,6 +523,10 @@ pub(crate) struct ShardOut {
     /// Wall-clock nanoseconds this cycle spent in the fused phases
     /// `[delivery, sources, router]` — stamped only when tracing is on.
     pub span_nanos: [u64; 3],
+    /// Events on this shard's wheel as its last tick phase left them (a
+    /// level, not a delta: never reset). Mail the shard published is not
+    /// counted here — its receiver may already have scheduled it.
+    pub wheel_pending: u64,
 }
 
 /// Per-shard state that persists across cycles (the shard's half of the
@@ -538,8 +577,9 @@ impl ShardAux {
     }
 }
 
-/// The full sharded-engine state owned by a `Network` (present only when
-/// the engine is `ParallelShards`).
+/// The engine state a `Network` owns next to its flat per-node state:
+/// the partition, the per-shard wheels and exchange, and the lockstep
+/// (one shard for the serial kinds).
 #[derive(Debug)]
 pub(crate) struct ShardSet {
     /// Contiguous `[lo, hi)` node range per shard.
@@ -560,6 +600,8 @@ pub(crate) struct ShardSet {
     pub work_ewma: Vec<u64>,
     /// Decision state and preallocated migration scratch.
     pub rebal: RebalanceState,
+    /// The gate and its registers, shared with the workers of a run.
+    pub lockstep: Lockstep,
 }
 
 /// Rebalance decision state plus the preallocated scratch a migration
@@ -567,26 +609,27 @@ pub(crate) struct ShardSet {
 /// migration allocates nothing.
 #[derive(Debug)]
 pub(crate) struct RebalanceState {
+    /// The knob as the engine applies it: `None` for the serial kinds
+    /// and with rebalancing off, which turns metering off too.
+    pub(crate) knob: Option<RebalanceConfig>,
     /// Earliest executed-cycle count at which the next migration
     /// decision may fire (imbalance is *metered* every epoch either
     /// way). Starts at 0: the first epoch may decide.
     next_decision: u64,
     /// Current decision backoff, in epochs (see [`MAX_DECISION_STRIDE`]).
     stride: u64,
-    /// The leader's snapshot of [`Lockstep::shard_work`], one slot per
-    /// shard.
-    pub(crate) epoch_totals: Vec<u64>,
     /// Every in-flight link event, drained from the wheels and the
     /// mailboxes with its due cycle.
     events: Vec<Mail>,
     /// Row prefix-sum scratch for the weighted cut.
-    pub(crate) prefix: Vec<u128>,
+    prefix: Vec<u128>,
     /// The candidate partition the cut computes into.
-    pub(crate) new_ranges: Vec<(usize, usize)>,
+    new_ranges: Vec<(usize, usize)>,
 }
 
 impl RebalanceState {
-    fn new(enabled: bool, shards: usize, mesh: &Mesh, horizon: u64) -> Self {
+    fn new(knob: Option<RebalanceConfig>, shards: usize, mesh: &Mesh, horizon: u64) -> Self {
+        let enabled = knob.is_some();
         // Worst-case in-flight volume: each input port receives at most
         // one flit and frees at most one credit per cycle, and each is
         // pending for at most `latency + 1 <= horizon - 1` cycles.
@@ -597,30 +640,35 @@ impl RebalanceState {
         };
         let rows = mesh.nodes() / mesh.radix();
         RebalanceState {
+            knob,
             next_decision: 0,
             stride: 1,
-            epoch_totals: vec![0; if enabled { shards } else { 0 }],
             events: Vec::with_capacity(events),
             prefix: Vec::with_capacity(if enabled { rows + 1 } else { 0 }),
             new_ranges: Vec::with_capacity(if enabled { shards } else { 0 }),
         }
     }
 
-    /// Meters one epoch's imbalance from the published shard totals and
-    /// reports whether a migration decision should fire: the decision
-    /// backoff has elapsed and `work_max / work_mean` exceeds
-    /// `threshold` (compared multiplied out — no division, so the
-    /// trigger is exact and deterministic). An all-idle epoch meters as
-    /// perfectly balanced and never triggers.
+    /// Meters one epoch's imbalance from the shard totals published in
+    /// [`Lockstep::shard_work`] and reports whether a migration decision
+    /// should fire: the decision backoff has elapsed and `work_max /
+    /// work_mean` exceeds `threshold` (compared multiplied out — no
+    /// division, so the trigger is exact and deterministic). An all-idle
+    /// epoch meters as perfectly balanced and never triggers.
     pub(crate) fn record_epoch(
         &mut self,
+        shard_work: &[AtomicU64],
         phases: &mut PhaseNanos,
         executed: u64,
         threshold: f64,
     ) -> bool {
-        let s = self.epoch_totals.len() as u64;
-        let total: u64 = self.epoch_totals.iter().sum();
-        let max = self.epoch_totals.iter().copied().max().unwrap_or(0);
+        let s = shard_work.len() as u64;
+        let (mut total, mut max) = (0u64, 0u64);
+        for w in shard_work {
+            let w = w.load(Ordering::Acquire);
+            total += w;
+            max = max.max(w);
+        }
         let milli = if total == 0 {
             1000
         } else {
@@ -637,7 +685,7 @@ impl RebalanceState {
     /// new cuts may need refinement soon); a no-op decision — the
     /// weighted cut reproduced the current partition — doubles it, so a
     /// steady already-balanced imbalance stops respawning the pool.
-    pub(crate) fn after_decision(&mut self, migrated: bool, executed: u64, epoch: u64) {
+    fn after_decision(&mut self, migrated: bool, executed: u64, epoch: u64) {
         if migrated {
             self.stride = 1;
         } else {
@@ -648,11 +696,15 @@ impl RebalanceState {
 }
 
 impl ShardSet {
+    /// Partitions `mesh` into `shards` contiguous shards (clamped to the
+    /// node count). `rebalance` is the knob as the engine applies it —
+    /// `None` for the serial kinds — and sizes the migration scratch.
     pub(crate) fn new(
         mesh: &Mesh,
         shards: usize,
         horizon: u64,
         rebalance: Option<RebalanceConfig>,
+        barrier: BarrierKind,
     ) -> Self {
         let ranges = mesh.shard_ranges(shards);
         let s = ranges.len();
@@ -685,13 +737,37 @@ impl ShardSet {
             outs: (0..s).map(|_| Mutex::new(ShardOut::default())).collect(),
             work_epoch: vec![0; mesh.nodes()],
             work_ewma: vec![0; mesh.nodes()],
-            rebal: RebalanceState::new(rebalance.is_some(), s, mesh, horizon),
+            rebal: RebalanceState::new(rebalance, s, mesh, horizon),
+            lockstep: Lockstep::new(barrier, s),
         }
     }
 
     /// Router ticks executed across all shards.
     pub(crate) fn router_ticks(&self) -> u64 {
         self.aux.iter().map(|a| a.router_ticks).sum()
+    }
+
+    /// Acts on a rebalance decision that fired after `executed` cycles:
+    /// recuts the partition along the per-node work EWMAs and, when the
+    /// cut moved, migrates onto it; then applies the decision backoff.
+    pub(crate) fn rebalance(&mut self, mesh: &Mesh, phases: &mut PhaseNanos, executed: u64) {
+        let rebal = &mut self.rebal;
+        let epoch = rebal
+            .knob
+            .expect("a rebalance decision requires the knob")
+            .epoch;
+        let ok = mesh.weighted_shard_ranges_into(
+            &self.work_ewma,
+            self.ranges.len(),
+            &mut rebal.prefix,
+            &mut rebal.new_ranges,
+        );
+        let migrated = ok && rebal.new_ranges != self.ranges;
+        if migrated {
+            phases.rebalances += 1;
+            phases.migrated_nodes += self.migrate();
+        }
+        self.rebal.after_decision(migrated, executed, epoch);
     }
 
     /// Repartitions the flat per-node state along `rebal.new_ranges`,
@@ -702,7 +778,7 @@ impl ShardSet {
     /// pending or staged event is due in `(N, N + horizon]` — so every
     /// re-schedule below satisfies the wheels' horizon asserts. Returns
     /// how many nodes changed owner.
-    pub(crate) fn migrate(&mut self) -> u64 {
+    fn migrate(&mut self) -> u64 {
         let rebal = &mut self.rebal;
         debug_assert_eq!(rebal.new_ranges.len(), self.ranges.len());
         // 1. Strip every shard's wheel and the staged boundary mail into
@@ -737,26 +813,26 @@ impl ShardSet {
 
 /// Read-only environment shared by every shard during a cycle.
 pub(crate) struct ShardEnv<'a> {
-    pub mesh: Mesh,
-    pub pattern: &'a TrafficPattern,
+    pub cfg: &'a NetworkConfig,
     pub route_table: &'a RouteTable,
     /// The compiled fault plan, when the run has one. Shared read-only;
     /// every fault decision is a pure function of (plan, seed, cycle),
     /// so shards need no coordination to agree on it.
     pub fault: Option<&'a FaultModel>,
     pub node_shard: &'a [u32],
-    pub link_delay: u64,
     pub credit_latency: u64,
-    pub packet_len: u32,
     pub vcs: usize,
     pub mail: &'a Mailboxes,
     pub outs: &'a [Mutex<ShardOut>],
     /// Rebalance epoch length in executed cycles; `0` disables metering
     /// entirely (the per-event counter writes are skipped).
     pub rebalance_epoch: u64,
+    /// Tick every router, not just the active set (the cycle-driven
+    /// oracle).
+    pub tick_all: bool,
     /// Whether phase spans are being collected (telemetry + phase
-    /// timing): shards stamp wall-clock phase durations into their
-    /// `ShardOut` each cycle.
+    /// timing): shards add their phase durations to their `ShardOut`
+    /// each cycle.
     pub trace: bool,
 }
 
@@ -789,11 +865,11 @@ pub(crate) struct ShardCtx<'a> {
 }
 
 impl ShardCtx<'_> {
-    /// Phase 1a: schedules the boundary mail other shards published last
-    /// round onto this shard's wheel, each event at its stamped due
-    /// cycle (exactly where a same-shard send would have put it), then
-    /// delivers every event due at `now`. Mirrors the serial engines'
-    /// delivery phase.
+    /// Phase 1a: schedules the boundary mail other shards have published
+    /// onto this shard's wheel, each event at its stamped due cycle
+    /// (exactly where a same-shard send would have put it), then delivers
+    /// every event due at `now`. Within the phase the deliveries commute,
+    /// so schedule order is as good as node order.
     pub(crate) fn phase_deliver(&mut self, env: &ShardEnv<'_>, now: u64) {
         for from in 0..env.mail.shards() {
             if from == self.idx {
@@ -816,15 +892,17 @@ impl ShardCtx<'_> {
         self.aux.wheel.restore(now, due);
     }
 
-    /// Phase 1b: steps this shard's sources in node order, recording the
-    /// created packet ids for the serial tagging commit.
+    /// Phase 1b: steps this shard's sources in node order (every
+    /// executed cycle: constant-rate accumulation must add `rate` exactly
+    /// once per cycle), recording the created packet ids for the serial
+    /// tagging commit.
     pub(crate) fn phase_sources(&mut self, env: &ShardEnv<'_>, now: u64) {
-        let mesh = env.mesh;
+        let mesh = env.cfg.mesh;
         let local = mesh.local_port();
         let mut step = std::mem::take(&mut self.aux.step_buf);
         let mut out = lock_mailbox(&env.outs[self.idx]);
         for i in 0..self.sources.len() {
-            self.sources[i].step_into(now, &mesh, env.pattern, &mut step);
+            self.sources[i].step_into(now, &mesh, &env.cfg.pattern, &mut step);
             out.created.extend_from_slice(&step.created);
             if let Some(flit) = step.injected {
                 out.injected += 1;
@@ -834,8 +912,8 @@ impl ShardCtx<'_> {
                     })
                 });
                 if let Some(reason) = reason {
-                    // Mirror of the serial engines' injection clip:
-                    // bounce the credit, account the drop.
+                    // The flit never enters the network: bounce the
+                    // credit the source consumed and account the drop.
                     self.sources[i].credit(flit.vc);
                     self.drops[i].count(reason, flit.kind.is_head());
                     out.drop_stats.count(reason, flit.kind.is_head());
@@ -845,7 +923,7 @@ impl ShardCtx<'_> {
                     continue;
                 }
                 self.aux.wheel.schedule(
-                    now + 1 + env.link_delay,
+                    now + 1 + env.cfg.link_delay,
                     LinkEvent::Flit {
                         node: (self.lo + i) as u32,
                         port: local as u8,
@@ -858,12 +936,15 @@ impl ShardCtx<'_> {
         self.aux.step_buf = step;
     }
 
-    /// Phase 2: ticks this shard's active routers in node order.
-    /// Cross-shard departures and credits are staged in the mailboxes at
-    /// emission time (stamped with their due cycle); ejections and
-    /// channel-load events are recorded for the serial commit.
+    /// Phase 2: ticks this shard's active routers — every router under
+    /// `tick_all` — in node order (the ejection order feeds the latency
+    /// accumulator, whose floating-point state is order-sensitive), and
+    /// retires the ones left quiescent. Cross-shard departures and
+    /// credits are staged in the mailboxes at emission time (stamped with
+    /// their due cycle); ejections and channel-load events are recorded
+    /// for the serial commit.
     pub(crate) fn phase_tick(&mut self, env: &ShardEnv<'_>, now: u64) {
-        let local = env.mesh.local_port();
+        let local = env.cfg.mesh.local_port();
         let metering = env.rebalance_epoch != 0;
         self.aux.busy = false;
         self.aux.sent_mail = false;
@@ -871,7 +952,7 @@ impl ShardCtx<'_> {
         let mut buf = std::mem::take(&mut self.aux.tick_buf);
         let mut out = lock_mailbox(&env.outs[self.idx]);
         for i in 0..self.routers.len() {
-            if !self.active[i] {
+            if !(env.tick_all || self.active[i]) {
                 continue;
             }
             let node = self.lo + i;
@@ -897,7 +978,7 @@ impl ShardCtx<'_> {
                     self.eject(env, node, dep.flit, &mut out);
                 } else {
                     let ev = LinkEvent::departure(env.route_table, node, dep.out_port, dep.flit);
-                    self.send(env, now + 1 + env.link_delay, ev, &mut out);
+                    self.send(env, now + 1 + env.cfg.link_delay, ev, &mut out);
                 }
             }
             for c in buf.credits.drain(..) {
@@ -910,6 +991,7 @@ impl ShardCtx<'_> {
                 self.aux.busy = true;
             }
         }
+        out.wheel_pending = self.aux.wheel.pending() as u64;
         drop(out);
         self.aux.tick_buf = buf;
 
@@ -952,7 +1034,7 @@ impl ShardCtx<'_> {
     /// source-injection crossing (cached — a quiet
     /// source's crossing schedule is fixed arithmetic, so the cache
     /// stays valid until reached).
-    pub(crate) fn vote(&mut self, lockstep: &Lockstep, now: u64) {
+    fn vote(&mut self, lockstep: &Lockstep, now: u64) {
         let next = if self.aux.busy || self.aux.sent_mail {
             now + 1
         } else {
@@ -977,14 +1059,16 @@ impl ShardCtx<'_> {
     /// epoch boundary, folds this shard's slice of the work meters into
     /// the per-node EWMAs (`ewma ← (3·ewma + epoch) / 4`, integer — the
     /// fold is per node, so it is identical under every partition) and
-    /// returns the shard's EWMA total. No-op when metering is off.
-    pub(crate) fn end_cycle(&mut self, epoch: u64) -> Option<u64> {
+    /// publishes the shard's EWMA total for the leader's next serial
+    /// section. No-op when metering is off.
+    fn end_cycle(&mut self, env: &ShardEnv<'_>, lockstep: &Lockstep) {
+        let epoch = env.rebalance_epoch;
         if epoch == 0 {
-            return None;
+            return;
         }
         self.aux.executed += 1;
         if !self.aux.executed.is_multiple_of(epoch) {
-            return None;
+            return;
         }
         let mut total = 0u64;
         for (w, e) in self.work_ewma.iter_mut().zip(self.work_epoch.iter_mut()) {
@@ -992,43 +1076,43 @@ impl ShardCtx<'_> {
             total += *w;
             *e = 0;
         }
-        Some(total)
+        lockstep.shard_work[self.idx].store(total, Ordering::Release);
     }
 
-    /// [`ShardCtx::end_cycle`] for the threaded run: publishes the epoch
-    /// total for the leader's next serial section.
-    pub(crate) fn finish_cycle(&mut self, env: &ShardEnv<'_>, lockstep: &Lockstep) {
-        if let Some(total) = self.end_cycle(env.rebalance_epoch) {
-            lockstep.shard_work[self.idx].store(total, Ordering::Release);
-        }
-    }
-
-    /// Executes one full cycle (the fused compute phase) and votes.
-    /// With tracing on, the wall-clock duration of each fused phase is
-    /// accumulated into this shard's `ShardOut` for the leader's span
-    /// log.
-    pub(crate) fn run_cycle(&mut self, env: &ShardEnv<'_>, lockstep: &Lockstep, now: u64) {
-        if env.trace {
-            let t0 = std::time::Instant::now();
+    /// Executes one full cycle (the fused compute phase), counts it
+    /// against the rebalance epoch, and votes. With phase timing on,
+    /// returns the wall-clock nanoseconds of `[delivery, sources,
+    /// router]` (all zero otherwise), which tracing also adds to this
+    /// shard's `ShardOut` for the leader's span log.
+    pub(crate) fn run_cycle(
+        &mut self,
+        env: &ShardEnv<'_>,
+        lockstep: &Lockstep,
+        now: u64,
+    ) -> [u64; 3] {
+        let mut spans = [0; 3];
+        if env.cfg.phase_timing {
+            let t0 = Instant::now();
             self.phase_deliver(env, now);
-            let t1 = std::time::Instant::now();
+            let t1 = Instant::now();
             self.phase_sources(env, now);
-            let t2 = std::time::Instant::now();
+            let t2 = Instant::now();
             self.phase_tick(env, now);
-            let t3 = std::time::Instant::now();
-            let deltas = [t1 - t0, t2 - t1, t3 - t2].map(|d| d.as_nanos() as u64);
-            let mut out = lock_mailbox(&env.outs[self.idx]);
-            for (slot, d) in out.span_nanos.iter_mut().zip(deltas) {
-                *slot += d;
+            spans = [t1 - t0, t2 - t1, t2.elapsed()].map(|d| d.as_nanos() as u64);
+            if env.trace {
+                let mut out = lock_mailbox(&env.outs[self.idx]);
+                for (slot, d) in out.span_nanos.iter_mut().zip(spans) {
+                    *slot += d;
+                }
             }
-            drop(out);
         } else {
             self.phase_deliver(env, now);
             self.phase_sources(env, now);
             self.phase_tick(env, now);
         }
-        self.finish_cycle(env, lockstep);
+        self.end_cycle(env, lockstep);
         self.vote(lockstep, now);
+        spans
     }
 
     /// Fast-forwards this shard over the quiescent cycles
@@ -1044,11 +1128,15 @@ impl ShardCtx<'_> {
         self.aux.wheel.advance_to(target - 1);
     }
 
-    /// The shard-local mirror of the serial engines' departure clip
-    /// (see [`crate::sim::Network`]): same slot indexing relative to the
-    /// shard's base node, same synchronous credit reclaim — the reclaim
-    /// touches only this shard's own router, so no mail is needed and
-    /// the result is identical under every partition.
+    /// Applies the fault layer to a departure leaving `node` through
+    /// `out_port` at `now`, returning `true` when the flit is dropped
+    /// (the caller then skips forwarding it). The head flit decides the
+    /// packet's fate at each link; bodies and tails follow it via the
+    /// clip slot, so wormhole packets are never torn. Credits the
+    /// crossbar grant consumed are reclaimed synchronously — dead links
+    /// must not leak VC buffers — and the reclaim touches only this
+    /// shard's own router, so no mail is needed and the result is
+    /// identical under every partition.
     fn clip_departure(
         &mut self,
         env: &ShardEnv<'_>,
@@ -1061,12 +1149,16 @@ impl ShardCtx<'_> {
         let Some(fm) = env.fault else {
             return false;
         };
-        let local = env.mesh.local_port();
+        let local = env.cfg.mesh.local_port();
         let i = node - self.lo;
         let reason = if out_port == local && flit.dest != node {
+            // Stranded: adaptive routing found no live candidate and
+            // resolved to the sink. The whole packet routes there, so
+            // the per-flit check is consistent without a clip slot.
             Some(DropReason::Stranded)
         } else {
-            let slot = &mut self.clip_out[(i * env.mesh.ports() + out_port) * env.vcs + flit.vc];
+            let slot =
+                &mut self.clip_out[(i * env.cfg.mesh.ports() + out_port) * env.vcs + flit.vc];
             clip(slot, flit, || {
                 fm.link_drop(node, out_port, now, flit.packet)
             })
@@ -1075,6 +1167,8 @@ impl ShardCtx<'_> {
             return false;
         };
         if out_port != local {
+            // The flit never reaches the downstream buffer; return the
+            // credit so the VC refills. Ejection consumes no credit.
             self.routers[i].accept_credit(out_port, flit.vc, now);
         }
         self.drops[i].count(reason, flit.kind.is_head());
@@ -1085,13 +1179,16 @@ impl ShardCtx<'_> {
         true
     }
 
-    /// Consumes an ejected flit at its destination — the shard-local half
-    /// of [`crate::sim::Network`]'s ejection: reassembly and conservation
-    /// checks happen here; the order-sensitive tagging/latency updates are
+    /// Consumes an ejected flit at its destination ("immediate
+    /// ejection"): reassembly and conservation checks happen here; the
+    /// order-sensitive tagging/latency updates are
     /// deferred to the serial commit via `out.tails`.
     fn eject(&mut self, env: &ShardEnv<'_>, node: usize, flit: Flit, out: &mut ShardOut) {
         assert_eq!(flit.dest, node, "flit ejected at the wrong node");
         out.ejected += 1;
+        // Index-addressed reassembly: flits of one packet arrive on one
+        // ejection VC in order and packets never interleave within a VC
+        // (the upstream output VC / wormhole hold is held to the tail).
         let slot = &mut self.eject_slots[(node - self.lo) * env.vcs + flit.vc];
         if slot.1 == 0 {
             *slot = (flit.packet, 1);
@@ -1106,7 +1203,7 @@ impl ShardCtx<'_> {
             let received = slot.1;
             slot.1 = 0;
             assert_eq!(
-                received, env.packet_len,
+                received, env.cfg.packet_len,
                 "tail ejected before the whole packet arrived"
             );
             out.tails.push((flit.packet, flit.created, node as u32));

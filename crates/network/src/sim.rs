@@ -15,50 +15,56 @@
 //! one wheel slot per cycle in send order: the per-link FIFO order is
 //! kept.
 //!
-//! # Two serial engines, one result
+//! # One engine loop
 //!
-//! The network can be advanced by either of two serial engines (selected
-//! with [`crate::config::EngineKind`]); both drain the same wheel slot at
-//! the start of every cycle:
+//! Every [`EngineKind`] runs the same lockstep round over a partition of
+//! the routers into contiguous shards (see [`crate::shard`]); the kinds
+//! differ only in the schedule:
 //!
-//! * **cycle-driven** — tick every router every cycle and never skip a
-//!   cycle. The reference implementation: obviously correct, O(nodes)
-//!   work per cycle no matter how idle the fabric is.
-//! * **event-driven** — the default. Routers are ticked only while
-//!   non-quiescent (see [`Router::is_quiescent`]) and are woken by flit
-//!   arrival, and a run fast-forwards over cycles in which nothing can
-//!   happen. At the sub-saturation loads that dominate a
-//!   latency–throughput curve, most routers are idle in most cycles, so
-//!   this skips the bulk of the work.
+//! * **cycle-driven** — one shard that ticks every router every cycle
+//!   and is never granted a fast-forward. The reference: obviously
+//!   correct, O(nodes) work per cycle no matter how idle the fabric is,
+//!   and the oracle the active set and the quiescence vote are checked
+//!   against.
+//! * **event-driven** — the default, and exactly `ParallelShards(1)`.
+//!   Routers are ticked only while non-quiescent (see
+//!   [`Router::is_quiescent`]) and are woken by flit arrival, and a run
+//!   fast-forwards over cycles in which nothing can happen. At the
+//!   sub-saturation loads that dominate a latency–throughput curve, most
+//!   routers are idle in most cycles, so this skips the bulk of the work.
+//! * **sharded-parallel** — the same round over `n` shards, one thread
+//!   each during a run.
 //!
-//! The engines produce **bit-identical** results, because the event
-//! engine only elides provable no-ops: a quiescent router's tick changes
-//! no state (arbiter priorities move only on grants), and credits are
-//! push-delivered. Within a delivery phase the deliveries commute (they
-//! touch disjoint buffers and counters), so schedule order is as good as
-//! node order; sources are stepped in node order, routers are ticked in
-//! node order, and routers only interact through links with ≥ 1 cycle of
-//! latency — so every cross-engine reordering is of commuting operations.
-//! The claim is enforced, not assumed: `tests/engine_equivalence.rs` runs
-//! the engines over randomized configurations and asserts identical
-//! measurements, and `tests/golden_results.rs` pins exact results across
-//! commits.
+//! One driver runs the rounds. Its serial section runs on the calling
+//! thread while every worker is parked at the gate, and does, in order:
+//! commit the previous cycle; take the quiescence vote; emit the
+//! telemetry boundary; take the rebalance decision; stop or cancel;
+//! grant a fast-forward, or release the next cycle. [`Network::run`]
+//! runs shard 0 on the calling thread and every other shard on a scoped
+//! worker; [`Network::step`] runs one round with every shard on the
+//! calling thread. Every engine feature is therefore wired once.
+//!
+//! The kinds produce **bit-identical** results (the argument is in
+//! [`crate::shard`]). The claim is enforced, not assumed:
+//! `tests/engine_equivalence.rs` runs the kinds over randomized
+//! configurations and asserts identical measurements, and
+//! `tests/golden_results.rs` pins exact results across commits.
 
 use crate::channel_load::ChannelLoad;
 use crate::config::{ConfigError, EngineKind, NetworkConfig};
-use crate::fault::{clip, ClipSlot, DropReason, DropStats, FaultModel};
+use crate::fault::{ClipSlot, DropStats, FaultModel};
 use crate::histogram::Histogram;
 use crate::routing::RouteTable;
 use crate::shard::{
-    worker_loop, Lockstep, PoisonGuard, ShardCtx, ShardEnv, ShardOut, ShardSet, SRC_SCAN_CAP,
+    lock_mailbox, worker_loop, Lockstep, PoisonGuard, RebalanceState, ShardAux, ShardCtx, ShardEnv,
+    ShardOut, ShardSet,
 };
-use crate::source::{packet_seq, packet_source, Source, SourceStep};
+use crate::source::{packet_seq, packet_source, Source};
 use crate::stats::{EngineWork, LatencyStats, PhaseNanos};
-use crate::tap::{BoundaryCounts, EngineView, TelemetryState};
-use crate::topology::Mesh;
-use router_core::{EventWheel, Flit, PacketId, Router, RoutingOracle, TickOutput};
+use crate::tap::{BoundaryCounts, TelemetryState};
+use router_core::{EventWheel, Flit, PacketId, Router, RoutingOracle};
 use runqueue::CancelToken;
-use std::sync::atomic::Ordering;
+use std::ops::ControlFlow;
 use std::sync::Mutex;
 use std::time::Instant;
 use telemetry::{FlowStats, MetricsLog, MetricsTap, TraceLog};
@@ -185,7 +191,7 @@ pub(crate) enum LinkEvent {
 impl LinkEvent {
     /// A flit leaving `node` through `out_port`, bound for the input
     /// that port is wired to: the paired direction of the same dimension
-    /// ([`Mesh::opposite`]).
+    /// ([`crate::topology::Mesh::opposite`]).
     #[inline]
     pub(crate) fn departure(table: &RouteTable, node: usize, out_port: usize, flit: Flit) -> Self {
         let next = table
@@ -281,31 +287,16 @@ pub struct Network {
     now: u64,
     /// Credit return latency (propagation + processing − 1), cached.
     credit_latency: u64,
-    /// Every flit and credit on a wire, keyed by delivery cycle (the
-    /// serial engines' link layer; the sharded engine keeps one wheel
-    /// per shard instead).
-    wheel: EventWheel<LinkEvent>,
-    /// Routers with work pending; the event engine ticks them each cycle
-    /// until quiescent.
+    /// Routers with work pending; every kind but the cycle-driven oracle
+    /// ticks only these, each cycle until quiescent.
     router_active: Vec<bool>,
-    /// Reused tick output buffer.
-    tick_buf: TickOutput,
-    /// Reused source step buffer.
-    source_step_buf: SourceStep,
-    /// Router ticks executed (work accounting).
-    router_ticks: u64,
-    /// Cached earliest cycle at which a source can cross its injection
-    /// threshold (the serial event engine's half of the quiescence
-    /// fast-forward; the sharded engine keeps per-shard caches instead).
-    /// Valid until reached — a quiet source's crossing schedule is pure
-    /// accumulator arithmetic and cannot move earlier.
-    src_next: u64,
-    /// Sharded-parallel engine state (present only under
-    /// [`EngineKind::ParallelShards`]; see [`crate::shard`]).
-    shards: Option<ShardSet>,
+    /// The engine state: shard partition, per-shard link wheels,
+    /// exchange and lockstep (one shard for the serial kinds; see
+    /// [`crate::shard`]).
+    shards: ShardSet,
     /// The global, order-sensitive measurement state — one field, so the
-    /// serial engines and the parallel [`Committer`] borrow it as a unit
-    /// and there is exactly one list of what "measurement" means.
+    /// serial [`Committer`] borrows it as a unit and there is exactly one
+    /// list of what "measurement" means.
     meas: Measurement,
     /// Reassembly slot per `(node, ejection VC)`: the packet currently
     /// ejecting there and how many of its flits have arrived. Packets
@@ -313,10 +304,10 @@ pub struct Network {
     /// hold is owned until the tail), so this replaces the old
     /// `HashMap<PacketId, u32>` with a dense `node * vcs + vc` lookup.
     /// A count of 0 means the slot is free. (Node-indexed, hence shard-
-    /// split under the parallel engine — not part of [`Measurement`].)
+    /// split — not part of [`Measurement`].)
     eject_slots: Vec<(PacketId, u32)>,
     /// Per-phase wall-clock attribution (accumulated only when
-    /// `cfg.phase_timing` is set).
+    /// `cfg.phase_timing` is set) and the engine's event counters.
     phases: PhaseNanos,
     /// The compiled fault plan (`None` on a healthy network — every
     /// fault hook below is behind this option, so an empty plan runs
@@ -355,15 +346,18 @@ struct Measurement {
     measure_start: Option<u64>,
     /// Telemetry state, allocated only when
     /// [`NetworkConfig::with_telemetry`] is set. Lives inside
-    /// `Measurement` because every mutation happens at serially-ordered
-    /// points: the serial engines' own steps, or the sharded engine's
-    /// leader-only commit.
+    /// `Measurement` because every mutation happens in the serial
+    /// section's commit.
     telemetry: Option<Box<TelemetryState>>,
 }
 
 impl Measurement {
-    /// Tags `id` if the sample is still filling (call in creation order;
-    /// shared by [`Network::step_sources`] and the parallel commit).
+    /// Whether the tagged sample has been fully created and received.
+    fn sample_complete(&self, cfg: &NetworkConfig) -> bool {
+        self.tagged_created >= cfg.sample_packets && self.tagged_done >= self.tagged_created
+    }
+
+    /// Tags `id` if the sample is still filling (call in creation order).
     #[inline]
     fn tag_created(&mut self, id: PacketId, now: u64, cfg: &NetworkConfig) {
         if self.tagged_created < cfg.sample_packets {
@@ -468,27 +462,19 @@ impl Network {
         let horizon = 1 + cfg.link_delay.max(credit_latency) + 1;
         let channel_load = ChannelLoad::new(&cfg.mesh);
         let vcs = cfg.router.vcs();
-        let shards = match cfg.engine {
-            EngineKind::ParallelShards { shards } => {
-                Some(ShardSet::new(&cfg.mesh, shards, horizon, cfg.rebalance))
-            }
-            EngineKind::CycleDriven | EngineKind::EventDriven => None,
+        let (shards, rebalance) = match cfg.engine {
+            EngineKind::ParallelShards { shards } => (shards, cfg.rebalance),
+            // The serial kinds are one-shard schedules, and a single
+            // shard has nothing to balance.
+            EngineKind::CycleDriven | EngineKind::EventDriven => (1, None),
         };
-        // Each input port receives at most one flit and frees at most one
-        // buffer per cycle, which bounds a wheel slot; presized, the
-        // serial link wheel never allocates (the sharded engine keeps
-        // per-shard wheels instead).
-        let per_slot = if shards.is_some() {
-            0
-        } else {
-            2 * nodes * ports
-        };
+        let shards = ShardSet::new(&cfg.mesh, shards, horizon, rebalance, cfg.barrier);
         // One trace lane per effective shard (the partition may clamp
-        // below the requested count); the serial engines use lane 0.
-        let lanes = shards.as_ref().map_or(1, |s| s.ranges.len());
-        let telemetry = cfg
-            .telemetry
-            .map(|t| Box::new(TelemetryState::new(t.epoch, nodes, lanes, cfg.phase_timing)));
+        // below the requested count).
+        let telemetry = cfg.telemetry.map(|t| {
+            let lanes = shards.ranges.len();
+            Box::new(TelemetryState::new(t.epoch, nodes, lanes, cfg.phase_timing))
+        });
         Ok(Network {
             cfg,
             routers,
@@ -496,12 +482,7 @@ impl Network {
             route_table,
             now: 0,
             credit_latency,
-            wheel: EventWheel::with_slot_capacity(horizon, per_slot),
             router_active: vec![false; nodes],
-            tick_buf: TickOutput::default(),
-            source_step_buf: SourceStep::default(),
-            router_ticks: 0,
-            src_next: 0,
             shards,
             meas: Measurement {
                 tagged_ranges: vec![(0, 0); nodes],
@@ -560,720 +541,117 @@ impl Network {
         self.phases.rebalances
     }
 
-    /// Advances the network one cycle with the configured engine.
-    ///
-    /// Under [`EngineKind::ParallelShards`] this executes the sharded
-    /// protocol inline on the calling thread (shard by shard, in index
-    /// order) — bit-identical to the threaded run, which only exists for
-    /// wall-clock speed. [`Network::run`] is where the worker pool lives.
+    /// Advances the network one cycle with the configured engine: one
+    /// round of the engine loop with every shard on the calling thread,
+    /// shard after shard in index order — bit-identical to the threaded
+    /// [`Network::run`], whose worker pool only pays off amortized over a
+    /// whole run. A step always executes its cycle, even past
+    /// `max_cycles` or a drained sample, and never fast-forwards:
+    /// callers expect cycle granularity.
     pub fn step(&mut self) {
-        match self.cfg.engine {
-            EngineKind::CycleDriven | EngineKind::EventDriven => self.step_serial(),
-            EngineKind::ParallelShards { .. } => self.step_parallel_inline(),
-        }
+        self.drive(Schedule::Step);
     }
 
-    /// One cycle of a serial engine: deliver what the wheel holds for
-    /// this cycle, step the sources, tick the routers. The cycle-driven
-    /// engine ticks every router; the event engine ticks only the active
-    /// set. See the module docs for the equivalence argument.
-    fn step_serial(&mut self) {
-        let now = self.now;
-        let mesh = self.cfg.mesh;
-        let timing = self.cfg.phase_timing;
-        let t0 = timing.then(Instant::now);
-
-        // 1. Deliver every flit and credit due this cycle.
-        let mut due = self.wheel.take_due(now);
-        for ev in due.drain(..) {
-            ev.deliver(
-                now,
-                0,
-                &mut self.routers,
-                &mut self.sources,
-                &mut self.router_active,
-            );
-        }
-        self.wheel.restore(now, due);
-
-        let t1 = timing.then(Instant::now);
-
-        // 2. Sources generate and inject (every cycle: constant-rate
-        // accumulation must add `rate` exactly once per cycle).
-        self.step_sources(now, &mesh);
-
-        let t2 = timing.then(Instant::now);
-
-        // 3. Tick routers in node order (eject order feeds the latency
-        // accumulator, whose floating-point state is order-sensitive).
-        // The event engine skips and retires quiescent routers.
-        let tick_all = self.cfg.engine == EngineKind::CycleDriven;
-        for node in 0..mesh.nodes() {
-            if tick_all || self.router_active[node] {
-                self.tick_router(now, node);
-                if self.routers[node].is_quiescent() {
-                    self.router_active[node] = false;
-                }
-            }
-        }
-
-        let t3 = timing.then(Instant::now);
-        self.meas.channel_load.tick();
-        self.now += 1;
-        if let (Some(t0), Some(t1), Some(t2), Some(t3)) = (t0, t1, t2, t3) {
-            self.phases.accumulate(t0, t1, t2, t3, Instant::now());
-        }
-        self.telemetry_boundary();
-    }
-
-    /// Emits the epoch snapshot if this engine has just *arrived* at the
-    /// telemetry boundary (every path that advances `self.now` — a step
-    /// or a clamped fast-forward — calls this). No-op without telemetry
-    /// or away from the boundary.
-    fn telemetry_boundary(&mut self) {
-        let Some(t) = self.meas.telemetry.as_deref() else {
-            return;
-        };
-        if self.now != t.next {
-            return;
-        }
-        let cycle = self.now;
-        let unreachable = self
-            .fault
-            .as_ref()
-            .map_or(0, |f| f.unreachable_pairs(cycle));
-        let view = if matches!(self.cfg.engine, EngineKind::ParallelShards { .. }) {
-            EngineView::Sharded
-        } else {
-            EngineView::Serial {
-                router_ticks: self.router_ticks,
-                wheel_pending: self.wheel.pending() as u64,
-            }
-        };
-        let meas = &mut self.meas;
-        let counts = BoundaryCounts {
-            flits_ejected: meas.flits_ejected,
-            tagged_created: meas.tagged_created,
-            tagged_done: meas.tagged_done,
-            unreachable_pairs: unreachable,
-        };
-        meas.telemetry.as_deref_mut().expect("checked above").emit(
-            cycle,
-            counts,
-            &self.phases,
-            view,
-        );
-    }
-
-    /// Steps every source in node order; tags sample packets and sends
-    /// injected flits over the local input channel.
-    fn step_sources(&mut self, now: u64, mesh: &Mesh) {
-        let local = mesh.local_port();
-        let measuring = now >= self.cfg.warmup_cycles;
-        let mut step = std::mem::take(&mut self.source_step_buf);
-        for node in 0..mesh.nodes() {
-            self.sources[node].step_into(now, mesh, &self.cfg.pattern, &mut step);
-            if measuring {
-                for &id in &step.created {
-                    self.meas.tag_created(id, now, &self.cfg);
-                }
-            }
-            if let Some(flit) = step.injected {
-                let vcs = self.cfg.router.vcs();
-                if let Some(t) = self.meas.telemetry.as_deref_mut() {
-                    t.count_injected();
-                }
-                let reason = self.fault.as_ref().and_then(|fm| {
-                    clip(&mut self.clip_in[node * vcs + flit.vc], &flit, || {
-                        fm.injection_drop(node, flit.dest, now, flit.packet)
-                    })
-                });
-                if let Some(reason) = reason {
-                    // The flit never enters the network: bounce the
-                    // credit the source consumed and account the drop.
-                    self.sources[node].credit(flit.vc);
-                    self.drops[node].count(reason, flit.kind.is_head());
-                    if let Some(t) = self.meas.telemetry.as_deref_mut() {
-                        t.count_drop(reason, flit.kind.is_head());
+    /// The engine loop behind [`Network::step`] and [`Network::run`]:
+    /// eras of lockstep rounds, with a migration between two eras
+    /// whenever a rebalance decision fires (it needs the flat state the
+    /// shard views of an era borrow). Returns whether the run was
+    /// cancelled.
+    fn drive(&mut self, schedule: Schedule) -> bool {
+        loop {
+            match self.era(schedule) {
+                EraEnd::Done { cancelled } => return cancelled,
+                EraEnd::Rebalance { executed } => {
+                    self.shards
+                        .rebalance(&self.cfg.mesh, &mut self.phases, executed);
+                    if schedule == Schedule::Step {
+                        return false;
                     }
-                    if flit.kind.is_head() {
-                        self.meas.record_dropped(flit.packet);
-                    }
-                    continue;
                 }
-                self.wheel.schedule(
-                    now + 1 + self.cfg.link_delay,
-                    LinkEvent::Flit {
-                        node: node as u32,
-                        port: local as u8,
-                        flit,
-                    },
-                );
             }
         }
-        self.source_step_buf = step;
     }
 
-    /// Applies the fault layer to a departure leaving `node` through
-    /// `out_port` at `now`, returning `true` when the flit is dropped
-    /// (the caller then skips forwarding it). The head flit decides the
-    /// packet's fate at each link; bodies and tails follow it via the
-    /// clip slot, so wormhole packets are never torn. Credits the
-    /// crossbar grant consumed are reclaimed synchronously — dead links
-    /// must not leak VC buffers.
-    fn clip_departure(&mut self, now: u64, node: usize, out_port: usize, flit: &Flit) -> bool {
-        let Some(fm) = self.fault.as_ref() else {
-            return false;
-        };
-        let mesh = self.cfg.mesh;
-        let local = mesh.local_port();
+    /// One era of the engine loop: the shard views split the flat
+    /// per-node state, the rounds run until the serial section ends the
+    /// era, and the views die with it. Under [`Schedule::Run`] every
+    /// shard but shard 0 runs on a scoped worker (with one shard nothing
+    /// is spawned). A new era's first round always executes: re-running
+    /// a possibly quiescent cycle is exactly what the cycle-driven
+    /// oracle does, so nothing is lost but a round.
+    fn era(&mut self, schedule: Schedule) -> EraEnd {
+        let start = self.now;
+        let set = &mut self.shards;
+        let lockstep = &set.lockstep;
+        lockstep.restart(start);
         let vcs = self.cfg.router.vcs();
-        let reason = if out_port == local && flit.dest != node {
-            // Stranded: adaptive routing found no live candidate and
-            // resolved to the sink. The whole packet routes there, so
-            // the per-flit check is consistent without a clip slot.
-            Some(DropReason::Stranded)
-        } else {
-            let slot = &mut self.clip_out[(node * mesh.ports() + out_port) * vcs + flit.vc];
-            clip(slot, flit, || {
-                fm.link_drop(node, out_port, now, flit.packet)
-            })
+        let env = ShardEnv {
+            cfg: &self.cfg,
+            route_table: &self.route_table,
+            fault: self.fault.as_ref(),
+            node_shard: &set.node_shard,
+            credit_latency: self.credit_latency,
+            vcs,
+            mail: &set.mail,
+            outs: &set.outs,
+            rebalance_epoch: set.rebal.knob.map_or(0, |rb| rb.epoch),
+            tick_all: self.cfg.engine == EngineKind::CycleDriven,
+            // Spans need both the clock reads and somewhere to put them.
+            trace: self.cfg.phase_timing && self.meas.telemetry.is_some(),
         };
-        let Some(reason) = reason else {
-            return false;
-        };
-        if out_port != local {
-            // The flit never reaches the downstream buffer; return the
-            // credit so the VC refills. Ejection consumes no credit.
-            self.routers[node].accept_credit(out_port, flit.vc, now);
-        }
-        self.drops[node].count(reason, flit.kind.is_head());
-        if let Some(t) = self.meas.telemetry.as_deref_mut() {
-            t.count_drop(reason, flit.kind.is_head());
-        }
-        if flit.kind.is_head() {
-            self.meas.record_dropped(flit.packet);
-        }
-        true
-    }
-
-    /// Ticks router `node`, sending its departures and credits over
-    /// their links.
-    fn tick_router(&mut self, now: u64, node: usize) {
-        let local = self.cfg.mesh.local_port();
-        let oracle = NodeOracle {
-            table: &self.route_table,
-            node,
-            fault: self.fault.as_ref().map(|f| (f, f.epoch_at(now))),
-        };
-        let mut out = std::mem::take(&mut self.tick_buf);
-        self.routers[node].tick_into(now, &oracle, &mut out);
-        self.router_ticks += 1;
-        for dep in out.departures.drain(..) {
-            self.meas.channel_load.record(node, dep.out_port);
-            if self.fault.is_some() && self.clip_departure(now, node, dep.out_port, &dep.flit) {
-                continue;
-            }
-            if dep.out_port == local {
-                self.eject(node, dep.flit);
-            } else {
-                self.wheel.schedule(
-                    now + 1 + self.cfg.link_delay,
-                    LinkEvent::departure(&self.route_table, node, dep.out_port, dep.flit),
-                );
-            }
-        }
-        for c in out.credits.drain(..) {
-            self.wheel.schedule(
-                now + 1 + self.credit_latency,
-                LinkEvent::credit(&self.route_table, node, c.in_port, c.vc),
-            );
-        }
-        self.tick_buf = out;
-    }
-
-    /// Consumes an ejected flit at its destination ("immediate ejection").
-    fn eject(&mut self, node: usize, flit: Flit) {
-        assert_eq!(flit.dest, node, "flit ejected at the wrong node");
-        self.meas.flits_ejected += 1;
-        if self.meas.measure_start.is_some() {
-            self.meas.measured_flits += 1;
-        }
-        // Index-addressed reassembly: flits of one packet arrive on one
-        // ejection VC in order and packets never interleave within a VC
-        // (the upstream output VC / wormhole hold is held to the tail).
-        let slot = &mut self.eject_slots[node * self.cfg.router.vcs() + flit.vc];
-        if slot.1 == 0 {
-            *slot = (flit.packet, 1);
-        } else {
-            assert_eq!(
-                slot.0, flit.packet,
-                "packets interleaved within one ejection VC"
-            );
-            slot.1 += 1;
-        }
-        if flit.kind.is_tail() {
-            let received = slot.1;
-            slot.1 = 0;
-            assert_eq!(
-                received, self.cfg.packet_len,
-                "tail ejected before the whole packet arrived"
-            );
-            self.meas
-                .record_tail(flit.packet, flit.created, self.now, node);
-        }
-    }
-
-    /// One cycle of the sharded-parallel protocol, executed inline on the
-    /// calling thread: every shard runs each phase in index order, so the
-    /// result is identical to the threaded [`Network::run`] loop by
-    /// construction (cross-shard interaction happens only through the
-    /// round-separated mailboxes either way; quiescence fast-forward is a
-    /// run-loop optimization and never fires here, where callers expect
-    /// cycle granularity). This is what [`Network::step`] uses — the
-    /// worker pool only pays off amortized over a whole run.
-    fn step_parallel_inline(&mut self) {
-        let mut set = self.shards.take().expect("parallel engine state");
-        let now = self.now;
-        let vcs = self.cfg.router.vcs();
-        let rb_epoch = self.cfg.rebalance.map_or(0, |rb| rb.epoch);
-        let mut stamps = self.cfg.phase_timing.then(|| [Instant::now(); 5]);
-        {
-            let pv = self.cfg.mesh.ports() * vcs;
-            let env = ShardEnv {
-                mesh: self.cfg.mesh,
-                pattern: &self.cfg.pattern,
-                route_table: &self.route_table,
-                fault: self.fault.as_ref(),
-                node_shard: &set.node_shard,
-                link_delay: self.cfg.link_delay,
-                credit_latency: self.credit_latency,
-                packet_len: self.cfg.packet_len,
-                vcs,
-                mail: &set.mail,
-                outs: &set.outs,
-                rebalance_epoch: rb_epoch,
-                // The inline path runs no `run_cycle`, so per-shard span
-                // stamping never happens here; spans come from the
-                // threaded run loop only.
-                trace: false,
-            };
-            // A shard's disjoint view, re-borrowed per phase call (the
-            // macro keeps the borrows field-granular).
-            macro_rules! ctx {
-                ($s:expr) => {{
-                    let (lo, hi) = set.ranges[$s];
-                    ShardCtx {
-                        idx: $s,
-                        lo,
-                        routers: &mut self.routers[lo..hi],
-                        sources: &mut self.sources[lo..hi],
-                        eject_slots: &mut self.eject_slots[lo * vcs..hi * vcs],
-                        clip_out: &mut self.clip_out[lo * pv..hi * pv],
-                        clip_in: &mut self.clip_in[lo * vcs..hi * vcs],
-                        drops: &mut self.drops[lo..hi],
-                        active: &mut self.router_active[lo..hi],
-                        aux: &mut set.aux[$s],
-                        work_epoch: &mut set.work_epoch[lo..hi],
-                        work_ewma: &mut set.work_ewma[lo..hi],
-                    }
-                }};
-            }
-            let shards = set.ranges.len();
-            for s in 0..shards {
-                ctx!(s).phase_deliver(&env, now);
-            }
-            mark(&mut stamps, 1);
-            for s in 0..shards {
-                ctx!(s).phase_sources(&env, now);
-            }
-            mark(&mut stamps, 2);
-            for s in 0..shards {
-                ctx!(s).phase_tick(&env, now);
-            }
-            mark(&mut stamps, 3);
-            if rb_epoch != 0 {
-                for s in 0..shards {
-                    if let Some(total) = ctx!(s).end_cycle(rb_epoch) {
-                        set.rebal.epoch_totals[s] = total;
-                    }
-                }
-            }
-        }
-        self.committer().commit(now, &set.outs);
-        self.maybe_rebalance_inline(&mut set);
-        mark(&mut stamps, 4);
-        if let Some(t) = stamps {
-            // Same shape as the serial engines: delivery, sources,
-            // router, stats — there is no barrier on the inline path.
-            self.phases.accumulate(t[0], t[1], t[2], t[3], t[4]);
-        }
-        self.now = now + 1;
-        self.telemetry_boundary();
-        self.shards = Some(set);
-    }
-
-    /// The inline path's rebalance decision, mirroring the threaded
-    /// leader's serial section: at an epoch boundary, meter the shards'
-    /// published work totals; above the threshold, recut the partition
-    /// along the per-node EWMAs and migrate. (The threaded run reaches
-    /// the same state by ending its worker-pool era first — migration
-    /// needs the whole flat state, which the workers' shard views
-    /// borrow.)
-    fn maybe_rebalance_inline(&mut self, set: &mut ShardSet) {
-        let Some(rb) = self.cfg.rebalance else { return };
-        let exec = set.aux[0].executed;
-        if exec == 0 || !exec.is_multiple_of(rb.epoch) {
-            return;
-        }
-        if !set.rebal.record_epoch(&mut self.phases, exec, rb.threshold) {
-            return;
-        }
-        let shards = set.ranges.len();
-        let ok = self.cfg.mesh.weighted_shard_ranges_into(
-            &set.work_ewma,
-            shards,
-            &mut set.rebal.prefix,
-            &mut set.rebal.new_ranges,
+        let mut views = split_shards(
+            &set.ranges,
+            vcs,
+            self.cfg.mesh.ports() * vcs,
+            &mut self.routers,
+            &mut self.sources,
+            &mut self.eject_slots,
+            &mut self.clip_out,
+            &mut self.clip_in,
+            &mut self.drops,
+            &mut self.router_active,
+            &mut set.aux,
+            &mut set.work_epoch,
+            &mut set.work_ewma,
         );
-        let mut migrated = false;
-        if ok && set.rebal.new_ranges != set.ranges {
-            let moved = set.migrate();
-            self.phases.rebalances += 1;
-            self.phases.migrated_nodes += moved;
-            migrated = true;
-        }
-        set.rebal.after_decision(migrated, exec, rb.epoch);
-    }
-
-    /// The serial measurement commit over this network's global state.
-    fn committer(&mut self) -> Committer<'_> {
-        Committer {
+        let ctx0 = views.next().expect("at least one shard");
+        let mut committer = Committer {
             cfg: &self.cfg,
             meas: &mut self.meas,
-        }
-    }
-
-    /// The threaded sharded-parallel loop: a scoped worker pool (one
-    /// thread per shard beyond the coordinator, which doubles as shard
-    /// 0's worker) in lockstep rounds of **one gate barrier episode
-    /// each**. At the gate the coordinator — while every worker is
-    /// parked — commits the previous cycle's measurement records in
-    /// node order, then either stops, grants a quiescence fast-forward
-    /// (all shards voted their next work later than the coming cycle;
-    /// the skipped cycles execute no phases and wait at no barrier,
-    /// composing the event engine's idle-skipping with sharding), or
-    /// releases the workers into the next fused compute phase.
-    ///
-    /// The pool runs in **eras**: when a rebalance decision fires at an
-    /// epoch gate (see [`crate::shard::RebalanceState`]), the era ends —
-    /// workers return, their borrowed shard views die, the coordinator
-    /// migrates the flat state onto the new partition, and a fresh pool
-    /// is spawned. A new era's first round always executes (never
-    /// skips): re-running a possibly quiescent cycle is exactly what the
-    /// serial reference would do, so nothing is lost but a round.
-    ///
-    /// Advances the network until the sample completes, `max_cycles` is
-    /// hit, or the cancellation token (polled every [`CANCEL_BATCH`]
-    /// cycles on the coordinator; fast-forwards are clamped to batch
-    /// boundaries so no poll is skipped) is poisoned — the return value
-    /// is true for that last case.
-    fn run_parallel(&mut self) -> bool {
-        let mut set = self.shards.take().expect("parallel engine state");
-        let vcs = self.cfg.router.vcs();
-        let pv = self.cfg.mesh.ports() * vcs;
-        let timing = self.cfg.phase_timing;
-        let max_cycles = self.cfg.max_cycles;
-        let cancel = self.cfg.cancel.clone();
-        let rebalance = self.cfg.rebalance;
-        // Span tracing: shards stamp phase durations only when both the
-        // clock reads (phase timing) and somewhere to put them
-        // (telemetry) exist.
-        let tracing = timing && self.meas.telemetry.is_some();
-        // Epoch boundaries a leader decision has already consumed — a
-        // post-fast-forward gate sees the same executed count again and
-        // must not re-decide it.
-        let mut epoch_handled = 0u64;
-
-        let cancelled = loop {
-            let start_now = self.now;
-            let lockstep = Lockstep::new(self.cfg.barrier, set.ranges.len(), start_now);
-            let fault = self.fault.as_ref();
-            let env = ShardEnv {
-                mesh: self.cfg.mesh,
-                pattern: &self.cfg.pattern,
-                route_table: &self.route_table,
-                fault,
-                node_shard: &set.node_shard,
-                link_delay: self.cfg.link_delay,
-                credit_latency: self.credit_latency,
-                packet_len: self.cfg.packet_len,
-                vcs,
-                mail: &set.mail,
-                outs: &set.outs,
-                rebalance_epoch: rebalance.map_or(0, |rb| rb.epoch),
-                trace: tracing,
-            };
-            let ctxs = split_shards(
-                &set.ranges,
-                vcs,
-                pv,
-                &mut self.routers,
-                &mut self.sources,
-                &mut self.eject_slots,
-                &mut self.clip_out,
-                &mut self.clip_in,
-                &mut self.drops,
-                &mut self.router_active,
-                &mut set.aux,
-                &mut set.work_epoch,
-                &mut set.work_ewma,
-            );
-            let mut committer = Committer {
-                cfg: &self.cfg,
-                meas: &mut self.meas,
-            };
-            let phases = &mut self.phases;
-            let rebal = &mut set.rebal;
-            let epoch_handled = &mut epoch_handled;
-
-            let (final_now, end) = std::thread::scope(|scope| {
-                let mut ctx_iter = ctxs.into_iter();
-                let mut ctx0 = ctx_iter.next().expect("at least one shard");
-                for ctx in ctx_iter {
-                    let (env, lockstep) = (&env, &lockstep);
-                    scope.spawn(move || worker_loop(ctx, env, lockstep, start_now));
-                }
-                // The coordinator is shard 0's worker; if it panics (e.g.
-                // a conservation assert), poison the lockstep so the
-                // workers panic out of their gate waits instead of
-                // spinning forever.
-                let _guard = PoisonGuard(&lockstep.gate);
-                let mut now = start_now;
-                // No cycle has executed yet this era: nothing to commit,
-                // no votes to read, and the first round must run (not
-                // skip).
-                let mut executed = false;
-                let mut pending_commit = start_now;
-                let mut quiet_until = start_now;
-                let end = loop {
-                    let t0 = timing.then(Instant::now);
-                    lockstep.gate.wait_followers();
-                    let t1 = timing.then(Instant::now);
-                    // ---- serial section: every worker is parked ----
-                    if executed {
-                        committer.commit(pending_commit, env.outs);
-                        quiet_until = lockstep.take_vote();
-                        // The commit completed cycle `pending_commit`,
-                        // so the stream boundary is the cycle after it.
-                        committer.telemetry_boundary(pending_commit + 1, fault, phases);
-                    }
-                    let finished = now >= max_cycles || committer.sample_complete();
-                    let cancel_due = !finished
-                        && now.is_multiple_of(CANCEL_BATCH)
-                        && cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-                    if finished || cancel_due {
-                        lockstep.stop.store(true, Ordering::Release);
-                        lockstep.gate.release();
-                        break EraEnd::Done {
-                            cancelled: cancel_due,
-                        };
-                    }
-                    if executed {
-                        if let Some(rb) = rebalance {
-                            let exec = ctx0.aux.executed;
-                            if exec > *epoch_handled && exec.is_multiple_of(rb.epoch) {
-                                *epoch_handled = exec;
-                                let totals = rebal.epoch_totals.iter_mut();
-                                for (t, w) in totals.zip(&lockstep.shard_work) {
-                                    *t = w.load(Ordering::Acquire);
-                                }
-                                if rebal.record_epoch(phases, exec, rb.threshold) {
-                                    // End the era: the migration needs
-                                    // the flat state the workers' shard
-                                    // views currently borrow.
-                                    lockstep.stop.store(true, Ordering::Release);
-                                    lockstep.gate.release();
-                                    break EraEnd::Rebalance { executed: exec };
-                                }
-                            }
-                        }
-                    }
-                    let mut target = quiet_until.min(max_cycles);
-                    if let Some(fm) = fault {
-                        // A scheduled fault is a wake-up event: never
-                        // jump over a kill or a flaky edge, whose cycle
-                        // changes what in-flight traffic would do.
-                        target = target.min(fm.next_transition_at_or_after(now));
-                    }
-                    if cancel.is_some() {
-                        // Never jump a cancellation poll point.
-                        target = target.min((now / CANCEL_BATCH + 1) * CANCEL_BATCH);
-                    }
-                    if let Some(t) = committer.meas.telemetry.as_deref() {
-                        // Epoch boundaries are wake-up points: land on
-                        // them exactly so every engine snapshots at the
-                        // same cycles.
-                        target = target.min(t.next);
-                    }
-                    if target > now {
-                        // Fast-forward round: cycles [now, target) are
-                        // provably no-ops for every shard. The only
-                        // global per-cycle effect is the channel-load
-                        // window.
-                        let skipped = target - now;
-                        committer.meas.channel_load.tick_n(skipped);
-                        phases.fast_forwarded += skipped;
-                        lockstep.skip_to.store(target, Ordering::Release);
-                        executed = false;
-                        lockstep.gate.release();
-                        ctx0.fast_forward(now, target);
-                        now = target;
-                        // A clamped jump can land exactly on the epoch
-                        // boundary; the skipped cycles changed no
-                        // counter, mirroring the serial fast-forward.
-                        committer.telemetry_boundary(now, fault, phases);
-                        continue;
-                    }
-                    lockstep.skip_to.store(now, Ordering::Release);
-                    executed = true;
-                    pending_commit = now;
-                    lockstep.gate.release();
-                    // ---- fused compute phase, shard 0's share ----
-                    let t2 = timing.then(Instant::now);
-                    ctx0.phase_deliver(&env, now);
-                    let t3 = timing.then(Instant::now);
-                    ctx0.phase_sources(&env, now);
-                    let t4 = timing.then(Instant::now);
-                    ctx0.phase_tick(&env, now);
-                    if tracing {
-                        // Shard 0's phase spans, stamped from the same
-                        // instants the phase attribution uses (worker
-                        // shards stamp inside `run_cycle`).
-                        if let (Some(t2), Some(t3), Some(t4)) = (t2, t3, t4) {
-                            let deltas = [t3 - t2, t4 - t3, Instant::now() - t4]
-                                .map(|d| d.as_nanos() as u64);
-                            let mut o = env.outs[0].lock().expect("shard out poisoned");
-                            for (slot, d) in o.span_nanos.iter_mut().zip(deltas) {
-                                *slot += d;
-                            }
-                        }
-                    }
-                    ctx0.finish_cycle(&env, &lockstep);
-                    ctx0.vote(&lockstep, now);
-                    if let (Some(t0), Some(t1), Some(t2), Some(t3), Some(t4)) = (t0, t1, t2, t3, t4)
-                    {
-                        phases.accumulate_parallel(&[t0, t1, t2, t3, t4, Instant::now()]);
-                    }
-                    now += 1;
-                };
-                (now, end)
-            });
-            self.now = final_now;
-            match end {
-                EraEnd::Done { cancelled } => break cancelled,
-                EraEnd::Rebalance { executed } => {
-                    let rb = rebalance.expect("rebalance era requires the knob");
-                    let shards = set.ranges.len();
-                    let ok = self.cfg.mesh.weighted_shard_ranges_into(
-                        &set.work_ewma,
-                        shards,
-                        &mut set.rebal.prefix,
-                        &mut set.rebal.new_ranges,
-                    );
-                    let mut migrated = false;
-                    if ok && set.rebal.new_ranges != set.ranges {
-                        let moved = set.migrate();
-                        self.phases.rebalances += 1;
-                        self.phases.migrated_nodes += moved;
-                        migrated = true;
-                    }
-                    set.rebal.after_decision(migrated, executed, rb.epoch);
-                }
-            }
+            phases: &mut self.phases,
+            rebal: &mut set.rebal,
+            now: start,
+            executed: false,
         };
-        self.shards = Some(set);
-        cancelled
-    }
-
-    /// Fast-forwards the serial event engine over cycles in which
-    /// provably nothing happens: no router is active, no delivery is due
-    /// before the next wheel event, and no source can cross its
-    /// injection threshold. The skipped cycles' only effects — one
-    /// accumulator addition per source and the channel-load window — are
-    /// applied in bulk, bit-identically to stepping through them (the
-    /// sharded engine does the same globally when every shard votes
-    /// quiescent; the cycle-driven engine never skips, which is what
-    /// makes it the reference that proves these skips correct).
-    fn maybe_fast_forward(&mut self) {
-        debug_assert_eq!(self.cfg.engine, EngineKind::EventDriven);
-        if self.router_active.iter().any(|&a| a) {
-            return;
-        }
-        let now = self.now;
-        // About to execute cycle `now`: a quiet source's step at `now`
-        // has not happened yet, so its first possible crossing is at
-        // `now + quiet_horizon`.
-        if now >= self.src_next {
-            let mut s = u64::MAX;
-            for src in &self.sources {
-                let q = src.quiet_horizon(SRC_SCAN_CAP);
-                s = s.min(now + q);
-                if q == 0 {
-                    break;
+        let end = match schedule {
+            Schedule::Step => committer.rounds(&env, lockstep, ctx0, views, schedule),
+            Schedule::Run => std::thread::scope(|scope| {
+                for ctx in views.by_ref() {
+                    let env = &env;
+                    scope.spawn(move || worker_loop(ctx, env, lockstep, start));
                 }
-            }
-            self.src_next = s;
-        }
-        let mut target = self
-            .wheel
-            .next_due()
-            .unwrap_or(u64::MAX)
-            .min(self.src_next)
-            .min(self.cfg.max_cycles);
-        if let Some(fm) = self.fault.as_ref() {
-            // A scheduled fault is a wake-up event: never jump over a
-            // kill or a flaky edge.
-            target = target.min(fm.next_transition_at_or_after(now));
-        }
-        if self.cfg.cancel.is_some() {
-            // Never jump a cancellation poll point.
-            target = target.min((now / CANCEL_BATCH + 1) * CANCEL_BATCH);
-        }
-        if let Some(t) = self.meas.telemetry.as_deref() {
-            // Epoch boundaries are wake-up points: land on them exactly
-            // so every engine snapshots at the same cycles.
-            target = target.min(t.next);
-        }
-        if target <= now {
-            return;
-        }
-        let skipped = target - now;
-        for src in &mut self.sources {
-            src.fast_forward(skipped);
-        }
-        self.wheel.advance_to(target - 1);
-        self.meas.channel_load.tick_n(skipped);
-        self.phases.fast_forwarded += skipped;
-        self.now = target;
-        // A clamped jump can land exactly on the epoch boundary; the
-        // skipped cycles changed no counter, so snapshotting here is
-        // bit-identical to having stepped through them.
-        self.telemetry_boundary();
+                // If the coordinator panics (e.g. a conservation
+                // assert), poison the gate so the workers panic out of
+                // their waits instead of spinning forever.
+                let _guard = PoisonGuard(&lockstep.gate);
+                committer.rounds(&env, lockstep, ctx0, views, schedule)
+            }),
+        };
+        self.now = committer.now;
+        end
     }
 
     /// Whether the tagged sample has been fully created and received.
     #[must_use]
     pub fn sample_complete(&self) -> bool {
-        self.meas.tagged_created >= self.cfg.sample_packets
-            && self.meas.tagged_done >= self.meas.tagged_created
+        self.meas.sample_complete(&self.cfg)
     }
 
-    /// Router ticks executed so far (work accounting; the event-driven
-    /// and sharded-parallel engines execute fewer than `cycles × nodes`).
+    /// Router ticks executed so far (work accounting; every kind but
+    /// the cycle-driven oracle executes fewer than `cycles × nodes`).
     #[must_use]
     pub fn router_ticks(&self) -> u64 {
-        self.router_ticks + self.shards.as_ref().map_or(0, ShardSet::router_ticks)
+        self.shards.router_ticks()
     }
 
     /// Total flits injected by all sources so far.
@@ -1292,15 +670,12 @@ impl Network {
     #[must_use]
     pub fn flits_in_flight(&self) -> u64 {
         let on_wheel = |w: &EventWheel<LinkEvent>| w.iter().filter(|e| e.is_flit()).count() as u64;
-        let mut n = on_wheel(&self.wheel);
-        if let Some(set) = &self.shards {
-            // Boundary flits sit in a shard mailbox across a cycle
-            // boundary (staged at emission, scheduled by the receiver at
-            // the start of its next round) — they are on the wire too.
-            n += set.aux.iter().map(|a| on_wheel(&a.wheel)).sum::<u64>();
-            n += set.mail.staged_flits();
-        }
-        n
+        let set = &self.shards;
+        // Boundary flits sit in a shard mailbox across a cycle boundary
+        // (staged at emission, scheduled by the receiver when it next
+        // drains its mailboxes) — they are on the wire too.
+        set.aux.iter().map(|a| on_wheel(&a.wheel)).sum::<u64>()
+            + set.mail.staged(LinkEvent::is_flit)
     }
 
     /// Flits currently buffered inside routers.
@@ -1355,37 +730,14 @@ impl Network {
     /// Runs the full protocol: warm-up, tagged sample, drain; returns the
     /// measurements. Hitting `max_cycles` first marks the run saturated.
     ///
-    /// Under [`EngineKind::ParallelShards`] the run executes on a
-    /// persistent scoped worker pool (one thread per shard); the result
-    /// is bit-identical to the serial engines regardless of shard count
-    /// or thread schedule.
+    /// The run drives the engine loop with shard 0 on the calling thread
+    /// and every other shard on a scoped worker (one thread per shard);
+    /// the result is bit-identical for every engine kind, shard count
+    /// and thread schedule. The cancellation token is polled every
+    /// [`CANCEL_BATCH`] cycles (fast-forwards are clamped to batch
+    /// boundaries so no poll is skipped).
     pub fn run(mut self) -> RunResult {
-        let cancelled = if matches!(self.cfg.engine, EngineKind::ParallelShards { .. }) {
-            self.run_parallel()
-        } else {
-            let cancel = self.cfg.cancel.clone();
-            let event_driven = self.cfg.engine == EngineKind::EventDriven;
-            let mut cancelled = false;
-            while self.now < self.cfg.max_cycles && !self.sample_complete() {
-                if self.now.is_multiple_of(CANCEL_BATCH)
-                    && cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-                {
-                    cancelled = true;
-                    break;
-                }
-                if event_driven {
-                    let before = self.now;
-                    self.maybe_fast_forward();
-                    if self.now != before {
-                        // Re-check the cycle limit, the sample, and the
-                        // cancellation poll point before executing.
-                        continue;
-                    }
-                }
-                self.step();
-            }
-            cancelled
-        };
+        let cancelled = self.drive(Schedule::Run);
         self.assert_flit_conservation();
         let saturated = !self.sample_complete();
         let span = self
@@ -1463,29 +815,36 @@ impl Network {
     }
 }
 
-/// Why one worker-pool era of the threaded sharded run ended.
+/// How the engine loop schedules its rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Schedule {
+    /// [`Network::run`]: rounds until the run ends, shard 0 on the
+    /// calling thread and every other shard on a scoped worker.
+    Run,
+    /// [`Network::step`]: one executed round with every shard on the
+    /// calling thread, in index order — no gate waits, no fast-forward,
+    /// no stop condition, and no thread scope (whose `Arc` would make a
+    /// step allocate).
+    Step,
+}
+
+/// Why one era of the engine loop ended.
+#[derive(Debug, Clone, Copy)]
 enum EraEnd {
-    /// The run is over (cycle limit, sample drained, or cancellation).
+    /// The schedule is over: a step's round ran, or the run hit its
+    /// cycle limit, drained its sample, or was cancelled.
     Done { cancelled: bool },
     /// A rebalance decision fired at this executed-cycle count; the
-    /// coordinator migrates and spawns a fresh pool.
+    /// driver migrates, and a run starts a fresh era.
     Rebalance { executed: u64 },
 }
 
-/// Records a phase-boundary timestamp when phase timing is enabled
-/// (no clock read otherwise).
-#[inline]
-fn mark<const N: usize>(stamps: &mut Option<[Instant; N]>, i: usize) {
-    if let Some(t) = stamps.as_mut() {
-        t[i] = Instant::now();
-    }
-}
-
 /// Splits the network's flat per-node state into disjoint per-shard
-/// views along `ranges` (which are contiguous and cover all nodes).
+/// views along `ranges` (which are contiguous and cover all nodes),
+/// lazily and in shard order.
 #[allow(clippy::too_many_arguments)]
 fn split_shards<'a>(
-    ranges: &[(usize, usize)],
+    ranges: &'a [(usize, usize)],
     vcs: usize,
     pv: usize,
     mut routers: &'a mut [Router],
@@ -1495,77 +854,209 @@ fn split_shards<'a>(
     mut clip_in: &'a mut [ClipSlot],
     mut drops: &'a mut [DropStats],
     mut active: &'a mut [bool],
-    aux: &'a mut [crate::shard::ShardAux],
+    aux: &'a mut [ShardAux],
     mut work_epoch: &'a mut [u64],
     mut work_ewma: &'a mut [u64],
-) -> Vec<ShardCtx<'a>> {
-    let mut ctxs = Vec::with_capacity(ranges.len());
-    let mut aux_iter = aux.iter_mut();
-    for (idx, &(lo, hi)) in ranges.iter().enumerate() {
-        let n = hi - lo;
-        let (r, rest) = std::mem::take(&mut routers).split_at_mut(n);
-        routers = rest;
-        let (s, rest) = std::mem::take(&mut sources).split_at_mut(n);
-        sources = rest;
-        let (e, rest) = std::mem::take(&mut eject_slots).split_at_mut(n * vcs);
-        eject_slots = rest;
-        let (co, rest) = std::mem::take(&mut clip_out).split_at_mut(n * pv);
-        clip_out = rest;
-        let (ci, rest) = std::mem::take(&mut clip_in).split_at_mut(n * vcs);
-        clip_in = rest;
-        let (d, rest) = std::mem::take(&mut drops).split_at_mut(n);
-        drops = rest;
-        let (a, rest) = std::mem::take(&mut active).split_at_mut(n);
-        active = rest;
-        let (we, rest) = std::mem::take(&mut work_epoch).split_at_mut(n);
-        work_epoch = rest;
-        let (ww, rest) = std::mem::take(&mut work_ewma).split_at_mut(n);
-        work_ewma = rest;
-        ctxs.push(ShardCtx {
-            idx,
-            lo,
-            routers: r,
-            sources: s,
-            eject_slots: e,
-            clip_out: co,
-            clip_in: ci,
-            drops: d,
-            active: a,
-            aux: aux_iter.next().expect("one aux per shard"),
-            work_epoch: we,
-            work_ewma: ww,
-        });
-    }
-    ctxs
+) -> impl Iterator<Item = ShardCtx<'a>> {
+    ranges
+        .iter()
+        .zip(aux)
+        .enumerate()
+        .map(move |(idx, (&(lo, hi), aux))| {
+            let n = hi - lo;
+            ShardCtx {
+                idx,
+                lo,
+                routers: take_front(&mut routers, n),
+                sources: take_front(&mut sources, n),
+                eject_slots: take_front(&mut eject_slots, n * vcs),
+                clip_out: take_front(&mut clip_out, n * pv),
+                clip_in: take_front(&mut clip_in, n * vcs),
+                drops: take_front(&mut drops, n),
+                active: take_front(&mut active, n),
+                aux,
+                work_epoch: take_front(&mut work_epoch, n),
+                work_ewma: take_front(&mut work_ewma, n),
+            }
+        })
 }
 
-/// The serial measurement commit of the sharded-parallel engine: drains
-/// every shard's per-cycle records **in shard (= node) order**, replaying
-/// exactly the serial engines' within-cycle event sequence — tagging
-/// first (the source phase precedes every ejection), then the
-/// floating-point latency accumulators and channel-load counters. This
-/// is the only place per-shard state is merged, and it never depends on
-/// thread completion order.
+/// Splits the first `n` items off `slice`, leaving it the rest.
+fn take_front<'a, T>(slice: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (head, rest) = std::mem::take(slice).split_at_mut(n);
+    *slice = rest;
+    head
+}
+
+/// The serial section of one era: the global, order-sensitive state the
+/// calling thread alone touches while every worker is parked at the
+/// gate. Its commit drains every shard's per-cycle records **in shard
+/// (= node) order**, replaying exactly the one-shard schedule's
+/// within-cycle event sequence — tagging first (the source phase
+/// precedes every ejection), then the floating-point latency
+/// accumulators and channel-load counters. This is the only place
+/// per-shard state is merged, and it never depends on thread completion
+/// order.
 struct Committer<'a> {
     cfg: &'a NetworkConfig,
     meas: &'a mut Measurement,
+    phases: &'a mut PhaseNanos,
+    rebal: &'a mut RebalanceState,
+    /// The first cycle neither executed nor skipped yet.
+    now: u64,
+    /// Whether the last round executed cycle `now - 1`, whose records
+    /// await the commit.
+    executed: bool,
 }
 
 impl Committer<'_> {
-    fn sample_complete(&self) -> bool {
-        self.meas.tagged_created >= self.cfg.sample_packets
-            && self.meas.tagged_done >= self.meas.tagged_created
+    /// The rounds of one era. Each is one gate episode (under
+    /// [`Schedule::Run`] the calling thread first waits for the workers
+    /// to park), the serial section, then the released round: shard 0's
+    /// share of a granted fast-forward, or its share of the fused
+    /// compute phase followed by every other shard the calling thread
+    /// holds (none under `Run`, the rest under `Step`).
+    fn rounds<'v>(
+        &mut self,
+        env: &ShardEnv<'_>,
+        lockstep: &Lockstep,
+        mut ctx0: ShardCtx<'v>,
+        mut rest: impl Iterator<Item = ShardCtx<'v>>,
+        schedule: Schedule,
+    ) -> EraEnd {
+        let timing = self.cfg.phase_timing;
+        loop {
+            let t0 = timing.then(Instant::now);
+            if schedule == Schedule::Run {
+                lockstep.gate.wait_followers();
+            }
+            let t1 = timing.then(Instant::now);
+            let next = self.serial_section(env, lockstep, ctx0.aux.executed, schedule);
+            let t2 = timing.then(Instant::now);
+            let now = self.now;
+            let spans = match next {
+                ControlFlow::Break(_) => {
+                    lockstep.release(now, true);
+                    None
+                }
+                ControlFlow::Continue(target) if target > now => {
+                    lockstep.release(target, false);
+                    ctx0.fast_forward(now, target);
+                    self.now = target;
+                    None
+                }
+                ControlFlow::Continue(_) => {
+                    lockstep.release(now, false);
+                    let spans = ctx0.run_cycle(env, lockstep, now);
+                    for mut ctx in rest.by_ref() {
+                        ctx.run_cycle(env, lockstep, now);
+                    }
+                    self.now = now + 1;
+                    Some(spans)
+                }
+            };
+            if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
+                self.phases.add_round(t1 - t0, t2 - t1, spans);
+            }
+            if let ControlFlow::Break(end) = next {
+                return end;
+            }
+        }
+    }
+
+    /// The serial section. In order: commit the cycle the last round
+    /// executed; take the quiescence vote; emit the telemetry boundary;
+    /// take the rebalance decision (`executed_cycles` is the epoch
+    /// clock); stop or cancel; grant a fast-forward, or release the next
+    /// cycle. Continues with the cycle the next round resumes at: `now`
+    /// to execute it, a later one to fast-forward to.
+    fn serial_section(
+        &mut self,
+        env: &ShardEnv<'_>,
+        lockstep: &Lockstep,
+        executed_cycles: u64,
+        schedule: Schedule,
+    ) -> ControlFlow<EraEnd, u64> {
+        let (cfg, now) = (self.cfg, self.now);
+        // With no cycle to commit (an era's first round, or the one
+        // after a fast-forward) there is no vote either: execute `now`.
+        let mut quiet_until = now;
+        if self.executed {
+            self.commit(now - 1, env.outs);
+            quiet_until = lockstep.take_vote();
+        }
+        self.telemetry_boundary(now, env);
+        if let Some(rb) = self.rebal.knob {
+            if self.executed
+                && executed_cycles.is_multiple_of(rb.epoch)
+                && self.rebal.record_epoch(
+                    &lockstep.shard_work,
+                    self.phases,
+                    executed_cycles,
+                    rb.threshold,
+                )
+            {
+                return ControlFlow::Break(EraEnd::Rebalance {
+                    executed: executed_cycles,
+                });
+            }
+        }
+        let (finished, cancelled) = match schedule {
+            Schedule::Step => (self.executed, false),
+            Schedule::Run => {
+                let finished = now >= cfg.max_cycles || self.meas.sample_complete(cfg);
+                let cancelled = !finished
+                    && now.is_multiple_of(CANCEL_BATCH)
+                    && cfg.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+                (finished, cancelled)
+            }
+        };
+        if finished || cancelled {
+            return ControlFlow::Break(EraEnd::Done { cancelled });
+        }
+        // A step executes its cycle, and the cycle-driven oracle never
+        // skips.
+        let mut target = if schedule == Schedule::Step || env.tick_all {
+            now
+        } else {
+            quiet_until.min(cfg.max_cycles)
+        };
+        if let Some(fm) = env.fault {
+            // A scheduled fault is a wake-up event: never jump over a
+            // kill or a flaky edge, whose cycle changes what in-flight
+            // traffic would do.
+            target = target.min(fm.next_transition_at_or_after(now));
+        }
+        if cfg.cancel.is_some() {
+            // Never jump a cancellation poll point.
+            target = target.min((now / CANCEL_BATCH + 1) * CANCEL_BATCH);
+        }
+        if let Some(t) = self.meas.telemetry.as_deref() {
+            // Epoch boundaries are wake-up points: land on them exactly
+            // so every schedule snapshots at the same cycles.
+            target = target.min(t.next);
+        }
+        self.executed = target <= now;
+        if target > now {
+            // Cycles [now, target) are provably no-ops for every shard.
+            // The only global per-cycle effect is the channel-load
+            // window.
+            let skipped = target - now;
+            self.meas.channel_load.tick_n(skipped);
+            self.phases.fast_forwarded += skipped;
+        }
+        ControlFlow::Continue(target.max(now))
     }
 
     fn commit(&mut self, now: u64, outs: &[Mutex<ShardOut>]) {
         let measuring = now >= self.cfg.warmup_cycles;
-        // Tagging first: the serial engines tag during the source phase,
-        // before any ejection of the same cycle is observed. (A packet
-        // created this cycle cannot eject this cycle — every path has
-        // ≥ 1 cycle of pipe latency — but the measure_start transition
-        // must see the source-phase state.)
+        // Tagging first: sources tag during the source phase, before any
+        // ejection of the same cycle is observed. (A packet created this
+        // cycle cannot eject this cycle — every path has ≥ 1 cycle of
+        // pipe latency — but the measure_start transition must see the
+        // source-phase state.)
         for out in outs {
-            let mut o = out.lock().expect("shard out poisoned");
+            let mut o = lock_mailbox(out);
             for id in o.created.drain(..) {
                 if measuring {
                     self.meas.tag_created(id, now, self.cfg);
@@ -1574,7 +1065,7 @@ impl Committer<'_> {
         }
         // Then the ejection-side accumulators, in shard (= node) order.
         for (lane, out) in outs.iter().enumerate() {
-            let mut o = out.lock().expect("shard out poisoned");
+            let mut o = lock_mailbox(out);
             self.meas.flits_ejected += o.ejected;
             if self.meas.measure_start.is_some() {
                 self.meas.measured_flits += o.ejected;
@@ -1588,22 +1079,15 @@ impl Committer<'_> {
             }
             // Dropped tagged packets resolve here, after tagging above
             // (a packet clipped at injection the cycle it was created
-            // is tagged first, exactly like the serial engines). Only a
-            // counter — order against tails is immaterial.
+            // is tagged first). Only a counter — order against tails is
+            // immaterial.
             for packet in o.drops.drain(..) {
                 self.meas.record_dropped(packet);
             }
-            // Telemetry deltas fold in fixed shard order (or just
-            // reset, so a later telemetry run never inherits garbage).
+            // Telemetry deltas fold in fixed shard order (without
+            // telemetry nothing reads them).
             if let Some(t) = self.meas.telemetry.as_deref_mut() {
                 t.absorb_shard(lane, &mut o);
-            } else {
-                o.injected = 0;
-                o.ticks = 0;
-                o.mail_flits = 0;
-                o.mail_credits = 0;
-                o.drop_stats = DropStats::default();
-                o.span_nanos = [0; 3];
             }
         }
         self.meas.channel_load.tick();
@@ -1611,30 +1095,28 @@ impl Committer<'_> {
 
     /// Emits the epoch snapshot if `cycle` — the first *uncommitted*
     /// cycle — is the telemetry boundary. Runs only in the serial
-    /// section (every worker parked) or after a fast-forward grant
-    /// (workers touch only their own shard state), so the measurement
-    /// and mailbox state it reads are stable.
-    fn telemetry_boundary(&mut self, cycle: u64, fault: Option<&FaultModel>, phases: &PhaseNanos) {
-        let Some(t) = self.meas.telemetry.as_deref() else {
+    /// section, every worker parked, so the measurement and mailbox
+    /// state it reads are stable. This is the only emitter.
+    fn telemetry_boundary(&mut self, cycle: u64, env: &ShardEnv<'_>) {
+        let Some(t) = self.meas.telemetry.as_deref_mut() else {
             return;
         };
         if cycle != t.next {
             return;
         }
-        let unreachable = fault.map_or(0, |f| f.unreachable_pairs(cycle));
-        let meas = &mut *self.meas;
+        // Every flit and credit in flight: each shard's wheel as its
+        // last tick left it, plus the mail staged at the gate — which
+        // its receiver has not scheduled yet (mail a receiver already
+        // scheduled is on that receiver's wheel).
+        let on_wheels: u64 = env.outs.iter().map(|o| lock_mailbox(o).wheel_pending).sum();
         let counts = BoundaryCounts {
-            flits_ejected: meas.flits_ejected,
-            tagged_created: meas.tagged_created,
-            tagged_done: meas.tagged_done,
-            unreachable_pairs: unreachable,
+            flits_ejected: self.meas.flits_ejected,
+            tagged_created: self.meas.tagged_created,
+            tagged_done: self.meas.tagged_done,
+            unreachable_pairs: env.fault.map_or(0, |f| f.unreachable_pairs(cycle)),
+            wheel_pending: on_wheels + env.mail.staged(|_| true),
         };
-        meas.telemetry.as_deref_mut().expect("checked above").emit(
-            cycle,
-            counts,
-            phases,
-            EngineView::Sharded,
-        );
+        t.emit(cycle, counts, self.phases);
     }
 }
 
@@ -1642,6 +1124,7 @@ impl Committer<'_> {
 mod tests {
     use super::*;
     use crate::config::RouterKind;
+    use crate::topology::Mesh;
 
     fn quick(cfg: NetworkConfig) -> RunResult {
         Network::new(cfg).run()
@@ -1797,8 +1280,8 @@ mod tests {
     /// downstream at `t + 1 + link_delay`, and the credit its departure
     /// frees is due upstream at `t + 1 + credit_latency`. Flits are
     /// matched through the routers' event traces, credits through the
-    /// wheel's schedule (that the wheel delivers at the due cycle is
-    /// `link.rs`'s contract). `tests/fig16_turnaround.rs` checks the same
+    /// schedule on the serial kinds' one shard wheel (that the wheel
+    /// delivers at the due cycle is `link.rs`'s contract). `tests/fig16_turnaround.rs` checks the same
     /// credit loop end to end, as the throughput of a saturated link.
     #[test]
     fn links_deliver_after_their_latency() {
@@ -1846,7 +1329,10 @@ mod tests {
                         }
                     }
                     let mut pending = Vec::new();
-                    net.wheel.clone().drain_pending_into(&mut pending);
+                    net.shards.aux[0]
+                        .wheel
+                        .clone()
+                        .drain_pending_into(&mut pending);
                     let mut due: Vec<_> = pending
                         .into_iter()
                         .filter(|(at, _)| *at == now + 1 + credit_latency)

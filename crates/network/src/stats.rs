@@ -1,36 +1,38 @@
 //! Latency statistics accumulation and engine work counters.
 
 use std::fmt;
-use std::time::Instant;
+use std::time::Duration;
 
-/// Wall-clock attribution of a run across the engine's per-cycle phases,
-/// in nanoseconds. Collected only when
+/// Wall-clock attribution of a run across the engine loop's rounds, in
+/// nanoseconds, as the calling thread sees them. Collected only when
 /// [`crate::config::NetworkConfig::with_phase_timing`] is enabled, so
 /// future perf work can see *where* a regression lives (router tick vs
-/// link delivery vs source injection vs statistics upkeep) instead of
-/// only that total wall-clock moved.
+/// link delivery vs source injection vs the serial commit vs the gate)
+/// instead of only that total wall-clock moved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
-    /// Delivering the flits and credits due this cycle from the link
-    /// wheel into routers and sources (under the sharded-parallel
-    /// engine: scheduling the boundary mail, then the shard's wheel).
+    /// Delivering the flits and credits due this cycle: scheduling the
+    /// boundary mail, then draining the shard's link wheel into routers
+    /// and sources.
     pub delivery: u64,
     /// Source packet generation and injection.
     pub sources: u64,
     /// Router ticks, including departure forwarding and ejection.
     pub router: u64,
-    /// Statistics upkeep (channel-load accounting, cycle bookkeeping;
-    /// under the sharded-parallel engine: the serial node-order commit of
-    /// tagging, latency, and channel-load state).
+    /// The serial section at every gate: the node-order commit of
+    /// tagging, latency, and channel-load state, the telemetry boundary,
+    /// and the rebalance, stop and fast-forward decisions — for every
+    /// engine kind.
     pub stats: u64,
-    /// Time the coordinating thread spent waiting at the per-cycle gate
-    /// barrier of the sharded-parallel engine — straggler imbalance plus
-    /// synchronization cost. Always zero for the serial engines.
+    /// Time the calling thread spent waiting at the per-cycle gate for
+    /// the other shards — straggler imbalance plus synchronization cost.
+    /// A one-shard run's gate never blocks, so this is its bare cost
+    /// there, and a step has no gate wait at all.
     pub barrier: u64,
-    /// Barrier wait *episodes* the coordinating thread entered. Divided
-    /// by the executed cycle count this gives barrier waits per cycle —
-    /// the fused-phase protocol holds it at one per executed cycle where
-    /// the original three-phase protocol paid three.
+    /// Rounds that executed a cycle (one gate episode each). Divided by
+    /// the executed cycle count this gives barrier waits per cycle — the
+    /// fused-phase protocol holds it at one per executed cycle where the
+    /// original three-phase protocol paid three.
     pub barrier_waits: u64,
     /// Cycles skipped by quiescence fast-forward (all shards idle until
     /// the next wheel event), which execute no phases and wait at no
@@ -52,29 +54,19 @@ pub struct PhaseNanos {
 }
 
 impl PhaseNanos {
-    /// Adds one cycle's phase boundaries: delivery ran `t0..t1`, sources
-    /// `t1..t2`, router ticks `t2..t3`, stats upkeep `t3..t4`.
-    pub fn accumulate(&mut self, t0: Instant, t1: Instant, t2: Instant, t3: Instant, t4: Instant) {
-        self.delivery += (t1 - t0).as_nanos() as u64;
-        self.sources += (t2 - t1).as_nanos() as u64;
-        self.router += (t3 - t2).as_nanos() as u64;
-        self.stats += (t4 - t3).as_nanos() as u64;
-    }
-
-    /// Adds one sharded-parallel cycle measured on the coordinating
-    /// thread, whose shard is representative of the (balanced) others:
-    /// `t[0]..t[1]` the gate wait for follower shards plus the skip
-    /// decision, `t[1]..t[2]` the serial measurement commit, `t[2]..t[3]`
-    /// boundary-mail scheduling plus wheel delivery, `t[3]..t[4]`
-    /// source injection, `t[4]..t[5]` router ticks (the fused compute
-    /// phase runs `t[2]..t[5]` with no internal barrier).
-    pub fn accumulate_parallel(&mut self, t: &[Instant; 6]) {
-        self.barrier += (t[1] - t[0]).as_nanos() as u64;
-        self.barrier_waits += 1;
-        self.stats += (t[2] - t[1]).as_nanos() as u64;
-        self.delivery += (t[3] - t[2]).as_nanos() as u64;
-        self.sources += (t[4] - t[3]).as_nanos() as u64;
-        self.router += (t[5] - t[4]).as_nanos() as u64;
+    /// Adds one round of the engine loop: `wait` at the gate, `serial`
+    /// in the serial section, and — when the round executed a cycle —
+    /// the `[delivery, sources, router]` nanoseconds of shard 0's fused
+    /// phases, which stand for the (balanced) others.
+    pub fn add_round(&mut self, wait: Duration, serial: Duration, executed: Option<[u64; 3]>) {
+        self.barrier += wait.as_nanos() as u64;
+        self.stats += serial.as_nanos() as u64;
+        if let Some([delivery, sources, router]) = executed {
+            self.barrier_waits += 1;
+            self.delivery += delivery;
+            self.sources += sources;
+            self.router += router;
+        }
     }
 
     /// Total attributed nanoseconds.

@@ -1,5 +1,5 @@
-//! Engine-side telemetry state: the glue between the simulator's three
-//! engines and the dependency-free [`telemetry`] crate.
+//! Engine-side telemetry state: the glue between the simulator's engine
+//! loop and the dependency-free [`telemetry`] crate.
 //!
 //! A [`TelemetryState`] is allocated only when
 //! [`crate::NetworkConfig::with_telemetry`] is set — telemetry off means
@@ -12,10 +12,9 @@
 //! equivalence contract: it must be bit-identical across engine kinds,
 //! shard counts, thread schedules, and barrier kinds. That works
 //! because every counter is either maintained at a serially-ordered
-//! point (the serial engines' own step functions, or the sharded
-//! engine's leader-only commit which drains shard outputs in fixed
-//! shard order) or recomputed at the boundary from state that is itself
-//! bit-identical (`Measurement` totals, the pure
+//! point (the serial section's commit, which drains shard outputs in
+//! fixed shard order) or recomputed at the boundary from state that is
+//! itself bit-identical (`Measurement` totals, the pure
 //! `FaultModel::unreachable_pairs` function). **Gauges** are
 //! engine-specific diagnostics — router ticks, mailbox traffic, barrier
 //! waits — and are excluded from the identity check by design.
@@ -53,10 +52,7 @@ const DROP_PACKET_NAMES: [&str; DROP_REASONS] = [
 pub(crate) const FLOW_BUCKET_WIDTH: u64 = 16;
 pub(crate) const FLOW_BUCKETS: usize = 64;
 
-/// The four serial phase span names, matching [`PhaseNanos`] order.
-const SERIAL_PHASES: [&str; 4] = ["delivery", "sources", "router", "stats"];
-/// The three fused sharded phase span names, matching
-/// `ShardOut::span_nanos` order.
+/// The fused phase span names, matching `ShardOut::span_nanos` order.
 const SHARD_PHASES: [&str; 3] = ["delivery", "sources", "router"];
 
 /// Ids of every registered metric, in registration (= schema) order.
@@ -84,17 +80,16 @@ struct Ids {
 /// `phase_timing` are on.
 struct TraceState {
     log: TraceLog,
-    /// Cumulative per-lane phase nanos (serial engines use lane 0 with
-    /// all four slots; shards use their own lane with the first three).
-    cum: Vec<[u64; 4]>,
+    /// Cumulative per-lane (= per-shard) phase nanos.
+    cum: Vec<[u64; 3]>,
     /// The cumulative values at the previous epoch boundary.
-    last: Vec<[u64; 4]>,
+    last: Vec<[u64; 3]>,
 }
 
-/// The boundary-computed counters an engine hands to
-/// [`TelemetryState::emit`]: totals the emitter reads off bit-identical
+/// The boundary-computed values the serial section hands to
+/// [`TelemetryState::emit`]: totals it reads off bit-identical
 /// measurement state at the epoch boundary rather than maintaining
-/// incrementally.
+/// incrementally, plus the link-layer level.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BoundaryCounts {
     /// Flits ejected so far (the `Measurement` total).
@@ -106,22 +101,9 @@ pub(crate) struct BoundaryCounts {
     /// Source→destination pairs currently unroutable under the fault
     /// plan (pure function of config and cycle).
     pub(crate) unreachable_pairs: u64,
-}
-
-/// Which engine shape is emitting a snapshot — decides where the
-/// engine-local gauges and phase spans come from.
-pub(crate) enum EngineView {
-    /// A serial engine: gauges read off the `Network` directly, spans
-    /// diffed from the cumulative [`PhaseNanos`].
-    Serial {
-        /// Total router ticks so far.
-        router_ticks: u64,
-        /// Flits and credits currently on the link wheel.
-        wheel_pending: u64,
-    },
-    /// The sharded engine: gauges and spans were accumulated shard by
-    /// shard at commit time via [`TelemetryState::absorb_shard`].
-    Sharded,
+    /// Flits and credits in flight on the wires (the `wheel_pending`
+    /// gauge): every shard's wheel plus the staged boundary mail.
+    pub(crate) wheel_pending: u64,
 }
 
 /// All telemetry state of one run. Boxed inside `Measurement` so the
@@ -161,7 +143,7 @@ impl fmt::Debug for TelemetryState {
 
 impl TelemetryState {
     /// Builds the full registry schema. `lanes` is the shard count (1
-    /// for the serial engines); `tracing` enables span accumulation and
+    /// for the serial kinds); `tracing` enables span accumulation and
     /// should mirror `phase_timing`.
     pub(crate) fn new(epoch: u64, nodes: usize, lanes: usize, tracing: bool) -> Self {
         let mut reg = MetricsRegistry::new();
@@ -193,8 +175,8 @@ impl TelemetryState {
             flows: FlowStats::new(nodes, FLOW_BUCKET_WIDTH, FLOW_BUCKETS),
             trace: tracing.then(|| TraceState {
                 log: TraceLog::new(lanes),
-                cum: vec![[0; 4]; lanes],
-                last: vec![[0; 4]; lanes],
+                cum: vec![[0; 3]; lanes],
+                last: vec![[0; 3]; lanes],
             }),
         }
     }
@@ -202,22 +184,6 @@ impl TelemetryState {
     /// Attaches a streaming tap; every future snapshot is forwarded.
     pub(crate) fn set_stream(&mut self, tap: Box<dyn MetricsTap + Send>) {
         self.stream = Some(tap);
-    }
-
-    /// Counts one flit handed to the injection stage (pre-clip, so the
-    /// counter matches the sources' own `flits_injected` accounting).
-    #[inline]
-    pub(crate) fn count_injected(&mut self) {
-        self.reg.add(self.ids.flits_injected, 1);
-    }
-
-    /// Counts one fault-layer drop.
-    #[inline]
-    pub(crate) fn count_drop(&mut self, reason: DropReason, head: bool) {
-        self.reg.add(self.ids.drop_flits[reason as usize], 1);
-        if head {
-            self.reg.add(self.ids.drop_packets[reason as usize], 1);
-        }
     }
 
     /// Folds one shard's per-cycle telemetry deltas into the registry
@@ -252,46 +218,26 @@ impl TelemetryState {
     /// [`TelemetryState::next`] first): refreshes the boundary-computed
     /// counters and the gauges, records into the retained log and the
     /// optional stream, flushes phase spans, and advances the boundary.
-    pub(crate) fn emit(
-        &mut self,
-        cycle: u64,
-        counts: BoundaryCounts,
-        phases: &PhaseNanos,
-        view: EngineView,
-    ) {
+    pub(crate) fn emit(&mut self, cycle: u64, counts: BoundaryCounts, phases: &PhaseNanos) {
         debug_assert_eq!(cycle, self.next, "emit off the epoch boundary");
         self.reg.set(self.ids.flits_ejected, counts.flits_ejected);
         self.reg.set(self.ids.tagged_created, counts.tagged_created);
         self.reg.set(self.ids.tagged_done, counts.tagged_done);
         self.reg
             .set(self.ids.unreachable_pairs, counts.unreachable_pairs);
+        self.reg.set(self.ids.wheel_pending, counts.wheel_pending);
         self.reg.set(self.ids.fast_forwarded, phases.fast_forwarded);
         self.reg.set(self.ids.barrier_waits, phases.barrier_waits);
         self.reg.set(self.ids.rebalances, phases.rebalances);
         self.reg.set(self.ids.migrated_nodes, phases.migrated_nodes);
-        if let EngineView::Serial {
-            router_ticks,
-            wheel_pending,
-        } = view
-        {
-            self.reg.set(self.ids.router_ticks, router_ticks);
-            self.reg.set(self.ids.wheel_pending, wheel_pending);
-        }
         let snap = self.reg.snapshot(cycle, self.epochs);
         self.mem.record(&snap);
         if let Some(stream) = self.stream.as_mut() {
             stream.record(&snap);
         }
         if let Some(tr) = self.trace.as_mut() {
-            if let EngineView::Serial { .. } = view {
-                tr.cum[0] = [phases.delivery, phases.sources, phases.router, phases.stats];
-            }
-            let names: &[&'static str] = match view {
-                EngineView::Serial { .. } => &SERIAL_PHASES,
-                EngineView::Sharded => &SHARD_PHASES,
-            };
             for lane in 0..tr.cum.len() {
-                for (p, name) in names.iter().enumerate() {
+                for (p, name) in SHARD_PHASES.iter().enumerate() {
                     tr.log.push(lane, name, tr.cum[lane][p] - tr.last[lane][p]);
                 }
                 tr.last[lane] = tr.cum[lane];
@@ -331,23 +277,21 @@ mod tests {
     fn emit_advances_the_boundary_and_records_both_sections() {
         let mut t = TelemetryState::new(64, 4, 1, false);
         assert_eq!(t.next, 64);
-        t.count_injected();
-        t.count_drop(DropReason::Lossy, true);
+        let mut out = ShardOut {
+            injected: 1,
+            ticks: 99,
+            ..ShardOut::default()
+        };
+        out.drop_stats.count(DropReason::Lossy, true);
+        t.absorb_shard(0, &mut out);
         let counts = BoundaryCounts {
             flits_ejected: 7,
             tagged_created: 3,
             tagged_done: 2,
             unreachable_pairs: 1,
+            wheel_pending: 5,
         };
-        t.emit(
-            64,
-            counts,
-            &PhaseNanos::default(),
-            EngineView::Serial {
-                router_ticks: 99,
-                wheel_pending: 5,
-            },
-        );
+        t.emit(64, counts, &PhaseNanos::default());
         assert_eq!(t.next, 128);
         let (log, flows, trace) = t.into_parts();
         assert_eq!(log.len(), 1);
@@ -379,12 +323,7 @@ mod tests {
         assert_eq!(out.ticks, 0);
         assert_eq!(out.span_nanos, [0; 3]);
         assert_eq!(out.drop_stats, DropStats::default());
-        t.emit(
-            32,
-            BoundaryCounts::default(),
-            &PhaseNanos::default(),
-            EngineView::Sharded,
-        );
+        t.emit(32, BoundaryCounts::default(), &PhaseNanos::default());
         let (log, _, trace) = t.into_parts();
         assert_eq!(log.value(0, "flits_injected"), Some(3));
         assert_eq!(log.value(0, "router_ticks"), Some(10));
