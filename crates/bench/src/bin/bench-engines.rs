@@ -5,7 +5,7 @@
 //!
 //! Usage: `bench-engines [--json] [--loads 0.3,0.5] [--reps N]
 //! [--baseline PATH] [--shards N|auto] [--scale 1,2,4]
-//! [--barrier spin|tree] [--rebalance EPOCH,THRESHOLD]
+//! [--rebalance EPOCH,THRESHOLD]
 //! [--pattern uniform,transpose,hotspot] [--faults SPEC]
 //! [--mesh 8x8,4x4x4,16x16-torus] [--metrics-out PATH]
 //! [--trace-out PATH]` (human-readable table by default).
@@ -15,9 +15,8 @@
 //! sharded-parallel engine with `N` shards (verified bit-identical
 //! first, like the serial engines) and reports its per-phase breakdown
 //! including barrier wait count and quiescence fast-forward; `--scale`
-//! runs a thread-scaling sweep over the listed shard counts per load;
-//! `--barrier` selects the gate implementation (central spin counter vs
-//! combining tree). The JSON records `host_parallelism` and flags each
+//! runs a thread-scaling sweep over the listed shard counts per load.
+//! The JSON records `host_parallelism` and flags each
 //! sharded row `"oversubscribed"` when the host has fewer cores than
 //! shards, so single-core results are recognizable as overhead
 //! measurements rather than scaling claims.
@@ -81,8 +80,8 @@
 
 use noc_network::config::EngineKind;
 use noc_network::{
-    parse_faults, BarrierKind, DropReason, DropStats, FaultSpec, Histogram, JsonlTap, Mesh,
-    Network, NetworkConfig, Percentiles, PhaseNanos, RouterKind, RunResult, TrafficPattern,
+    parse_faults, DropReason, DropStats, FaultSpec, Histogram, JsonlTap, Mesh, Network,
+    NetworkConfig, Percentiles, PhaseNanos, RouterKind, RunResult, TrafficPattern,
 };
 use repro_bench::meta;
 use runqueue::{run_tasks, CancelToken, Task};
@@ -212,7 +211,6 @@ impl Point {
 struct PointCfg {
     mesh: Mesh,
     load: f64,
-    barrier: BarrierKind,
     pattern: TrafficPattern,
     rebalance: Option<(u64, f64)>,
     /// Fault plan for degraded rows (empty = healthy network).
@@ -231,7 +229,6 @@ fn cfg(pc: &PointCfg) -> NetworkConfig {
     .with_warmup(300)
     .with_sample(400)
     .with_max_cycles(60_000)
-    .with_barrier(pc.barrier)
     .with_pattern(pc.pattern.clone());
     if let Some((epoch, threshold)) = pc.rebalance {
         c = c.with_rebalance(epoch, threshold);
@@ -407,8 +404,6 @@ struct Options {
     /// Shard counts for the thread-scaling sweep (implies `--shards`'s
     /// verification; empty = off).
     scale: Vec<usize>,
-    /// Gate barrier implementation for the sharded engine.
-    barrier: BarrierKind,
     /// `(epoch, threshold)` of `--rebalance`, applied to the sharded
     /// rows of the load sweep.
     rebalance: Option<(u64, f64)>,
@@ -438,7 +433,6 @@ fn parse_args() -> Options {
         threads: None,
         shards_auto: false,
         scale: Vec::new(),
-        barrier: BarrierKind::default(),
         rebalance: None,
         patterns: vec!["uniform".to_string()],
         faults: Vec::new(),
@@ -523,13 +517,6 @@ fn parse_args() -> Options {
             "--trace-out" => {
                 opts.trace_out = Some(args.next().expect("--trace-out needs a path"));
             }
-            "--barrier" => {
-                opts.barrier = match args.next().expect("--barrier needs spin|tree").as_str() {
-                    "spin" => BarrierKind::Spin,
-                    "tree" => BarrierKind::Tree,
-                    other => panic!("unknown barrier {other} (spin|tree)"),
-                };
-            }
             other => panic!("unknown argument {other}"),
         }
     }
@@ -567,7 +554,6 @@ fn measure_point(
     let pc = PointCfg {
         mesh,
         load,
-        barrier: opts.barrier,
         pattern,
         rebalance: opts.rebalance,
         faults: if faulted {
@@ -683,7 +669,6 @@ fn export_telemetry(opts: &Options, mesh: Mesh) {
     let pc = PointCfg {
         mesh,
         load: opts.loads[0],
-        barrier: opts.barrier,
         pattern: resolve_pattern(&opts.patterns[0], mesh),
         rebalance: opts.rebalance,
         faults: opts.faults.clone(),
@@ -769,7 +754,6 @@ fn run_scale_series(opts: &Options) {
             let pc = PointCfg {
                 mesh: *mesh,
                 load,
-                barrier: opts.barrier,
                 pattern: TrafficPattern::Uniform,
                 rebalance: None,
                 faults: Vec::new(),
@@ -812,9 +796,8 @@ fn run_scale_series(opts: &Options) {
         );
         println!(
             "  \"config\": {{\"capacity_fraction\": {SCALE_CAPACITY_FRACTION}, \
-             \"warmup\": 300, \"sample_packets\": 400, \"reps\": {}, \"shards\": {shards}, \
-             \"barrier\": \"{}\"}},",
-            opts.reps, opts.barrier
+             \"warmup\": 300, \"sample_packets\": 400, \"reps\": {}, \"shards\": {shards}}},",
+            opts.reps
         );
         println!("  \"host_parallelism\": {host},");
         if host < shards {
@@ -1040,7 +1023,7 @@ fn main() {
                 format!(
                     ", \"parallel\": {{\"shards\": {}, \"ms\": {:.2}, \
                      \"speedup_vs_event\": {:.2}{vs_baseline}, \
-                     \"oversubscribed\": {}, \"barrier\": \"{}\", \
+                     \"oversubscribed\": {}, \
                      \"barrier_waits\": {}, \"barrier_waits_per_cycle\": {:.3}, \
                      \"fast_forwarded_cycles\": {}, \
                      \"phase_pct\": {{\"delivery\": {:.1}, \"sources\": {:.1}, \
@@ -1050,7 +1033,6 @@ fn main() {
                     pp.ms,
                     p.event_ms / pp.ms,
                     pp.oversubscribed,
-                    opts.barrier,
                     ph.barrier_waits,
                     ph.barrier_waits as f64 / pp.cycles.max(1) as f64,
                     ph.fast_forwarded,

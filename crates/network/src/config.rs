@@ -134,8 +134,7 @@ pub enum EngineKind {
     /// ticks as one fused parallel phase, exchanging boundary
     /// flits/credits through preallocated per-shard-pair mailboxes
     /// stamped at emission time. Results are bit-identical to the
-    /// cycle-driven oracle for any shard count, thread schedule, and
-    /// [`BarrierKind`].
+    /// cycle-driven oracle for any shard count and thread schedule.
     ParallelShards {
         /// Worker shards (≥ 1; clamped to the node count). Each shard
         /// runs on its own thread during [`crate::sim::Network::run`].
@@ -167,35 +166,6 @@ impl fmt::Display for EngineKind {
             EngineKind::CycleDriven => write!(f, "cycle-driven"),
             EngineKind::EventDriven => write!(f, "event-driven"),
             EngineKind::ParallelShards { shards } => write!(f, "parallel-shards({shards})"),
-        }
-    }
-}
-
-/// Which barrier implementation synchronizes the sharded-parallel
-/// engine's per-cycle gate. Purely a performance knob: results are
-/// bit-identical for either kind (enforced by
-/// `tests/engine_equivalence.rs`), so it is excluded from
-/// [`crate::orchestrate`]'s config hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BarrierKind {
-    /// A single shared arrival counter with sense reversal. O(parties)
-    /// contention on one cache line per episode; fastest at small shard
-    /// counts.
-    #[default]
-    Spin,
-    /// A sense-reversing combining tree: each party spins on its own
-    /// flag and arrivals propagate up a binary tree, so no cache line is
-    /// contended by more than a constant number of parties. Wins when
-    /// shard counts grow past the point where the shared counter
-    /// serializes.
-    Tree,
-}
-
-impl fmt::Display for BarrierKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BarrierKind::Spin => write!(f, "spin"),
-            BarrierKind::Tree => write!(f, "tree"),
         }
     }
 }
@@ -468,8 +438,8 @@ pub struct RebalanceConfig {
 /// samples as they complete. All counter inputs are pure functions of
 /// simulation state and snapshots are assembled in fixed shard order,
 /// so the counter stream is bit-identical across engine kinds, shard
-/// counts, thread schedules, and barrier kinds — and the knob itself
-/// never changes simulation results.
+/// counts, and thread schedules — and the knob itself never changes
+/// simulation results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Snapshot period in simulated cycles (≥ 1). Simulated — not
@@ -683,10 +653,6 @@ pub struct NetworkConfig {
     /// Engine schedule (the cycle-driven reference, the event-driven
     /// default, or sharded; results are identical).
     pub engine: EngineKind,
-    /// Barrier implementation for the sharded-parallel engine's
-    /// per-cycle gate (ignored by the serial engines; results are
-    /// identical for either kind).
-    pub barrier: BarrierKind,
     /// Router microarchitecture.
     pub router: RouterKind,
     /// Use single-cycle ("unit latency") routers instead of the pipelined
@@ -761,7 +727,6 @@ impl NetworkConfig {
             mesh,
             routing: RoutingAlgo::DimensionOrdered,
             engine: EngineKind::default(),
-            barrier: BarrierKind::default(),
             router,
             single_cycle: false,
             link_delay: 1,
@@ -838,15 +803,6 @@ impl NetworkConfig {
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Selects the barrier implementation for the sharded-parallel
-    /// engine's per-cycle gate. Results do not depend on the choice (see
-    /// [`BarrierKind`]); synchronization cost does.
-    #[must_use]
-    pub fn with_barrier(mut self, barrier: BarrierKind) -> Self {
-        self.barrier = barrier;
         self
     }
 
@@ -1584,16 +1540,6 @@ mod tests {
             .validate(),
             Ok(())
         );
-    }
-
-    #[test]
-    fn barrier_kind_defaults_to_spin_and_builds() {
-        let cfg = NetworkConfig::mesh(4, RouterKind::Wormhole { buffers: 8 });
-        assert_eq!(cfg.barrier, BarrierKind::Spin);
-        let cfg = cfg.with_barrier(BarrierKind::Tree);
-        assert_eq!(cfg.barrier, BarrierKind::Tree);
-        assert_eq!(BarrierKind::Spin.to_string(), "spin");
-        assert_eq!(BarrierKind::Tree.to_string(), "tree");
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub mod traffic;
 
 pub use channel_load::ChannelLoad;
 pub use config::{
-    parse_faults, BarrierKind, ConfigError, FaultKind, FaultSpec, FaultTarget, NetworkConfig,
-    RebalanceConfig, RouterKind, RoutingAlgo, TelemetryConfig,
+    parse_faults, ConfigError, FaultKind, FaultSpec, FaultTarget, NetworkConfig, RebalanceConfig,
+    RouterKind, RoutingAlgo, TelemetryConfig,
 };
 pub use fault::{DropReason, DropStats, FaultModel};
 pub use histogram::{Histogram, Percentiles};

@@ -22,10 +22,9 @@
 //!    events, staged boundary mail, active routers, or a source about to
 //!    cross its injection threshold — and when the minimum lies beyond
 //!    the next cycle, the skipped cycles are provably no-ops for *every*
-//!    shard and are elided. The gate is either a central
-//!    sense-reversing spin barrier or a sense-reversing combining tree
-//!    ([`crate::config::BarrierKind`]); both spin briefly then yield, and
-//!    with one party neither blocks.
+//!    shard and are elided. The gate is a central sense-reversing spin
+//!    barrier ([`SpinBarrier`]) that spins briefly then yields; with one
+//!    party it never blocks.
 //! 2. **Fused compute** (parallel, no internal barrier) — each shard:
 //!    schedules the boundary flits and credits other shards published
 //!    onto its own link wheel (each carries its absolute due cycle),
@@ -99,7 +98,7 @@
 //! to the cycle-driven oracle. The serial kinds run a single shard,
 //! which has nothing to balance, so they never meter.
 
-use crate::config::{BarrierKind, NetworkConfig, RebalanceConfig};
+use crate::config::{NetworkConfig, RebalanceConfig};
 use crate::fault::{clip, ClipSlot, DropReason, DropStats, FaultModel};
 use crate::routing::RouteTable;
 use crate::sim::{LinkEvent, NodeOracle};
@@ -191,7 +190,8 @@ impl SpinBarrier {
         }
     }
 
-    fn poison(&self) {
+    /// Marks the gate dead; every current and future waiter panics.
+    pub(crate) fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
     }
 
@@ -201,7 +201,7 @@ impl SpinBarrier {
 
     /// Worker side: signals arrival and blocks until the leader releases
     /// this episode.
-    fn arrive(&self) {
+    pub(crate) fn arrive(&self) {
         self.check_poison();
         let generation = self.generation.load(Ordering::Acquire);
         self.arrived.fetch_add(1, Ordering::AcqRel);
@@ -213,7 +213,7 @@ impl SpinBarrier {
     }
 
     /// Leader side: blocks until every worker has arrived (and parked).
-    fn wait_followers(&self) {
+    pub(crate) fn wait_followers(&self) {
         let mut spins = 0u32;
         while self.arrived.load(Ordering::Acquire) != self.parties - 1 {
             self.check_poison();
@@ -223,149 +223,15 @@ impl SpinBarrier {
 
     /// Leader side: opens the gate. Everything the leader wrote in its
     /// serial section happens-before the workers' post-arrive reads.
-    fn release(&self) {
+    pub(crate) fn release(&self) {
         self.arrived.store(0, Ordering::Release);
         self.generation.fetch_add(1, Ordering::AcqRel);
     }
 }
 
-/// A leader-gate built on a sense-reversing combining tree: arrivals
-/// propagate up a binary tree of per-party flags (parent of `i` is
-/// `(i − 1) / 2`; the leader, party 0, is the root), so no cache line is
-/// written by more than a constant number of parties per episode —
-/// unlike the central counter, whose single line every party contends
-/// on. Release is a single sense flag every parked worker reads.
-#[derive(Debug)]
-pub(crate) struct TreeBarrier {
-    parties: usize,
-    /// `ready[i]` is set by party `i ≥ 1` once its whole subtree has
-    /// arrived this episode; sense-encoded, so it never needs resetting.
-    ready: Vec<AtomicBool>,
-    /// Per-party local sense; `sense[i]` is written only by party `i`.
-    sense: Vec<AtomicBool>,
-    /// Global release flag, flipped to the episode's sense by the leader.
-    release: AtomicBool,
-    poisoned: AtomicBool,
-}
-
-impl TreeBarrier {
-    pub(crate) fn new(parties: usize) -> Self {
-        assert!(parties >= 1, "a gate needs at least one party");
-        TreeBarrier {
-            parties,
-            ready: (0..parties).map(|_| AtomicBool::new(false)).collect(),
-            sense: (0..parties).map(|_| AtomicBool::new(false)).collect(),
-            release: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-    }
-
-    fn check_poison(&self) {
-        assert!(!self.poisoned.load(Ordering::Acquire), "{SIBLING_PANIC}");
-    }
-
-    /// Waits until both children of `party` (if any) have posted this
-    /// episode's sense.
-    fn gather_children(&self, party: usize, episode_sense: bool) {
-        for child in [2 * party + 1, 2 * party + 2] {
-            if child >= self.parties {
-                break;
-            }
-            let mut spins = 0u32;
-            while self.ready[child].load(Ordering::Acquire) != episode_sense {
-                self.check_poison();
-                spin_or_yield(&mut spins);
-            }
-        }
-    }
-
-    /// Worker side (`party ≥ 1`): combines its subtree's arrival up the
-    /// tree, then blocks on the release flag.
-    fn arrive(&self, party: usize) {
-        self.check_poison();
-        let s = !self.sense[party].load(Ordering::Relaxed);
-        self.gather_children(party, s);
-        self.ready[party].store(s, Ordering::Release);
-        let mut spins = 0u32;
-        while self.release.load(Ordering::Acquire) != s {
-            self.check_poison();
-            spin_or_yield(&mut spins);
-        }
-        self.sense[party].store(s, Ordering::Relaxed);
-    }
-
-    /// Leader side: blocks until the root's children report their
-    /// subtrees complete — i.e. every worker has arrived.
-    fn wait_followers(&self) {
-        let s = !self.sense[0].load(Ordering::Relaxed);
-        self.gather_children(0, s);
-    }
-
-    /// Leader side: opens the gate by flipping the release sense.
-    fn release(&self) {
-        let s = !self.sense[0].load(Ordering::Relaxed);
-        self.sense[0].store(s, Ordering::Relaxed);
-        self.release.store(s, Ordering::Release);
-    }
-}
-
-/// The per-cycle gate, behind one interface so
-/// [`crate::config::BarrierKind`] can swap implementations without the
-/// engine caring.
-#[derive(Debug)]
-pub(crate) enum Gate {
-    Spin(SpinBarrier),
-    Tree(TreeBarrier),
-}
-
-impl Gate {
-    pub(crate) fn new(kind: BarrierKind, parties: usize) -> Self {
-        match kind {
-            BarrierKind::Spin => Gate::Spin(SpinBarrier::new(parties)),
-            BarrierKind::Tree => Gate::Tree(TreeBarrier::new(parties)),
-        }
-    }
-
-    /// Marks the gate dead; every current and future waiter panics.
-    pub(crate) fn poison(&self) {
-        match self {
-            Gate::Spin(b) => b.poison(),
-            Gate::Tree(b) => b.poison(),
-        }
-    }
-
-    /// Worker side: arrive and block until released.
-    pub(crate) fn arrive(&self, party: usize) {
-        match self {
-            Gate::Spin(b) => b.arrive(),
-            Gate::Tree(b) => b.arrive(party),
-        }
-    }
-
-    /// Leader side: block until all workers are parked at the gate.
-    pub(crate) fn wait_followers(&self) {
-        match self {
-            Gate::Spin(b) => b.wait_followers(),
-            Gate::Tree(b) => b.wait_followers(),
-        }
-    }
-
-    /// Leader side: open the gate.
-    pub(crate) fn release(&self) {
-        match self {
-            Gate::Spin(b) => b.release(),
-            Gate::Tree(b) => b.release(),
-        }
-    }
-}
-
 /// Poisons the gate if the holder unwinds, so sibling shards panic out
 /// of their waits instead of spinning forever.
-pub(crate) struct PoisonGuard<'a>(pub &'a Gate);
+pub(crate) struct PoisonGuard<'a>(pub &'a SpinBarrier);
 
 impl Drop for PoisonGuard<'_> {
     fn drop(&mut self) {
@@ -381,7 +247,7 @@ impl Drop for PoisonGuard<'_> {
 /// once per network; [`Lockstep::restart`] rearms it for each era.
 #[derive(Debug)]
 pub(crate) struct Lockstep {
-    pub(crate) gate: Gate,
+    pub(crate) gate: SpinBarrier,
     /// Leader → workers: wind down and return.
     pub(crate) stop: AtomicBool,
     /// Leader → workers: the cycle to resume execution at. Equal to the
@@ -401,9 +267,9 @@ pub(crate) struct Lockstep {
 }
 
 impl Lockstep {
-    pub(crate) fn new(kind: BarrierKind, parties: usize) -> Self {
+    pub(crate) fn new(parties: usize) -> Self {
         Lockstep {
-            gate: Gate::new(kind, parties),
+            gate: SpinBarrier::new(parties),
             stop: AtomicBool::new(false),
             skip_to: AtomicU64::new(0),
             next_work: AtomicU64::new(u64::MAX),
@@ -704,7 +570,6 @@ impl ShardSet {
         shards: usize,
         horizon: u64,
         rebalance: Option<RebalanceConfig>,
-        barrier: BarrierKind,
     ) -> Self {
         let ranges = mesh.shard_ranges(shards);
         let s = ranges.len();
@@ -738,7 +603,7 @@ impl ShardSet {
             work_epoch: vec![0; mesh.nodes()],
             work_ewma: vec![0; mesh.nodes()],
             rebal: RebalanceState::new(rebalance, s, mesh, horizon),
-            lockstep: Lockstep::new(barrier, s),
+            lockstep: Lockstep::new(s),
         }
     }
 
@@ -1221,10 +1086,9 @@ pub(crate) fn worker_loop(
     lockstep: &Lockstep,
     mut now: u64,
 ) {
-    let party = ctx.idx;
     let _guard = PoisonGuard(&lockstep.gate);
     loop {
-        lockstep.gate.arrive(party);
+        lockstep.gate.arrive();
         if lockstep.stop.load(Ordering::Acquire) {
             return;
         }
@@ -1246,17 +1110,19 @@ mod tests {
     /// Drives the leader-gate protocol: workers increment then arrive,
     /// the leader must observe exactly one increment per worker per
     /// round while it holds the serial section.
-    fn gate_round_trips(kind: BarrierKind, parties: usize) {
-        let gate = Gate::new(kind, parties);
+    #[test]
+    fn spin_gate_synchronizes_rounds() {
+        let parties = 4;
+        let gate = SpinBarrier::new(parties);
         let counter = AtomicU64::new(0);
         let rounds = 200u64;
         std::thread::scope(|scope| {
-            for p in 1..parties {
+            for _ in 1..parties {
                 let (gate, counter) = (&gate, &counter);
                 scope.spawn(move || {
                     for _ in 0..rounds {
                         counter.fetch_add(1, Ordering::AcqRel);
-                        gate.arrive(p);
+                        gate.arrive();
                     }
                 });
             }
@@ -1274,62 +1140,39 @@ mod tests {
     }
 
     #[test]
-    fn spin_gate_synchronizes_rounds() {
-        gate_round_trips(BarrierKind::Spin, 4);
-    }
-
-    #[test]
-    fn tree_gate_synchronizes_rounds() {
-        // 7 parties exercises a two-level tree with an incomplete last
-        // row; 2 exercises the single-child root.
-        gate_round_trips(BarrierKind::Tree, 7);
-        gate_round_trips(BarrierKind::Tree, 2);
-    }
-
-    #[test]
     fn single_party_gate_never_blocks() {
-        for kind in [BarrierKind::Spin, BarrierKind::Tree] {
-            let gate = Gate::new(kind, 1);
-            for _ in 0..10 {
-                gate.wait_followers();
-                gate.release();
-            }
+        let gate = SpinBarrier::new(1);
+        for _ in 0..10 {
+            gate.wait_followers();
+            gate.release();
         }
     }
 
     #[test]
     #[should_panic(expected = "sibling shard panicked")]
     fn poisoned_gate_panics_waiters() {
-        let gate = Gate::new(BarrierKind::Spin, 2);
+        let gate = SpinBarrier::new(2);
         gate.poison();
-        gate.arrive(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "sibling shard panicked")]
-    fn poisoned_tree_gate_panics_waiters() {
-        let gate = Gate::new(BarrierKind::Tree, 2);
-        gate.poison();
-        gate.arrive(1);
+        gate.arrive();
     }
 
     #[test]
     fn poison_guard_fires_only_on_unwind() {
-        let gate = Gate::new(BarrierKind::Spin, 1);
+        let gate = SpinBarrier::new(1);
         {
             let _guard = PoisonGuard(&gate);
         }
         gate.wait_followers(); // not poisoned by a clean drop
         gate.release();
 
-        let gate = std::sync::Arc::new(Gate::new(BarrierKind::Spin, 2));
+        let gate = std::sync::Arc::new(SpinBarrier::new(2));
         let g = std::sync::Arc::clone(&gate);
         let worker = std::thread::spawn(move || {
             let _guard = PoisonGuard(&g);
             panic!("boom");
         });
         assert!(worker.join().is_err());
-        assert!(std::panic::catch_unwind(|| gate.arrive(1)).is_err());
+        assert!(std::panic::catch_unwind(|| gate.arrive()).is_err());
     }
 
     #[test]

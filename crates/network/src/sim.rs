@@ -163,8 +163,8 @@ pub struct RunResult {
     pub flow_stats: Option<FlowStats>,
     /// The retained epoch-snapshot stream, present when telemetry was
     /// on. Its counter section ([`MetricsLog::identity`]) is
-    /// bit-identical across engine kinds, shard counts, thread
-    /// schedules, and barrier kinds; gauges are engine diagnostics.
+    /// bit-identical across engine kinds, shard counts, and thread
+    /// schedules; gauges are engine diagnostics.
     pub metrics: Option<MetricsLog>,
     /// Per-epoch phase spans, present when both telemetry and
     /// [`NetworkConfig::with_phase_timing`] were on (wall-clock
@@ -468,7 +468,7 @@ impl Network {
             // shard has nothing to balance.
             EngineKind::CycleDriven | EngineKind::EventDriven => (1, None),
         };
-        let shards = ShardSet::new(&cfg.mesh, shards, horizon, rebalance, cfg.barrier);
+        let shards = ShardSet::new(&cfg.mesh, shards, horizon, rebalance);
         // One trace lane per effective shard (the partition may clamp
         // below the requested count).
         let telemetry = cfg.telemetry.map(|t| {

@@ -10,7 +10,7 @@
 //!
 //! The snapshot stream's **counter** section is part of the engine
 //! equivalence contract: it must be bit-identical across engine kinds,
-//! shard counts, thread schedules, and barrier kinds. That works
+//! shard counts, and thread schedules. That works
 //! because every counter is either maintained at a serially-ordered
 //! point (the serial section's commit, which drains shard outputs in
 //! fixed shard order) or recomputed at the boundary from state that is

@@ -14,8 +14,8 @@
 //!
 //! The split between the registry's two sections is part of the
 //! contract: **counters** are pure functions of the simulated cycles
-//! and must be bit-identical across engines, shard counts, thread
-//! schedules, and barrier kinds; **gauges** are engine-specific
+//! and must be bit-identical across engines, shard counts, and thread
+//! schedules; **gauges** are engine-specific
 //! diagnostics (tick counts, queue depths, barrier waits) that carry no
 //! cross-engine identity guarantee. [`MetricsLog::identity`] exposes
 //! exactly the identity-checked portion of a stream.
@@ -264,8 +264,8 @@ impl MetricsLog {
 
     /// The bit-identity portion of the stream: `(boundary cycles,
     /// flattened counter rows)`. Two runs of the same experiment must
-    /// compare equal here regardless of engine kind, shard count,
-    /// thread schedule, or barrier kind; gauges are excluded by design.
+    /// compare equal here regardless of engine kind, shard count, or
+    /// thread schedule; gauges are excluded by design.
     #[must_use]
     pub fn identity(&self) -> (&[u64], &[u64]) {
         (&self.cycles, &self.counters)

@@ -2,8 +2,8 @@
 //! engines themselves: the epoch-streamed metrics snapshots (counter
 //! section), the per-flow latency accumulators, and the per-node drop
 //! attribution must be **bit-identical** across every engine kind, shard
-//! count, thread schedule, and barrier implementation — with faults and
-//! live rebalancing in play.
+//! count, and thread schedule — with faults and live rebalancing in
+//! play.
 //!
 //! The serial engines emit each snapshot inside the step that reaches
 //! the epoch boundary; the sharded engine's gate leader assembles the
@@ -12,9 +12,7 @@
 //! two emission disciplines produce one stream.
 
 use peh_dally::noc_network::config::EngineKind;
-use peh_dally::noc_network::{
-    parse_faults, BarrierKind, Network, NetworkConfig, RouterKind, RunResult,
-};
+use peh_dally::noc_network::{parse_faults, Network, NetworkConfig, RouterKind, RunResult};
 
 /// The grid's telemetry epoch: short enough that even the quick sample
 /// run streams dozens of snapshots, so the identity assertion exercises
@@ -45,8 +43,8 @@ fn grid_cfg() -> NetworkConfig {
     .with_telemetry(EPOCH)
 }
 
-fn run(cfg: NetworkConfig, engine: EngineKind, barrier: BarrierKind) -> RunResult {
-    Network::new(cfg.with_engine(engine).with_barrier(barrier)).run()
+fn run(cfg: NetworkConfig, engine: EngineKind) -> RunResult {
+    Network::new(cfg.with_engine(engine)).run()
 }
 
 /// Asserts the full observability surface of `r` matches the reference.
@@ -77,11 +75,10 @@ fn assert_same_telemetry(label: &str, reference: &RunResult, r: &RunResult) {
 
 /// The headline grid: cycle-driven reference vs event-driven and the
 /// sharded engine at shard counts {1, 2, 4, 7} (including one that does
-/// not divide the node count) under both barrier kinds, faults and
-/// rebalancing live throughout.
+/// not divide the node count), faults and rebalancing live throughout.
 #[test]
 fn metrics_stream_is_bit_identical_across_engines_shards_and_barriers() {
-    let reference = run(grid_cfg(), EngineKind::CycleDriven, BarrierKind::Spin);
+    let reference = run(grid_cfg(), EngineKind::CycleDriven);
     let metrics = reference.metrics.as_ref().expect("telemetry on");
     assert!(
         metrics.len() > 10,
@@ -95,14 +92,12 @@ fn metrics_stream_is_bit_identical_across_engines_shards_and_barriers() {
         "a faulted grid run must drop something"
     );
 
-    for barrier in [BarrierKind::Spin, BarrierKind::Tree] {
-        let mut engines = vec![EngineKind::EventDriven];
-        engines.extend([1usize, 2, 4, 7].map(EngineKind::parallel));
-        for engine in engines {
-            let label = format!("{engine:?} barrier={barrier}");
-            let r = run(grid_cfg(), engine, barrier);
-            assert_same_telemetry(&label, &reference, &r);
-        }
+    let mut engines = vec![EngineKind::EventDriven];
+    engines.extend([1usize, 2, 4, 7].map(EngineKind::parallel));
+    for engine in engines {
+        let label = format!("{engine:?}");
+        let r = run(grid_cfg(), engine);
+        assert_same_telemetry(&label, &reference, &r);
     }
 }
 
@@ -110,7 +105,7 @@ fn metrics_stream_is_bit_identical_across_engines_shards_and_barriers() {
 /// order, and every counter is cumulative (monotone along the stream).
 #[test]
 fn snapshots_land_on_epoch_boundaries_and_counters_are_cumulative() {
-    let r = run(grid_cfg(), EngineKind::EventDriven, BarrierKind::Spin);
+    let r = run(grid_cfg(), EngineKind::EventDriven);
     let m = r.metrics.as_ref().expect("telemetry on");
     let (cycles, _) = m.identity();
     for (i, &cycle) in cycles.iter().enumerate() {
@@ -148,7 +143,7 @@ fn snapshots_land_on_epoch_boundaries_and_counters_are_cumulative() {
 /// and only nodes that dropped something carry nonzero rows.
 #[test]
 fn node_drops_reconcile_with_the_aggregate() {
-    let r = run(grid_cfg(), EngineKind::CycleDriven, BarrierKind::Spin);
+    let r = run(grid_cfg(), EngineKind::CycleDriven);
     let total_flits: u64 = r.node_drops.iter().map(|d| d.total_flits()).sum();
     let total_packets: u64 = r.node_drops.iter().map(|d| d.total_packets()).sum();
     assert_eq!(total_flits, r.dropped_flits, "per-node flit drops");
@@ -170,7 +165,7 @@ fn node_drops_reconcile_with_the_aggregate() {
 /// sample count reconciles with the tagged sample size.
 #[test]
 fn flow_percentiles_are_ordered_and_reconcile() {
-    let r = run(grid_cfg(), EngineKind::EventDriven, BarrierKind::Spin);
+    let r = run(grid_cfg(), EngineKind::EventDriven);
     let flows = r.flow_stats.as_ref().expect("telemetry on");
     // One flow sample per *ejected* tagged packet: the fault plan drops
     // some tagged heads, and a dropped packet has no ejection tail.
