@@ -17,23 +17,10 @@
 //!
 //! # One engine loop
 //!
-//! Every [`EngineKind`] runs the same lockstep round over a partition of
-//! the routers into contiguous shards (see [`crate::shard`]); the kinds
-//! differ only in the schedule:
-//!
-//! * **cycle-driven** — one shard that ticks every router every cycle
-//!   and is never granted a fast-forward. The reference: obviously
-//!   correct, O(nodes) work per cycle no matter how idle the fabric is,
-//!   and the oracle the active set and the quiescence vote are checked
-//!   against.
-//! * **event-driven** — the default, and exactly `ParallelShards(1)`.
-//!   Routers are ticked only while non-quiescent (see
-//!   [`Router::is_quiescent`]) and are woken by flit arrival, and a run
-//!   fast-forwards over cycles in which nothing can happen. At the
-//!   sub-saturation loads that dominate a latency–throughput curve, most
-//!   routers are idle in most cycles, so this skips the bulk of the work.
-//! * **sharded-parallel** — the same round over `n` shards, one thread
-//!   each during a run.
+//! Every [`EngineKind`] is a schedule of the same lockstep round over a
+//! partition of the routers into contiguous shards (see
+//! [`crate::shard`]): the cycle-driven oracle and the event-driven
+//! default run one shard, the sharded kind one per thread.
 //!
 //! One driver runs the rounds. Its serial section runs on the calling
 //! thread while every worker is parked at the gate, and does, in order:
@@ -44,11 +31,8 @@
 //! worker; [`Network::step`] runs one round with every shard on the
 //! calling thread. Every engine feature is therefore wired once.
 //!
-//! The kinds produce **bit-identical** results (the argument is in
-//! [`crate::shard`]). The claim is enforced, not assumed:
-//! `tests/engine_equivalence.rs` runs the kinds over randomized
-//! configurations and asserts identical measurements, and
-//! `tests/golden_results.rs` pins exact results across commits.
+//! The kinds produce **bit-identical** results; [`crate::shard`] gives
+//! the argument and the tests that enforce it.
 
 use crate::channel_load::ChannelLoad;
 use crate::config::{ConfigError, EngineKind, NetworkConfig};
@@ -145,7 +129,7 @@ pub struct RunResult {
     pub dropped_flits: u64,
     /// Packets dropped by the fault layer (counted at the head flit).
     pub dropped_packets: u64,
-    /// Drop counters broken down by [`DropReason`].
+    /// Drop counters broken down by [`crate::fault::DropReason`].
     pub drops: DropStats,
     /// Ordered (src, dst) pairs unreachable under the kill epoch in
     /// force when the run ended (0 without permanent kills).
@@ -968,8 +952,8 @@ impl Committer<'_> {
     /// executed; take the quiescence vote; emit the telemetry boundary;
     /// take the rebalance decision (`executed_cycles` is the epoch
     /// clock); stop or cancel; grant a fast-forward, or release the next
-    /// cycle. Continues with the cycle the next round resumes at: `now`
-    /// to execute it, a later one to fast-forward to.
+    /// cycle. Continues with the cycle the next round resumes at: a
+    /// later one to fast-forward to, otherwise `now` executes.
     fn serial_section(
         &mut self,
         env: &ShardEnv<'_>,
@@ -1045,7 +1029,7 @@ impl Committer<'_> {
             self.meas.channel_load.tick_n(skipped);
             self.phases.fast_forwarded += skipped;
         }
-        ControlFlow::Continue(target.max(now))
+        ControlFlow::Continue(target)
     }
 
     fn commit(&mut self, now: u64, outs: &[Mutex<ShardOut>]) {

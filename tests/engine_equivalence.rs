@@ -399,30 +399,38 @@ fn sharded_runs_are_bit_identical_across_repeats() {
     }
 }
 
-/// The inline single-threaded `step()` path and the threaded `run()`
-/// path of the sharded engine are the same protocol; stepping manually
-/// must land on the same totals, with flit conservation holding at every
-/// cycle boundary (mailboxes are empty between cycles).
+/// `step()` and `run()` drive the same engine loop for every engine
+/// kind — one inline round per step against the threaded rounds of a
+/// run; stepping manually must land on the same totals, with flit
+/// conservation holding at every cycle boundary (mailboxes are empty
+/// between cycles).
 #[test]
 fn sharded_inline_step_matches_threaded_run() {
     let cfg = small(RouterKind::VirtualChannel {
         vcs: 2,
         buffers_per_vc: 4,
     })
-    .with_injection(0.2)
-    .with_engine(EngineKind::ParallelShards { shards: 3 });
-    let threaded = Network::new(cfg.clone()).run();
-    let mut net = Network::new(cfg);
-    while net.cycle() < threaded.cycles {
-        net.step();
-        if net.cycle().is_multiple_of(97) {
-            net.assert_flit_conservation();
+    .with_injection(0.2);
+    for engine in [
+        EngineKind::CycleDriven,
+        EngineKind::EventDriven,
+        EngineKind::parallel(1),
+        EngineKind::parallel(3),
+    ] {
+        let cfg = cfg.clone().with_engine(engine);
+        let threaded = Network::new(cfg.clone()).run();
+        let mut net = Network::new(cfg);
+        while net.cycle() < threaded.cycles {
+            net.step();
+            if net.cycle().is_multiple_of(97) {
+                net.assert_flit_conservation();
+            }
         }
+        net.assert_flit_conservation();
+        assert!(net.sample_complete(), "{engine}: same stopping point");
+        assert_eq!(net.flits_ejected(), threaded.flits_ejected, "{engine}");
+        assert_eq!(net.router_ticks(), threaded.work.router_ticks, "{engine}");
     }
-    net.assert_flit_conservation();
-    assert!(net.sample_complete(), "same stopping point");
-    assert_eq!(net.flits_ejected(), threaded.flits_ejected);
-    assert_eq!(net.router_ticks(), threaded.work.router_ticks);
 }
 
 /// Very low load forces long quiescent stretches between injections —

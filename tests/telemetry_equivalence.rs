@@ -5,11 +5,11 @@
 //! count, and thread schedule — with faults and live rebalancing in
 //! play.
 //!
-//! The serial engines emit each snapshot inside the step that reaches
-//! the epoch boundary; the sharded engine's gate leader assembles the
-//! same snapshot after the serial commit of that cycle, absorbing shard
-//! counters in fixed shard order. These tests are the proof that those
-//! two emission disciplines produce one stream.
+//! Every engine kind emits each snapshot from the serial section, right
+//! after the commit of the cycle that reaches the epoch boundary,
+//! absorbing shard counters in fixed shard order; the schedules differ
+//! in which cycles they execute, skip, or split across shards. These
+//! tests are the proof that every schedule produces one stream.
 
 use peh_dally::noc_network::config::EngineKind;
 use peh_dally::noc_network::{parse_faults, Network, NetworkConfig, RouterKind, RunResult};
@@ -92,13 +92,34 @@ fn metrics_stream_is_bit_identical_across_engines_shards_and_barriers() {
         "a faulted grid run must drop something"
     );
 
+    // The flits and credits on the wires are a gauge, but a level the
+    // simulation fixes: every schedule must count the same ones.
+    let pending = gauge(&reference, "wheel_pending");
+    assert!(
+        pending.iter().any(|&p| p > 0),
+        "the reference must have traffic on the wires"
+    );
+
     let mut engines = vec![EngineKind::EventDriven];
     engines.extend([1usize, 2, 4, 7].map(EngineKind::parallel));
     for engine in engines {
         let label = format!("{engine:?}");
         let r = run(grid_cfg(), engine);
         assert_same_telemetry(&label, &reference, &r);
+        assert_eq!(
+            gauge(&r, "wheel_pending"),
+            pending,
+            "{label}: wheel_pending gauge"
+        );
     }
+}
+
+/// One gauge's value at every snapshot of `r`'s stream.
+fn gauge(r: &RunResult, name: &str) -> Vec<u64> {
+    let m = r.metrics.as_ref().expect("telemetry on");
+    (0..m.len())
+        .map(|i| m.value(i, name).expect("named gauge"))
+        .collect()
 }
 
 /// The stream's shape: snapshots land exactly on epoch boundaries, in
