@@ -279,7 +279,9 @@ impl Lockstep {
 
     /// Rearms the registers for an era whose first round executes cycle
     /// `start`. The gate needs no reset: the previous era ended with a
-    /// release, and its workers have all returned.
+    /// release, and its workers have all returned. `Relaxed` suffices:
+    /// this runs before the era's workers are spawned, and spawning a
+    /// thread happens-before everything the thread does.
     pub(crate) fn restart(&self, start: u64) {
         self.stop.store(false, Ordering::Relaxed);
         self.skip_to.store(start, Ordering::Relaxed);
@@ -412,7 +414,7 @@ pub(crate) struct ShardAux {
     /// counted — no work can happen in them). Every shard executes the
     /// same cycles in lockstep, so this counter is identical across
     /// shards and partition-independent; rebalance epoch boundaries are
-    /// measured against it.
+    /// measured against it (and it counts only while metering is on).
     pub(crate) executed: u64,
     /// Cached earliest cycle at which one of this shard's sources can
     /// cross its injection threshold; valid until reached (a quiet
