@@ -40,10 +40,9 @@
 //! rows carry `faults`, `delivered_ratio`, `dropped_flits`/
 //! `dropped_packets` with a per-reason breakdown, and
 //! `unreachable_pairs`; every row (healthy or degraded) reports the
-//! latency percentiles `p50`/`p95`/`p99`, so the file shows the tail
-//! shift a degraded fabric causes next to the healthy baseline. A
-//! quantile past the histogram's range is written as `null` (`>5000` in
-//! the text table), never as 0.
+//! exact latency percentiles `p50`/`p95`/`p99`, so the file shows the
+//! tail shift a degraded fabric causes next to the healthy baseline. A
+//! quantile is `null` only when no tagged packet was delivered.
 //!
 //! `--metrics-out PATH` streams epoch-boundary metrics snapshots (one
 //! JSON object per line — the [`noc_network::JsonlTap`] format) from one
@@ -80,8 +79,8 @@
 
 use noc_network::config::EngineKind;
 use noc_network::{
-    parse_faults, DropReason, DropStats, FaultSpec, Histogram, JsonlTap, Mesh, Network,
-    NetworkConfig, Percentiles, PhaseNanos, RouterKind, RunResult, TrafficPattern,
+    parse_faults, DropReason, DropStats, FaultSpec, JsonlTap, Mesh, Network, NetworkConfig,
+    Percentiles, PhaseNanos, RouterKind, RunResult, TrafficPattern,
 };
 use repro_bench::meta;
 use runqueue::{run_tasks, CancelToken, Task};
@@ -99,53 +98,36 @@ struct Point {
     parallel: Option<ParallelPoint>,
     /// Latency percentiles of the (verified-identical) reference run,
     /// so degraded rows show their tail shift against the healthy ones.
-    tail: Tail,
+    pct: Percentiles,
     /// Source→destination flows that delivered tagged packets, and the
     /// worst flow's percentiles — from the telemetry-carrying
     /// verification run (worst = max by (p99, p95, p50)).
     flows: u64,
-    flow_p50: u64,
-    flow_p95: u64,
-    flow_p99: u64,
+    flow_pct: Percentiles,
     /// Fault accounting when this row ran under `--faults`.
     degraded: Option<Degraded>,
 }
 
-/// A row's p50/p95/p99 latency upper bounds. A quantile that fell past
-/// the histogram's range reads `None` and prints as clipped — JSON
-/// `null`, `>LIMIT` in the text table — never as a fake 0.
-struct Tail {
-    pct: Percentiles,
-    /// The histogram's range: a clipped quantile lies beyond it.
-    limit: u64,
+/// The `"{prefix}50": …, "{prefix}95": …, "{prefix}99": …` JSON fields:
+/// exact cycles, `null` only when no tagged packet was delivered.
+fn pct_json(prefix: &str, p: &Percentiles) -> String {
+    let v = |q: Option<u64>| q.map_or_else(|| "null".to_string(), |v| v.to_string());
+    format!(
+        "\"{prefix}50\": {}, \"{prefix}95\": {}, \"{prefix}99\": {}",
+        v(p.p50),
+        v(p.p95),
+        v(p.p99)
+    )
 }
 
-impl Tail {
-    fn of(h: &Histogram) -> Self {
-        Tail {
-            pct: h.percentiles(),
-            limit: h.limit(),
-        }
-    }
+/// `p50/p95/p99` for the text table.
+fn pct_text(p: &Percentiles) -> String {
+    [p.p50, p.p95, p.p99].map(cycles_text).join("/")
+}
 
-    fn quantiles(&self) -> [Option<u64>; 3] {
-        [self.pct.p50, self.pct.p95, self.pct.p99]
-    }
-
-    /// The `"p50": …, "p95": …, "p99": …` JSON fields.
-    fn json(&self) -> String {
-        let [p50, p95, p99] = self
-            .quantiles()
-            .map(|q| q.map_or_else(|| "null".to_string(), |v| v.to_string()));
-        format!("\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}")
-    }
-
-    /// `p50/p95/p99` for the text table.
-    fn text(&self) -> String {
-        self.quantiles()
-            .map(|q| q.map_or_else(|| format!(">{}", self.limit), |v| v.to_string()))
-            .join("/")
-    }
+/// A latency for the text table, `-` when nothing was measured.
+fn cycles_text(q: Option<u64>) -> String {
+    q.map_or_else(|| "-".to_string(), |v| v.to_string())
 }
 
 /// What the fault plan cost one degraded row, from the reference run
@@ -645,11 +627,13 @@ fn measure_point(
         phases,
         baseline_event_ms: baseline_event,
         parallel,
-        tail: Tail::of(&reference.histogram),
+        pct: reference.histogram.percentiles(),
         flows: reference.flow_stats.as_ref().map_or(0, |f| f.flows()),
-        flow_p50: worst.map_or(0, |(_, _, p)| p.p50),
-        flow_p95: worst.map_or(0, |(_, _, p)| p.p95),
-        flow_p99: worst.map_or(0, |(_, _, p)| p.p99),
+        flow_pct: Percentiles {
+            p50: worst.map(|(_, _, p)| p.p50),
+            p95: worst.map(|(_, _, p)| p.p95),
+            p99: worst.map(|(_, _, p)| p.p99),
+        },
         degraded: faulted.then_some(Degraded {
             delivered_ratio: reference.delivered_ratio,
             dropped_flits: reference.dropped_flits,
@@ -692,7 +676,7 @@ fn export_telemetry(opts: &Options, mesh: Mesh) {
         eprintln!(
             "bench-engines: {} epoch snapshot(s) -> {path} (worst flow p99: {} cycles)",
             r.metrics.as_ref().map_or(0, |m| m.len()),
-            worst.map_or(0, |(_, _, p)| p.p99),
+            cycles_text(worst.map(|(_, _, p)| p.p99)),
         );
     }
     if let Some(path) = &opts.trace_out {
@@ -1073,8 +1057,7 @@ fn main() {
                 "    {{\"offered_load\": {:.2}, \"pattern\": \"{}\", \
                  \"cycle_driven_ms\": {:.2}, \
                  \"event_driven_ms\": {:.2}, \"speedup\": {:.2}, \
-                 \"router_ticks_skipped_pct\": {:.1}, {}, \
-                 \"flows\": {}, \"flow_p50\": {}, \"flow_p95\": {}, \"flow_p99\": {}, \
+                 \"router_ticks_skipped_pct\": {:.1}, {}, \"flows\": {}, {}, \
                  \"phase_pct\": {{\"delivery\": {:.1}, \"sources\": {:.1}, \
                  \"router_tick\": {:.1}, \"stats\": {:.1}}}\
                  {degraded_fields}{baseline_fields}{parallel_fields}}}{comma}",
@@ -1084,11 +1067,9 @@ fn main() {
                 p.event_ms,
                 p.speedup,
                 p.ticks_skipped_pct,
-                p.tail.json(),
+                pct_json("p", &p.pct),
                 p.flows,
-                p.flow_p50,
-                p.flow_p95,
-                p.flow_p99,
+                pct_json("flow_p", &p.flow_pct),
                 ph.pct(ph.delivery),
                 ph.pct(ph.sources),
                 ph.pct(ph.router),
@@ -1118,8 +1099,9 @@ fn main() {
                 p.phases
             );
             println!(
-                "       flows: {} measured, worst p50/p95/p99 {}/{}/{} cycles",
-                p.flows, p.flow_p50, p.flow_p95, p.flow_p99
+                "       flows: {} measured, worst p50/p95/p99 {} cycles",
+                p.flows,
+                pct_text(&p.flow_pct)
             );
             if let Some(d) = &p.degraded {
                 println!(
@@ -1130,7 +1112,7 @@ fn main() {
                     d.dropped_flits,
                     d.dropped_packets,
                     d.unreachable_pairs,
-                    p.tail.text(),
+                    pct_text(&p.pct),
                 );
             }
             if let Some(pp) = &p.parallel {
@@ -1161,33 +1143,5 @@ fn main() {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Far past hotspot saturation, tagged packets wait at their sources
-    /// for longer than the histogram's 5000-cycle range: the tail is
-    /// clipped and must print as clipped, not as 0.
-    #[test]
-    fn clipped_tail_prints_as_null_not_zero() {
-        let cfg = NetworkConfig::mesh(4, RouterKind::Wormhole { buffers: 4 })
-            .with_pattern(TrafficPattern::Hotspot {
-                hotspot: 5,
-                hotness: 0.5,
-            })
-            .with_injection(0.6)
-            .with_warmup(100)
-            .with_sample(1_000)
-            .with_max_cycles(12_000);
-        let run = Network::new(cfg).run();
-        assert!(run.saturated, "the point must be past saturation");
-        assert!(run.histogram.overflow() > 0, "{}", run.histogram);
-        let tail = Tail::of(&run.histogram);
-        assert_eq!(tail.pct.p99, None);
-        assert!(tail.json().ends_with("\"p99\": null"), "{}", tail.json());
-        assert!(tail.text().ends_with("/>5000"), "{}", tail.text());
     }
 }

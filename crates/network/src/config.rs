@@ -434,8 +434,8 @@ pub struct RebalanceConfig {
 
 /// Epoch-streaming telemetry for every engine (see `sim.rs` for the
 /// wiring). Every `epoch` simulated cycles the engine snapshots its
-/// metrics registry into the run's taps and records per-flow latency
-/// samples as they complete. All counter inputs are pure functions of
+/// metrics registry into the run's taps, and the run ends by sorting
+/// its tagged-sample log per flow. All counter inputs are pure functions of
 /// simulation state and snapshots are assembled in fixed shard order,
 /// so the counter stream is bit-identical across engine kinds, shard
 /// counts, and thread schedules — and the knob itself never changes
@@ -696,7 +696,7 @@ pub struct NetworkConfig {
     /// partition.
     pub rebalance: Option<RebalanceConfig>,
     /// Epoch-streaming telemetry (see [`TelemetryConfig`]): metric
-    /// snapshots, per-flow latency percentiles, and — together with
+    /// snapshots, per-flow exact latency percentiles, and — together with
     /// `phase_timing` — span traces. `None` (the default) allocates no
     /// registry and costs nothing; `Some` never changes simulation
     /// results, it only observes them.
@@ -841,14 +841,14 @@ impl NetworkConfig {
     }
 
     /// Enables epoch-streaming telemetry: every `epoch` simulated
-    /// cycles the run snapshots its metrics registry, and tagged
-    /// packets feed per-flow latency percentiles
-    /// ([`crate::sim::RunResult::flow_stats`]). Results do not depend
-    /// on the knob (see [`TelemetryConfig`]); with `phase_timing` also
-    /// on, the run additionally collects a span trace
-    /// ([`crate::sim::RunResult::trace`]). The bound (`epoch >= 1`) is
-    /// checked by [`NetworkConfig::validate`] when the network is
-    /// built, so builder order never matters.
+    /// cycles the run snapshots its metrics registry, and at the end the
+    /// run's tagged-sample log is also sorted per flow into exact
+    /// latency percentiles ([`crate::sim::RunResult::flow_stats`]).
+    /// Results do not depend on the knob (see [`TelemetryConfig`]);
+    /// with `phase_timing` also on, the run additionally collects a
+    /// span trace ([`crate::sim::RunResult::trace`]). The bound
+    /// (`epoch >= 1`) is checked by [`NetworkConfig::validate`] when the
+    /// network is built, so builder order never matters.
     #[must_use]
     pub fn with_telemetry(mut self, epoch: u64) -> Self {
         self.telemetry = Some(TelemetryConfig { epoch });

@@ -3,7 +3,7 @@
 //! overlay.
 //!
 //! A [`crate::config::FaultSpec`] list on [`NetworkConfig`] compiles
-//! into a [`FaultModel`]: one [`LinkFault`] record per *directed* link
+//! into a [`FaultModel`]: one `LinkFault` record per *directed* link
 //! (including each node's ejection channel and its injection channel),
 //! a sorted schedule of permanent-kill cycles, and — only when kills
 //! exist — a reachability overlay per kill epoch. Everything here is a
@@ -17,7 +17,7 @@
 //! exactly once, when the *head* flit presents at the link: dead and
 //! flaky links consult the link state at that cycle, lossy links a
 //! seeded hash of the packet id. Body and tail flits then follow the
-//! head's recorded fate (a [`ClipSlot`] per (link, VC)) regardless of
+//! head's recorded fate (a `ClipSlot` per (link, VC)) regardless of
 //! later link state, so a packet is always dropped or delivered whole —
 //! no partial packets wedge downstream VC buffers. Dropped departures
 //! reclaim their upstream credit synchronously (the ejection link

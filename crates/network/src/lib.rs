@@ -31,7 +31,6 @@
 pub mod channel_load;
 pub mod config;
 pub mod fault;
-pub mod histogram;
 pub mod orchestrate;
 pub mod routing;
 pub mod shard;
@@ -49,18 +48,18 @@ pub use config::{
     RouterKind, RoutingAlgo, TelemetryConfig,
 };
 pub use fault::{DropReason, DropStats, FaultModel};
-pub use histogram::{Histogram, Percentiles};
 pub use orchestrate::NetworkRunner;
 pub use routing::RouteTable;
 // Batches cancel through the same token type the simulator polls.
 pub use runqueue::CancelToken;
 pub use sim::{Network, RunResult, CANCEL_BATCH};
 pub use stats::{LatencyStats, PhaseNanos};
+pub use sweep::{sweep, sweep_parallel, LoadPoint, SweepOptions};
 // The observability vocabulary the engines speak, re-exported so
 // downstream crates need no direct `telemetry` dependency.
-pub use sweep::{sweep, sweep_parallel, LoadPoint, SweepOptions};
 pub use telemetry::{
-    FlowPercentiles, FlowStats, JsonlTap, MemoryTap, MetricsLog, MetricsTap, TraceLog,
+    FlowPercentiles, FlowStats, JsonlTap, Latencies, MemoryTap, MetricsLog, MetricsTap,
+    Percentiles, TraceLog,
 };
 pub use topology::{Mesh, LOCAL_PORT};
 pub use traffic::TrafficPattern;

@@ -347,14 +347,23 @@ mod tests {
             direct.avg_latency.map(f64::to_bits)
         );
         assert_eq!(rec.cycles, direct.cycles);
-        assert_eq!(rec.p50, direct.histogram.percentiles().p50);
+        let pct = direct.histogram.percentiles();
+        assert_eq!((rec.p50, rec.p95, rec.p99), (pct.p50, pct.p95, pct.p99));
         let point = LoadPoint::from(direct);
         assert_eq!(rec.accepted.to_bits(), point.accepted.to_bits());
         assert_eq!(rec.saturated, point.saturated);
         // The runner switches telemetry on; the direct run above ran
         // with it off — bit-equal results are the neutrality proof.
+        // The flow tails need a direct run with telemetry on.
+        let traced = Network::new(cfg.clone().with_injection(0.3).with_telemetry(1024)).run();
+        let flows = traced.flow_stats.as_ref().expect("telemetry on");
+        let (_, _, worst) = flows.worst().expect("flows measured");
         assert!(rec.flows > 0, "tagged flows were attributed");
-        assert!(rec.flow_p99.expect("flows measured") > 0);
+        assert_eq!(rec.flows, flows.flows());
+        assert_eq!(
+            (rec.flow_p50, rec.flow_p95, rec.flow_p99),
+            (Some(worst.p50), Some(worst.p95), Some(worst.p99))
+        );
         assert!(rec.node_drops.is_empty(), "healthy run drops nothing");
     }
 

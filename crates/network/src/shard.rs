@@ -12,25 +12,25 @@
 //! 1. **Gate** — workers arrive and block; the coordinator waits for
 //!    them, then runs the serial section alone (see `crate::sim`): it
 //!    commits the previous cycle's measurement records **in fixed node
-//!    order** (sample tagging, then the floating-point latency /
-//!    histogram / channel-load accumulators — the only order-sensitive
-//!    state, which never leaves this section), emits the telemetry
-//!    boundary, takes the rebalance decision, evaluates the stop
-//!    condition, and decides whether the next cycles can be
-//!    **fast-forwarded**: every shard votes (via a `fetch_min` register)
-//!    the earliest future cycle at which it has any work — pending link
-//!    events, staged boundary mail, active routers, or a source about to
-//!    cross its injection threshold — and when the minimum lies beyond
-//!    the next cycle, the skipped cycles are provably no-ops for *every*
-//!    shard and are elided. The gate is a central sense-reversing spin
-//!    barrier ([`SpinBarrier`]) that spins briefly then yields; with one
+//!    order** (sample tagging, then the floating-point latency
+//!    accumulator, the tagged-sample log and the channel-load counters —
+//!    the only order-sensitive state, which never leaves this section),
+//!    emits the telemetry boundary, takes the rebalance decision,
+//!    evaluates the stop condition, and decides whether the next cycles
+//!    can be **fast-forwarded**: every shard votes (via a `fetch_min`
+//!    register) the earliest future cycle at which it has any work —
+//!    pending link events, staged boundary mail, active routers, or a
+//!    source about to cross its injection threshold — and when the
+//!    minimum lies beyond the next cycle, the skipped cycles are provably
+//!    no-ops for *every* shard and are elided. The gate is a central sense-reversing spin
+//!    barrier (`SpinBarrier`) that spins briefly then yields; with one
 //!    party it never blocks.
 //! 2. **Fused compute** (parallel, no internal barrier) — each shard:
 //!    schedules the boundary flits and credits other shards published
 //!    onto its own link wheel (each carries its absolute due cycle),
 //!    delivers the wheel's events due this cycle, steps its sources in
 //!    node order, and ticks its active routers in node order. A shard's
-//!    wheel holds exactly the [`LinkEvent`]s that target its own nodes:
+//!    wheel holds exactly the `LinkEvent`s that target its own nodes:
 //!    departures and credits bound for another shard are staged in
 //!    per-shard-pair mailboxes **at emission time**, stamped with the
 //!    cycle they are due (≥ the next cycle), so the receiver can schedule
@@ -53,7 +53,7 @@
 //! interact through links with ≥ 1 cycle of latency. Ticking only the
 //! active set elides provable no-ops: a quiescent router's tick changes
 //! no state (arbiter priorities move only on grants), and a credit needs
-//! no wake-up (see [`LinkEvent::deliver`]). Fast-forwarded cycles are
+//! no wake-up (see `LinkEvent::deliver`). Fast-forwarded cycles are
 //! cycles in which no shard would deliver, inject, or tick anything —
 //! sources advance their fractional accumulators by pure repeated
 //! addition ([`Source::fast_forward`]), exactly the operations the
@@ -80,14 +80,14 @@
 //! identical for every partition and thread schedule), folded into a
 //! per-node EWMA at the end of every `epoch` *executed* cycles. Each
 //! shard folds its own slice and publishes its shard total through
-//! [`Lockstep::shard_work`]; at the next gate the leader reads the
+//! `Lockstep::shard_work`; at the next gate the leader reads the
 //! totals and, when `work_max / work_mean` exceeds the configured
 //! threshold, recuts the partition along the EWMA curve
 //! ([`crate::topology::Mesh::weighted_shard_ranges_into`] — still
 //! contiguous and row-seam-snapped) and **migrates**: every wheel and
 //! the staged boundary mail are drained with their due cycles intact,
 //! and each event is re-homed onto the wheel of the shard that now owns
-//! its target node ([`ShardSet::rebalance`]). No new barrier is added —
+//! its target node (`ShardSet::rebalance`). No new barrier is added —
 //! the decision rides the existing gate, and the migration happens
 //! between *eras* of the engine loop, while no shard view exists.
 //! Because the meter, the epoch boundaries (counted in executed cycles,

@@ -6,7 +6,7 @@
 //!
 //! Every wire crossing — a flit switched onto a link or injected by a
 //! source, a credit returned for a freed buffer — is scheduled once, as a
-//! [`LinkEvent`] on a calendar wheel ([`EventWheel`]) at the cycle it is
+//! `LinkEvent` on a calendar wheel ([`EventWheel`]) at the cycle it is
 //! delivered: `now + 1 + link_delay` for flits, `now + 1 +
 //! credit_latency` for credits. The event already names its receiver
 //! (the downstream input, the upstream output, or the node's own source),
@@ -37,7 +37,6 @@
 use crate::channel_load::ChannelLoad;
 use crate::config::{ConfigError, EngineKind, NetworkConfig};
 use crate::fault::{ClipSlot, DropStats, FaultModel};
-use crate::histogram::Histogram;
 use crate::routing::RouteTable;
 use crate::shard::{
     lock_mailbox, worker_loop, Lockstep, PoisonGuard, RebalanceState, ShardAux, ShardCtx, ShardEnv,
@@ -51,7 +50,7 @@ use runqueue::CancelToken;
 use std::ops::ControlFlow;
 use std::sync::Mutex;
 use std::time::Instant;
-use telemetry::{FlowStats, MetricsLog, MetricsTap, TraceLog};
+use telemetry::{FlowStats, Latencies, MetricsLog, MetricsTap, TraceLog};
 
 /// How often a run polls its cancellation token, in cycles. Cooperative
 /// cancellation is checked at cycle-*batch* granularity: one relaxed
@@ -107,8 +106,17 @@ pub struct RunResult {
     pub accepted: f64,
     /// Total flits ejected over the whole run.
     pub flits_ejected: u64,
-    /// Latency distribution of the tagged sample (10-cycle buckets).
-    pub histogram: Histogram,
+    /// The tagged sample's latencies, sorted: exact nearest-rank
+    /// p50/p95/p99 through [`Latencies::percentiles`]. The field keeps
+    /// the name it had when it held a bucketed histogram, because the
+    /// readers of the public result (`runq` records and the benchmark)
+    /// reach the quantiles through it.
+    pub histogram: Latencies,
+    /// Tagged packets still in flight when the run stopped: created,
+    /// but neither ejected nor dropped. Nonzero only when the sample did
+    /// not drain (a saturated or cancelled run); the quantiles then
+    /// describe the packets that made it.
+    pub censored: u64,
     /// Router event counters summed over all nodes.
     pub router_stats: router_core::RouterStats,
     /// Work the engine performed (identical results, different effort —
@@ -141,9 +149,10 @@ pub struct RunResult {
     /// Per-node drop counters by reason, indexed by node id (always
     /// populated; all-zero on a healthy network).
     pub node_drops: Vec<DropStats>,
-    /// Per-(source → dest) latency accumulators of the tagged sample,
-    /// present when [`NetworkConfig::with_telemetry`] was set.
-    /// Bit-identical across engine kinds, shard counts, and schedules.
+    /// The tagged sample's latencies per (source → dest) flow, with
+    /// exact nearest-rank quantiles; present when
+    /// [`NetworkConfig::with_telemetry`] was set. Bit-identical across
+    /// engine kinds, shard counts, and schedules.
     pub flow_stats: Option<FlowStats>,
     /// The retained epoch-snapshot stream, present when telemetry was
     /// on. Its counter section ([`MetricsLog::identity`]) is
@@ -323,7 +332,13 @@ struct Measurement {
     tagged_created: u64,
     tagged_done: u64,
     latency: LatencyStats,
-    histogram: Histogram,
+    /// The tagged-sample log: `(src, dst, latency)` per ejected tagged
+    /// packet, in commit order. A run tags at most `sample_packets`
+    /// packets, so the log is reserved for that many at construction
+    /// and never reallocates; a sample too large to reserve (such as
+    /// `with_sample(u64::MAX)`) starts empty and grows.
+    /// [`Network::run`] sorts it into the exact tails.
+    sample_log: Vec<(u32, u32, u64)>,
     channel_load: ChannelLoad,
     flits_ejected: u64,
     measured_flits: u64,
@@ -370,10 +385,8 @@ impl Measurement {
         if (lo..hi).contains(&seq) {
             self.tagged_done += 1;
             self.latency.record(now - created);
-            self.histogram.record(now - created);
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.flows.record(packet_source(packet), dest, now - created);
-            }
+            self.sample_log
+                .push((packet_source(packet) as u32, dest as u32, now - created));
         }
     }
 
@@ -457,8 +470,12 @@ impl Network {
         // below the requested count).
         let telemetry = cfg.telemetry.map(|t| {
             let lanes = shards.ranges.len();
-            Box::new(TelemetryState::new(t.epoch, nodes, lanes, cfg.phase_timing))
+            Box::new(TelemetryState::new(t.epoch, lanes, cfg.phase_timing))
         });
+        // A sample too large to reserve leaves the log to grow instead.
+        let mut sample_log = Vec::new();
+        let _ =
+            sample_log.try_reserve_exact(usize::try_from(cfg.sample_packets).unwrap_or(usize::MAX));
         Ok(Network {
             cfg,
             routers,
@@ -473,7 +490,7 @@ impl Network {
                 tagged_created: 0,
                 tagged_done: 0,
                 latency: LatencyStats::new(),
-                histogram: Histogram::new(10, 500),
+                sample_log,
                 channel_load,
                 flits_ejected: 0,
                 measured_flits: 0,
@@ -742,9 +759,12 @@ impl Network {
             self.meas.flits_ejected as f64 / injected as f64
         };
         let node_drops = std::mem::take(&mut self.drops);
+        let log = std::mem::take(&mut self.meas.sample_log);
+        let histogram = Latencies::new(log.iter().map(|&(_, _, latency)| latency).collect());
         let (metrics, flow_stats, trace) = match self.meas.telemetry.take() {
             Some(t) => {
-                let (metrics, flows, trace) = t.into_parts();
+                let (metrics, trace) = t.into_parts();
+                let flows = FlowStats::new(self.cfg.mesh.nodes(), log);
                 (Some(metrics), Some(flows), trace)
             }
             None => (None, None, None),
@@ -757,7 +777,8 @@ impl Network {
             cycles: self.now,
             accepted: per_node_cycle / self.cfg.mesh.capacity_flits_per_node(),
             flits_ejected: self.meas.flits_ejected,
-            histogram: self.meas.histogram.clone(),
+            histogram,
+            censored: self.meas.tagged_created - self.meas.tagged_done,
             router_stats,
             work: EngineWork {
                 cycles: self.now,

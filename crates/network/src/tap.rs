@@ -6,7 +6,10 @@
 //! no registry exists and the hot paths execute no metric code beyond a
 //! branch on an `Option` (enforced by the counting-allocator tests).
 //! When on, every update is an integer store into preallocated slots,
-//! so the steady state stays allocation-free too.
+//! so the steady state stays allocation-free too. The per-flow
+//! latencies are not kept here: they come from the tagged-sample log
+//! every run keeps, sorted into a [`telemetry::FlowStats`] when a run
+//! with telemetry ends.
 //!
 //! The snapshot stream's **counter** section is part of the engine
 //! equivalence contract: it must be bit-identical across engine kinds,
@@ -23,9 +26,7 @@ use crate::fault::{DropReason, DropStats, DROP_REASONS};
 use crate::shard::ShardOut;
 use crate::stats::PhaseNanos;
 use std::fmt;
-use telemetry::{
-    FlowStats, MemoryTap, MetricId, MetricsLog, MetricsRegistry, MetricsTap, TraceLog,
-};
+use telemetry::{MemoryTap, MetricId, MetricsLog, MetricsRegistry, MetricsTap, TraceLog};
 
 /// Counter names for dropped flits, indexed by `DropReason as usize`
 /// (kept in sync with [`DropReason::label`] by a test below).
@@ -45,12 +46,6 @@ const DROP_PACKET_NAMES: [&str; DROP_REASONS] = [
     "dropped_packets_unreachable",
     "dropped_packets_stranded",
 ];
-
-/// Per-flow latency histogram shape: 64 buckets of 16 cycles each, so
-/// flow percentiles saturate at 1024 cycles (far beyond the saturation
-/// knee the sweeps care about).
-pub(crate) const FLOW_BUCKET_WIDTH: u64 = 16;
-pub(crate) const FLOW_BUCKETS: usize = 64;
 
 /// The fused phase span names, matching `ShardOut::span_nanos` order.
 const SHARD_PHASES: [&str; 3] = ["delivery", "sources", "router"];
@@ -123,8 +118,6 @@ pub(crate) struct TelemetryState {
     mem: MemoryTap,
     /// Optional user-supplied streaming tap (e.g. a `JsonlTap`).
     stream: Option<Box<dyn MetricsTap + Send>>,
-    /// Per-flow latency accumulators, fed from the tagged-sample tails.
-    pub(crate) flows: FlowStats,
     trace: Option<TraceState>,
 }
 
@@ -145,7 +138,7 @@ impl TelemetryState {
     /// Builds the full registry schema. `lanes` is the shard count (1
     /// for the serial kinds); `tracing` enables span accumulation and
     /// should mirror `phase_timing`.
-    pub(crate) fn new(epoch: u64, nodes: usize, lanes: usize, tracing: bool) -> Self {
+    pub(crate) fn new(epoch: u64, lanes: usize, tracing: bool) -> Self {
         let mut reg = MetricsRegistry::new();
         let ids = Ids {
             flits_injected: reg.counter("flits_injected"),
@@ -172,7 +165,6 @@ impl TelemetryState {
             ids,
             mem: MemoryTap::default(),
             stream: None,
-            flows: FlowStats::new(nodes, FLOW_BUCKET_WIDTH, FLOW_BUCKETS),
             trace: tracing.then(|| TraceState {
                 log: TraceLog::new(lanes),
                 cum: vec![[0; 3]; lanes],
@@ -248,10 +240,9 @@ impl TelemetryState {
     }
 
     /// Tears the state down into its result artifacts: the retained
-    /// snapshot log, the per-flow table, and the span log (when
-    /// tracing was on).
-    pub(crate) fn into_parts(self) -> (MetricsLog, FlowStats, Option<TraceLog>) {
-        (self.mem.log, self.flows, self.trace.map(|t| t.log))
+    /// snapshot log and the span log (when tracing was on).
+    pub(crate) fn into_parts(self) -> (MetricsLog, Option<TraceLog>) {
+        (self.mem.log, self.trace.map(|t| t.log))
     }
 }
 
@@ -275,7 +266,7 @@ mod tests {
 
     #[test]
     fn emit_advances_the_boundary_and_records_both_sections() {
-        let mut t = TelemetryState::new(64, 4, 1, false);
+        let mut t = TelemetryState::new(64, 1, false);
         assert_eq!(t.next, 64);
         let mut out = ShardOut {
             injected: 1,
@@ -293,7 +284,7 @@ mod tests {
         };
         t.emit(64, counts, &PhaseNanos::default());
         assert_eq!(t.next, 128);
-        let (log, flows, trace) = t.into_parts();
+        let (log, trace) = t.into_parts();
         assert_eq!(log.len(), 1);
         assert_eq!(log.value(0, "flits_injected"), Some(1));
         assert_eq!(log.value(0, "flits_ejected"), Some(7));
@@ -302,13 +293,12 @@ mod tests {
         assert_eq!(log.value(0, "unreachable_pairs"), Some(1));
         assert_eq!(log.value(0, "router_ticks"), Some(99));
         assert_eq!(log.value(0, "wheel_pending"), Some(5));
-        assert_eq!(flows.samples(), 0);
         assert!(trace.is_none());
     }
 
     #[test]
     fn shard_absorption_resets_the_out_and_feeds_lanes() {
-        let mut t = TelemetryState::new(32, 4, 2, true);
+        let mut t = TelemetryState::new(32, 2, true);
         let mut out = ShardOut {
             injected: 3,
             ticks: 10,
@@ -324,7 +314,7 @@ mod tests {
         assert_eq!(out.span_nanos, [0; 3]);
         assert_eq!(out.drop_stats, DropStats::default());
         t.emit(32, BoundaryCounts::default(), &PhaseNanos::default());
-        let (log, _, trace) = t.into_parts();
+        let (log, trace) = t.into_parts();
         assert_eq!(log.value(0, "flits_injected"), Some(3));
         assert_eq!(log.value(0, "router_ticks"), Some(10));
         assert_eq!(log.value(0, "mail_flits"), Some(2));

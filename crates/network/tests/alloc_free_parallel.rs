@@ -1,8 +1,11 @@
 //! Proof that the sharded-parallel engine's steady state is
 //! allocation-free: mailbox exchange, per-shard wheels, source stepping,
-//! and the serial measurement commit (tagging, latency, histogram,
-//! channel load) must all run out of retained buffers once capacities
-//! plateau.
+//! and the serial measurement commit (tagging, latency, the
+//! tagged-sample log, channel load) must all run out of retained
+//! buffers once capacities plateau. These drives never finish their
+//! sample (`with_sample(u64::MAX)`), so the log cannot be reserved up
+//! front and grows geometrically instead, which the min-over-windows
+//! discipline absorbs.
 //!
 //! The network is driven through the *inline* sharded step path — the
 //! same phase functions and mailbox exchange the threaded run executes,
@@ -155,9 +158,9 @@ fn sharded_rebalance_migration_is_allocation_free() {
         hotness: 0.6,
     })
     // Keep the hotspot below its ejection limit (16 * 0.06 * 0.6 ≈
-    // 0.58 flits/cycle): a saturated hotspot grows queueing latency
-    // without bound, and with it the latency histogram — which would
-    // read as a (real, but unrelated) allocating steady state.
+    // 0.58 flits/cycle): a saturated hotspot grows its source queues
+    // without bound — which would read as a (real, but unrelated)
+    // allocating steady state.
     .with_injection(0.06)
     .with_warmup(100)
     .with_sample(u64::MAX)
@@ -194,9 +197,8 @@ fn sharded_rebalance_migration_is_allocation_free() {
 }
 
 /// Telemetry must not break the steady-state guarantee: counter updates
-/// are integer adds into slots preallocated at construction, flow
-/// recording is three array stores into a fixed-size accumulator, and
-/// each epoch emission appends fixed-width rows to the in-memory log —
+/// are integer adds into slots preallocated at construction, and each
+/// epoch emission appends fixed-width rows to the in-memory log —
 /// whose *amortized* (geometric) growth the min-over-windows discipline
 /// absorbs. An allocating per-cycle, per-flit, or per-snapshot path
 /// would show up in every window.

@@ -22,7 +22,7 @@
 //! A steady-state [`Router::tick_into`] performs **zero heap
 //! allocation** and walks contiguous memory: every input VC buffers its
 //! flits in a ring window of the router's single [`FlitArena`] slab, all
-//! per-phase working sets live in a retained [`Scratch`] struct (and in
+//! per-phase working sets live in a retained `Scratch` struct (and in
 //! the allocators' own retained buffers), and trace capture is gated
 //! behind an `Option<Box<Trace>>` sink that costs one null test when
 //! disabled. The only allocations left are capacity growth of the

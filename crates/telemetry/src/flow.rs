@@ -1,139 +1,165 @@
-//! Per-flow latency accumulators.
+//! Exact latency quantiles of the tagged sample, for the whole run and
+//! per flow.
 //!
-//! A *flow* is one (source → destination) pair. [`FlowStats`] holds a
-//! slot-indexed table of `nodes × nodes` flows, each with a sample
-//! count, a latency sum, and a fixed-width latency histogram — all
-//! preallocated at construction, so recording a sample is three integer
-//! stores and never allocates.
+//! The engine logs one `(src, dst, latency)` sample per ejected tagged
+//! packet — at most the sample size, so the log is O(sample) on any
+//! topology — and sorts it once when the run ends. [`Latencies`] holds
+//! the run's sorted latencies, [`FlowStats`] the log sorted by *flow*
+//! (one source → destination pair). Both read their quantiles by one
+//! nearest-rank rule: the `q`-quantile of `n` samples is the sample at
+//! 1-based rank ⌈q·n⌉ in ascending order, an exact latency rather than
+//! a bucket bound, so no tail is ever clipped.
 
-/// p50/p95/p99 upper bucket bounds of one flow's latency distribution.
-///
-/// Values saturate at `bucket_width × buckets` (the top bucket is
-/// clamped rather than overflowed), so a percentile equal to
-/// [`FlowStats::latency_cap`] means "at or beyond the cap".
+use std::cmp::Reverse;
+
+/// p50/p95/p99 of the run's tagged sample: exact sample latencies in
+/// cycles, all `None` when no tagged packet was delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Percentiles {
+    /// Median, if measured.
+    pub p50: Option<u64>,
+    /// 95th percentile, if measured.
+    pub p95: Option<u64>,
+    /// 99th percentile, if measured.
+    pub p99: Option<u64>,
+}
+
+/// p50/p95/p99 of one flow's latencies: exact sample latencies in
+/// cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowPercentiles {
-    /// Median upper bound, cycles.
+    /// Median, cycles.
     pub p50: u64,
-    /// 95th-percentile upper bound, cycles.
+    /// 95th percentile, cycles.
     pub p95: u64,
-    /// 99th-percentile upper bound, cycles.
+    /// 99th percentile, cycles.
     pub p99: u64,
 }
 
-/// Slot-indexed per-flow latency table.
+/// The p50, p95 and p99 of `sorted`, ascending by `value`, at the
+/// nearest ranks ⌈q·n⌉; `None` when there are no samples.
+fn nearest_rank<T>(sorted: &[T], value: impl Fn(&T) -> u64) -> Option<[u64; 3]> {
+    let n = sorted.len() as f64;
+    let at = |q: f64| value(&sorted[(q * n).ceil() as usize - 1]);
+    (!sorted.is_empty()).then(|| [at(0.5), at(0.95), at(0.99)])
+}
+
+/// The tagged sample's latencies, in ascending order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Latencies {
+    sorted: Vec<u64>,
+}
+
+impl Latencies {
+    /// Sorts `latencies` (cycles).
+    #[must_use]
+    pub fn new(mut latencies: Vec<u64>) -> Self {
+        latencies.sort_unstable();
+        Latencies { sorted: latencies }
+    }
+
+    /// Number of samples.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.sorted.len()
+    }
+
+    /// Whether there are no samples.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.sorted.is_empty()
+    }
+
+    /// The exact nearest-rank p50/p95/p99.
+    #[must_use]
+    pub fn percentiles(&self) -> Percentiles {
+        let p = nearest_rank(&self.sorted, |&v| v);
+        Percentiles {
+            p50: p.map(|p| p[0]),
+            p95: p.map(|p| p[1]),
+            p99: p.map(|p| p[2]),
+        }
+    }
+}
+
+/// One logged sample: `(src, dst, latency in cycles)`.
+type Sample = (u32, u32, u64);
+
+/// The tagged sample's latencies per flow: the log sorted by
+/// `(src, dst, latency)`, so each flow's samples form one ascending run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowStats {
     nodes: u32,
-    bucket_width: u64,
-    buckets: u32,
-    /// Samples per flow, indexed `src * nodes + dst`.
-    count: Vec<u64>,
-    /// Latency sum per flow, same indexing.
-    sum: Vec<u64>,
-    /// Bucket counts, indexed `(src * nodes + dst) * buckets + bucket`.
-    hist: Vec<u32>,
+    samples: Vec<Sample>,
 }
 
 impl FlowStats {
-    /// A table for `nodes` endpoints with per-flow histograms of
-    /// `buckets` buckets of `bucket_width` cycles each.
+    /// Sorts a log of `(src, dst, latency)` samples between `nodes`
+    /// endpoints.
     ///
     /// # Panics
     ///
-    /// Panics on zero nodes, width, or buckets.
+    /// Panics on zero nodes.
     #[must_use]
-    pub fn new(nodes: usize, bucket_width: u64, buckets: usize) -> Self {
+    pub fn new(nodes: usize, mut samples: Vec<(u32, u32, u64)>) -> Self {
         assert!(nodes > 0, "need at least one node");
-        assert!(bucket_width > 0, "bucket width must be positive");
-        assert!(buckets > 0, "need at least one bucket");
+        samples.sort_unstable();
         FlowStats {
             nodes: nodes as u32,
-            bucket_width,
-            buckets: buckets as u32,
-            count: vec![0; nodes * nodes],
-            sum: vec![0; nodes * nodes],
-            hist: vec![0; nodes * nodes * buckets],
+            samples,
         }
     }
 
-    /// Endpoint count the table was sized for.
+    /// Endpoint count of the network the samples came from.
     #[must_use]
     pub fn nodes(&self) -> usize {
         self.nodes as usize
     }
 
-    /// The saturation bound: samples at or beyond
-    /// `bucket_width × buckets` land in the top (clamped) bucket, so no
-    /// percentile can exceed this value.
-    #[must_use]
-    pub fn latency_cap(&self) -> u64 {
-        self.bucket_width * u64::from(self.buckets)
+    /// The samples of the `src → dst` flow, ascending.
+    fn flow(&self, src: usize, dst: usize) -> &[Sample] {
+        let key = (src as u32, dst as u32);
+        let lo = self.samples.partition_point(|&(s, d, _)| (s, d) < key);
+        let len = self.samples[lo..].partition_point(|&(s, d, _)| (s, d) == key);
+        &self.samples[lo..lo + len]
     }
 
-    /// Records one sample for the `src → dst` flow.
-    #[inline]
-    pub fn record(&mut self, src: usize, dst: usize, latency: u64) {
-        let flow = src * self.nodes as usize + dst;
-        let bucket = ((latency / self.bucket_width) as usize).min(self.buckets as usize - 1);
-        self.count[flow] += 1;
-        self.sum[flow] += latency;
-        self.hist[flow * self.buckets as usize + bucket] += 1;
+    /// Every flow with samples, in ascending `(src, dst)` order.
+    fn each_flow(&self) -> impl Iterator<Item = &[Sample]> {
+        self.samples.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
     }
 
     /// Number of flows with at least one sample.
     #[must_use]
     pub fn flows(&self) -> u64 {
-        self.count.iter().filter(|&&c| c > 0).count() as u64
+        self.each_flow().count() as u64
     }
 
     /// Total samples across all flows.
     #[must_use]
     pub fn samples(&self) -> u64 {
-        self.count.iter().sum()
+        self.samples.len() as u64
     }
 
     /// Samples of one flow.
     #[must_use]
     pub fn flow_samples(&self, src: usize, dst: usize) -> u64 {
-        self.count[src * self.nodes as usize + dst]
+        self.flow(src, dst).len() as u64
     }
 
     /// Mean latency of one flow, if it has samples.
     #[must_use]
     pub fn mean(&self, src: usize, dst: usize) -> Option<f64> {
-        let flow = src * self.nodes as usize + dst;
-        (self.count[flow] > 0).then(|| self.sum[flow] as f64 / self.count[flow] as f64)
+        let flow = self.flow(src, dst);
+        let sum: u64 = flow.iter().map(|s| s.2).sum();
+        (!flow.is_empty()).then(|| sum as f64 / flow.len() as f64)
     }
 
-    /// p50/p95/p99 of one flow, if it has samples. Each is an upper
-    /// bucket bound (the same rule as the run-level `Histogram`:
-    /// smallest bound covering `ceil(q × samples)` samples), saturating
-    /// at [`FlowStats::latency_cap`].
+    /// The exact nearest-rank p50/p95/p99 of one flow, if it has
+    /// samples.
     #[must_use]
     pub fn percentiles(&self, src: usize, dst: usize) -> Option<FlowPercentiles> {
-        let flow = src * self.nodes as usize + dst;
-        let total = self.count[flow];
-        if total == 0 {
-            return None;
-        }
-        let row = &self.hist[flow * self.buckets as usize..(flow + 1) * self.buckets as usize];
-        let q = |q: f64| {
-            let rank = (q * total as f64).ceil() as u64;
-            let mut seen = 0u64;
-            for (i, &c) in row.iter().enumerate() {
-                seen += u64::from(c);
-                if seen >= rank {
-                    return (i as u64 + 1) * self.bucket_width;
-                }
-            }
-            self.latency_cap()
-        };
-        Some(FlowPercentiles {
-            p50: q(0.5),
-            p95: q(0.95),
-            p99: q(0.99),
-        })
+        flow_percentiles(self.flow(src, dst))
     }
 
     /// The worst flow: highest p99, ties broken by p95, then p50, then
@@ -141,23 +167,16 @@ impl FlowStats {
     /// deterministic. `None` if no flow has samples.
     #[must_use]
     pub fn worst(&self) -> Option<(u32, u32, FlowPercentiles)> {
-        let mut best: Option<(u32, u32, FlowPercentiles)> = None;
-        for src in 0..self.nodes as usize {
-            for dst in 0..self.nodes as usize {
-                let Some(p) = self.percentiles(src, dst) else {
-                    continue;
-                };
-                let worse = match &best {
-                    None => true,
-                    Some((_, _, b)) => (p.p99, p.p95, p.p50) > (b.p99, b.p95, b.p50),
-                };
-                if worse {
-                    best = Some((src as u32, dst as u32, p));
-                }
-            }
-        }
-        best
+        // `min_by_key` keeps the first of equal keys: among the flows
+        // with the highest percentiles, the lowest `(src, dst)`.
+        self.each_flow()
+            .filter_map(|f| Some((f[0].0, f[0].1, flow_percentiles(f)?)))
+            .min_by_key(|&(_, _, p)| Reverse((p.p99, p.p95, p.p50)))
     }
+}
+
+fn flow_percentiles(flow: &[Sample]) -> Option<FlowPercentiles> {
+    nearest_rank(flow, |s| s.2).map(|[p50, p95, p99]| FlowPercentiles { p50, p95, p99 })
 }
 
 #[cfg(test)]
@@ -166,15 +185,13 @@ mod tests {
 
     #[test]
     fn record_and_percentiles_match_histogram_rule() {
-        let mut f = FlowStats::new(4, 10, 100);
-        // 100 samples uniform over [0, 1000) on flow 1 -> 2.
-        for v in 0..100 {
-            f.record(1, 2, v * 10);
-        }
+        // 100 samples uniform over [0, 1000) on flow 1 -> 2, logged in
+        // descending order: the quantiles are exact samples.
+        let f = FlowStats::new(4, (0..100).rev().map(|v| (1, 2, v * 10)).collect());
         let p = f.percentiles(1, 2).unwrap();
-        assert_eq!(p.p50, 500);
-        assert_eq!(p.p95, 950);
-        assert_eq!(p.p99, 990);
+        assert_eq!(p.p50, 490);
+        assert_eq!(p.p95, 940);
+        assert_eq!(p.p99, 980);
         assert_eq!(f.flow_samples(1, 2), 100);
         assert_eq!(f.mean(1, 2), Some(495.0));
         assert_eq!(f.flows(), 1);
@@ -183,25 +200,18 @@ mod tests {
     }
 
     #[test]
-    fn samples_beyond_cap_saturate_in_the_top_bucket() {
-        let mut f = FlowStats::new(2, 10, 4); // cap = 40
-        assert_eq!(f.latency_cap(), 40);
-        f.record(0, 1, 1_000_000);
-        f.record(0, 1, 5);
-        let p = f.percentiles(0, 1).unwrap();
-        assert_eq!(p.p50, 10);
-        assert_eq!(p.p99, 40, "clamped, never beyond the cap");
-    }
-
-    #[test]
     fn worst_flow_is_deterministic_with_ties() {
-        let mut f = FlowStats::new(3, 10, 8);
-        f.record(0, 1, 15);
-        f.record(2, 0, 15); // identical distribution: tie
-        f.record(1, 2, 5); // strictly better
+        let f = FlowStats::new(
+            3,
+            vec![
+                (2, 0, 15), // identical distribution: tie
+                (0, 1, 15),
+                (1, 2, 5), // strictly better
+            ],
+        );
         let (src, dst, p) = f.worst().unwrap();
         assert_eq!((src, dst), (0, 1), "lowest (src, dst) wins the tie");
-        assert_eq!(p.p99, 20);
-        assert_eq!(FlowStats::new(3, 10, 8).worst(), None);
+        assert_eq!(p.p99, 15);
+        assert_eq!(FlowStats::new(3, Vec::new()).worst(), None);
     }
 }

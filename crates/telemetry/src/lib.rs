@@ -7,8 +7,9 @@
 //!   engine snapshots at deterministic epoch boundaries into a
 //!   [`MetricsTap`] ([`MemoryTap`] retains the stream in memory,
 //!   [`JsonlTap`] streams one JSON object per snapshot);
-//! - [`FlowStats`]: slot-indexed, allocation-free per-(source → dest)
-//!   latency accumulators with p50/p95/p99 queries;
+//! - [`Latencies`] and [`FlowStats`]: the tagged sample's latencies,
+//!   sorted once when the run ends, with exact nearest-rank p50/p95/p99
+//!   for the whole run and per (source → destination) flow;
 //! - a [`TraceLog`] of phase spans exportable as Chrome trace-event /
 //!   Perfetto JSON (see [`TraceLog::write_chrome_trace`]).
 //!
@@ -27,7 +28,7 @@ mod flow;
 mod progress;
 mod trace;
 
-pub use flow::{FlowPercentiles, FlowStats};
+pub use flow::{FlowPercentiles, FlowStats, Latencies, Percentiles};
 pub use progress::{Progress, ProgressMeter};
 pub use trace::{TraceLog, TraceSpan};
 

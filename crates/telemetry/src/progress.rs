@@ -78,7 +78,7 @@ impl ProgressMeter {
         self.reg.get(self.done)
     }
 
-    /// Windowed points/sec over the last [`WINDOW`] snapshots (the
+    /// Windowed points/sec over the last `WINDOW` snapshots (the
     /// whole stream while shorter), or 0 while under a millisecond of
     /// window has elapsed.
     #[must_use]

@@ -56,7 +56,13 @@ fn assert_equivalent(label: &str, cycle: &RunResult, event: &RunResult) {
         cycle.accepted,
         event.accepted
     );
-    assert_eq!(cycle.histogram, event.histogram, "{label}: histogram");
+    // Every tagged latency, sorted: the exact tails, and how many
+    // tagged packets the run stopped before seeing finish.
+    assert_eq!(
+        cycle.histogram, event.histogram,
+        "{label}: tagged latencies"
+    );
+    assert_eq!(cycle.censored, event.censored, "{label}: censored");
     assert_eq!(
         cycle.router_stats, event.router_stats,
         "{label}: router stats"

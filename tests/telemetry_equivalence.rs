@@ -1,6 +1,6 @@
 //! The telemetry layer rides the same bit-identity contract as the
 //! engines themselves: the epoch-streamed metrics snapshots (counter
-//! section), the per-flow latency accumulators, and the per-node drop
+//! section), the per-flow tagged-sample latencies, and the per-node drop
 //! attribution must be **bit-identical** across every engine kind, shard
 //! count, and thread schedule — with faults and live rebalancing in
 //! play.
@@ -61,6 +61,7 @@ fn assert_same_telemetry(label: &str, reference: &RunResult, r: &RunResult) {
         b.identity(),
         "{label}: snapshot stream (cycles × counters) diverged"
     );
+    // Every flow sample, compared as the sorted (src, dst, latency) log.
     assert_eq!(reference.flow_stats, r.flow_stats, "{label}: flow stats");
     assert_eq!(reference.node_drops, r.node_drops, "{label}: node drops");
     // The telemetry must also never perturb the run it observes.
