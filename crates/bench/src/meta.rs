@@ -1,15 +1,11 @@
-//! Shared metadata plumbing for the machine-written result files
-//! (`BENCH_*.json`, `runq` JSONL footers).
+//! Shared provenance plumbing for the machine-written result files
+//! (`runq` JSONL footers, perfbench's host descriptor).
 //!
-//! Every benchmark artifact in this repository records the same three
+//! Every result file in this repository records the same three
 //! provenance facts — when it was generated, the exact command that
 //! generated it, and the host's parallelism (so single-core numbers are
 //! recognizable as overhead measurements rather than scaling claims).
-//! This module is the single implementation `bench-engines` and the
-//! `runq` sink footer both use; it also hosts the minimal numeric-field
-//! scanner the binaries use to read those files back (the workspace is
-//! offline and vendors no JSON parser; the files are machine-written by
-//! these very binaries, so a field scan is reliable).
+//! This module is the single implementation of those facts.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -67,17 +63,6 @@ pub fn provenance_fields(bin: &str) -> String {
     )
 }
 
-/// Parses the number following `key` in `line`, if present.
-#[must_use]
-pub fn scan_field(line: &str, key: &str) -> Option<f64> {
-    let start = line.find(key)? + key.len();
-    let rest = line[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,8 +78,8 @@ mod tests {
 
     #[test]
     fn generator_line_names_the_binary() {
-        let line = generator_line("bench-engines");
-        assert!(line.starts_with("cargo run --release -p bench --bin bench-engines"));
+        let line = generator_line("runq");
+        assert!(line.starts_with("cargo run --release -p bench --bin runq"));
     }
 
     #[test]
@@ -104,14 +89,5 @@ mod tests {
         assert!(f.contains("--bin runq"));
         assert!(f.contains("\"host_parallelism\":"));
         assert!(host_parallelism() >= 1);
-    }
-
-    #[test]
-    fn scan_field_reads_machine_written_json() {
-        let line = "  {\"offered_load\": 0.30, \"event_driven_ms\": 12.5, \"n\": -3},";
-        assert_eq!(scan_field(line, "\"offered_load\":"), Some(0.3));
-        assert_eq!(scan_field(line, "\"event_driven_ms\":"), Some(12.5));
-        assert_eq!(scan_field(line, "\"n\":"), Some(-3.0));
-        assert_eq!(scan_field(line, "\"missing\":"), None);
     }
 }

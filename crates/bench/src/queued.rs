@@ -144,7 +144,6 @@ mod tests {
         let opts = SweepOptions {
             loads: scale.loads(),
             stop_at_saturation: true,
-            engine: None,
         };
         for (series, (label, cfg)) in fig.series.iter().zip(&configs) {
             assert_eq!(&series.label, label);

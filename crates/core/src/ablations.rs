@@ -28,7 +28,6 @@ fn measure(label: String, cfg: NetworkConfig, scale: SimScale) -> AblationRow {
             &SweepOptions {
                 loads: scale.loads(),
                 stop_at_saturation: true,
-                engine: None,
             },
         ),
     };

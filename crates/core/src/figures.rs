@@ -173,7 +173,6 @@ fn run_series(name: &str, configs: Vec<(String, NetworkConfig)>, scale: SimScale
     let opts = SweepOptions {
         loads: scale.loads(),
         stop_at_saturation: true,
-        engine: None,
     };
     let series = configs
         .into_iter()

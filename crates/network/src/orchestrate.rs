@@ -239,6 +239,7 @@ impl From<&PointRecord> for LoadPoint {
 mod tests {
     use super::*;
     use crate::config::EngineKind;
+    use crate::fault::{DropStats, DROP_REASONS};
 
     fn base() -> NetworkConfig {
         NetworkConfig::mesh(
@@ -365,6 +366,42 @@ mod tests {
             (Some(worst.p50), Some(worst.p95), Some(worst.p99))
         );
         assert!(rec.node_drops.is_empty(), "healthy run drops nothing");
+    }
+
+    #[test]
+    fn runner_records_name_every_node_that_dropped() {
+        let faults = crate::config::parse_faults("router:5:dead@200; link:6:0:flaky@64/16")
+            .expect("test spec");
+        let cfg = base().with_faults(faults);
+        let rec = NetworkRunner
+            .run_point(&cfg, cfg.seed, 0.2, &CancelToken::new())
+            .expect("not cancelled");
+        let direct = Network::new(cfg.clone().with_injection(0.2)).run();
+        let dropped: Vec<u32> = (0..direct.node_drops.len() as u32)
+            .filter(|&n| direct.node_drops[n as usize] != DropStats::default())
+            .collect();
+        assert!(!dropped.is_empty(), "the faulted run must drop");
+        let listed: Vec<u32> = rec.node_drops.iter().map(|d| d.node).collect();
+        assert_eq!(listed, dropped, "exactly the dropping nodes, ascending");
+        for row in &rec.node_drops {
+            let d = &direct.node_drops[row.node as usize];
+            assert_eq!(row.flits, d.flits, "node {} flits", row.node);
+            assert_eq!(row.packets, d.packets, "node {} packets", row.node);
+        }
+        for reason in 0..DROP_REASONS {
+            let flits: u64 = rec.node_drops.iter().map(|d| d.flits[reason]).sum();
+            let packets: u64 = rec.node_drops.iter().map(|d| d.packets[reason]).sum();
+            assert_eq!(flits, direct.drops.flits[reason], "reason {reason} flits");
+            assert_eq!(
+                packets, direct.drops.packets[reason],
+                "reason {reason} packets"
+            );
+        }
+        assert!(
+            direct.unreachable_pairs > 0,
+            "the dead router cuts pairs off"
+        );
+        assert_eq!(rec.unreachable_pairs, direct.unreachable_pairs);
     }
 
     #[test]

@@ -75,17 +75,6 @@ impl PhaseNanos {
         self.delivery + self.sources + self.router + self.stats + self.barrier
     }
 
-    /// The share of `part` in the total, in percent (0 when empty).
-    #[must_use]
-    pub fn pct(&self, part: u64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            part as f64 * 100.0 / total as f64
-        }
-    }
-
     /// Mean per-shard `work_max / work_mean` ratio over the metered
     /// rebalance epochs: 1.0 is perfect balance, 2.0 means the busiest
     /// shard carried twice the mean. 0.0 when no epoch was metered
@@ -97,40 +86,6 @@ impl PhaseNanos {
         } else {
             self.imbalance_milli_sum as f64 / 1000.0 / self.imbalance_epochs as f64
         }
-    }
-}
-
-impl fmt::Display for PhaseNanos {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "delivery {:.1}% | sources {:.1}% | router {:.1}% | stats {:.1}%",
-            self.pct(self.delivery),
-            self.pct(self.sources),
-            self.pct(self.router),
-            self.pct(self.stats)
-        )?;
-        if self.barrier > 0 {
-            write!(
-                f,
-                " | barrier {:.1}% ({} waits)",
-                self.pct(self.barrier),
-                self.barrier_waits
-            )?;
-        }
-        if self.fast_forwarded > 0 {
-            write!(f, " | {} cycles fast-forwarded", self.fast_forwarded)?;
-        }
-        if self.imbalance_epochs > 0 {
-            write!(
-                f,
-                " | work imbalance {:.2} ({} rebalances, {} nodes moved)",
-                self.work_imbalance(),
-                self.rebalances,
-                self.migrated_nodes
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -348,11 +303,6 @@ mod tests {
         p.imbalance_milli_sum = 1500 + 2500;
         p.imbalance_epochs = 2;
         assert!((p.work_imbalance() - 2.0).abs() < 1e-12);
-        p.rebalances = 1;
-        p.migrated_nodes = 16;
-        let s = p.to_string();
-        assert!(s.contains("work imbalance 2.00"), "{s}");
-        assert!(s.contains("1 rebalances"), "{s}");
     }
 
     #[test]

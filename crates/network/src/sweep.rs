@@ -1,6 +1,6 @@
 //! Load sweeps: latency–throughput curves and saturation points.
 
-use crate::config::{EngineKind, NetworkConfig};
+use crate::config::NetworkConfig;
 use crate::sim::{Network, RunResult};
 use runqueue::{run_tasks, CancelToken, Task};
 use std::fmt;
@@ -60,11 +60,6 @@ pub struct SweepOptions {
     /// Stop sweeping after the first saturated point (the rest of the
     /// curve is vertical anyway).
     pub stop_at_saturation: bool,
-    /// Overrides the base configuration's simulation engine for every
-    /// point, if set. Curves are engine-independent (see
-    /// [`EngineKind`]); this exists for work-accounting comparisons like
-    /// the differential harness and `bench-engines`.
-    pub engine: Option<EngineKind>,
 }
 
 impl Default for SweepOptions {
@@ -72,25 +67,6 @@ impl Default for SweepOptions {
         SweepOptions {
             loads: (1..=10).map(|i| f64::from(i) / 10.0).collect(),
             stop_at_saturation: true,
-            engine: None,
-        }
-    }
-}
-
-impl SweepOptions {
-    /// Forces every point of the sweep onto `engine`.
-    #[must_use]
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// The configuration for one point of the sweep.
-    fn point_config(&self, base: &NetworkConfig, load: f64) -> NetworkConfig {
-        let cfg = base.clone().with_injection(load);
-        match self.engine {
-            Some(engine) => cfg.with_engine(engine),
-            None => cfg,
         }
     }
 }
@@ -100,8 +76,7 @@ impl SweepOptions {
 pub fn sweep(base: &NetworkConfig, opts: &SweepOptions) -> Vec<LoadPoint> {
     let mut curve = Vec::new();
     for &load in &opts.loads {
-        let cfg = opts.point_config(base, load);
-        let point: LoadPoint = Network::new(cfg).run().into();
+        let point: LoadPoint = Network::new(base.clone().with_injection(load)).run().into();
         let stop = opts.stop_at_saturation && point.saturated;
         curve.push(point);
         if stop {
@@ -116,7 +91,8 @@ pub fn sweep(base: &NetworkConfig, opts: &SweepOptions) -> Vec<LoadPoint> {
 /// [`std::thread::available_parallelism`] (spawning one thread per load
 /// point oversubscribes the machine on large sweeps). Each point is a
 /// queue task whose *width* is the threads one run occupies — 1 for the
-/// serial engines, the shard count for [`EngineKind::ParallelShards`] —
+/// serial engines, the shard count for
+/// [`crate::config::EngineKind::ParallelShards`] —
 /// and the queue keeps the total width of concurrently running points
 /// within the budget, the `workers × shards ≤ cores` arithmetic this
 /// module used to approximate per-sweep (see [`runqueue::worker_budget`]
@@ -143,11 +119,7 @@ pub fn sweep_parallel(base: &NetworkConfig, opts: &SweepOptions) -> Vec<LoadPoin
     // Clamp by the node count: the engine clamps shards to the mesh, so
     // a `ParallelShards { shards: 1000 }` run on a 16-node mesh really
     // occupies 16 threads, and the budget must not over-reserve for it.
-    let threads_per_run = opts
-        .engine
-        .unwrap_or(base.engine)
-        .threads_per_run()
-        .min(base.mesh.nodes());
+    let threads_per_run = base.engine.threads_per_run().min(base.mesh.nodes());
     let tasks: Vec<Task<usize>> = (0..n)
         .map(|i| Task {
             item: i,
@@ -161,10 +133,7 @@ pub fn sweep_parallel(base: &NetworkConfig, opts: &SweepOptions) -> Vec<LoadPoin
         tasks,
         available,
         &CancelToken::new(),
-        |i, _| {
-            let cfg = opts.point_config(base, opts.loads[i]);
-            LoadPoint::from(Network::new(cfg).run())
-        },
+        |i, _| LoadPoint::from(Network::new(base.clone().with_injection(opts.loads[i])).run()),
         |_, _| {},
     );
     let points: Vec<LoadPoint> = slots
@@ -208,7 +177,7 @@ pub fn saturation_throughput(curve: &[LoadPoint], threshold: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RouterKind;
+    use crate::config::{EngineKind, RouterKind};
 
     fn base() -> NetworkConfig {
         NetworkConfig::mesh(
@@ -230,7 +199,6 @@ mod tests {
             &SweepOptions {
                 loads: vec![0.1, 0.5],
                 stop_at_saturation: true,
-                engine: None,
             },
         );
         assert!(curve.len() >= 2);
@@ -249,7 +217,6 @@ mod tests {
             &SweepOptions {
                 loads: vec![0.2, 3.0, 4.0],
                 stop_at_saturation: true,
-                engine: None,
             },
         );
         assert!(curve.len() <= 2, "must stop after the saturated point");
@@ -261,7 +228,6 @@ mod tests {
         let opts = SweepOptions {
             loads: vec![0.1, 0.3, 0.5],
             stop_at_saturation: false,
-            engine: None,
         };
         let seq = sweep(&base(), &opts);
         let par = sweep_parallel(&base(), &opts);
@@ -282,7 +248,6 @@ mod tests {
         let opts = SweepOptions {
             loads,
             stop_at_saturation: false,
-            engine: None,
         };
         let small = NetworkConfig::mesh(
             4,
@@ -313,7 +278,6 @@ mod tests {
         let opts = SweepOptions {
             loads: vec![0.1, 0.5, 0.3, 2.0, 0.2],
             stop_at_saturation: false,
-            engine: None,
         };
         let a = sweep_parallel(&base(), &opts);
         let b = sweep_parallel(&base(), &opts);
@@ -348,10 +312,10 @@ mod tests {
         let opts = SweepOptions {
             loads: vec![0.1, 0.3],
             stop_at_saturation: false,
-            engine: Some(EngineKind::ParallelShards { shards: 99 }),
         };
-        let seq = sweep(&base(), &opts);
-        let par = sweep_parallel(&base(), &opts);
+        let sharded = base().with_engine(EngineKind::ParallelShards { shards: 99 });
+        let seq = sweep(&sharded, &opts);
+        let par = sweep_parallel(&sharded, &opts);
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.latency.map(f64::to_bits), b.latency.map(f64::to_bits));
@@ -364,7 +328,6 @@ mod tests {
         let opts = SweepOptions {
             loads: Vec::new(),
             stop_at_saturation: true,
-            engine: None,
         };
         assert!(sweep_parallel(&base(), &opts).is_empty());
     }
@@ -374,7 +337,6 @@ mod tests {
         let opts = SweepOptions {
             loads: vec![0.2, 3.0, 4.0],
             stop_at_saturation: true,
-            engine: None,
         };
         let curve = sweep_parallel(&base(), &opts);
         assert!(curve.len() <= 2);

@@ -25,7 +25,6 @@ fn measure(kind: RouterKind, credit_prop: u64) -> (f64, f64) {
         &SweepOptions {
             loads: (1..=15).map(|i| f64::from(i) * 0.05).collect(),
             stop_at_saturation: true,
-            engine: None,
         },
     );
     let zero_load = curve

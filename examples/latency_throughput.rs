@@ -62,7 +62,6 @@ fn main() {
                 &SweepOptions {
                     loads: loads.clone(),
                     stop_at_saturation: true,
-                    engine: None,
                 },
             );
             let sat = saturation_throughput(&curve, 3.0);

@@ -295,7 +295,6 @@ fn sweeps_agree_and_event_engine_skips_work() {
     let opts = SweepOptions {
         loads: vec![0.05, 0.2, 0.5],
         stop_at_saturation: false,
-        engine: None,
     };
     let cycle_curve = sweep(&base.clone().with_engine(EngineKind::CycleDriven), &opts);
     let event_curve = sweep(&base.clone().with_engine(EngineKind::EventDriven), &opts);

@@ -23,7 +23,6 @@ fn measure(kind: RouterKind, single_cycle: bool, credit_prop: u64) -> Curve {
         &SweepOptions {
             loads: (1..=14).map(|i| f64::from(i) * 0.05).collect(),
             stop_at_saturation: true,
-            engine: None,
         },
     );
     let zero_load = points

@@ -12,7 +12,11 @@
 //! tests are the proof that every schedule produces one stream.
 
 use peh_dally::noc_network::config::EngineKind;
-use peh_dally::noc_network::{parse_faults, Network, NetworkConfig, RouterKind, RunResult};
+use peh_dally::noc_network::{
+    parse_faults, JsonlTap, Network, NetworkConfig, RouterKind, RunResult,
+};
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 /// The grid's telemetry epoch: short enough that even the quick sample
 /// run streams dozens of snapshots, so the identity assertion exercises
@@ -211,4 +215,82 @@ fn flow_percentiles_are_ordered_and_reconcile() {
             );
         }
     }
+}
+
+/// An in-memory sink a test keeps a handle to while the tap owns the
+/// other.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// What a run exports matches what it retained: a streaming tap writes
+/// one JSONL line per snapshot of `RunResult::metrics`, carrying that
+/// snapshot's cycle, epoch and counter values, and a 2-shard run's
+/// phase trace has one lane per shard and one Chrome trace event per
+/// span.
+#[test]
+fn streaming_tap_and_phase_trace_match_the_run() {
+    let cfg = grid_cfg()
+        .with_engine(EngineKind::parallel(2))
+        .with_phase_timing(true);
+    let buf = SharedBuf::default();
+    let mut net = Network::new(cfg);
+    net.set_metrics_tap(Box::new(JsonlTap::new(buf.clone())));
+    let r = net.run();
+
+    let log = r.metrics.as_ref().expect("telemetry on");
+    assert!(log.len() > 1, "the run must stream several snapshots");
+    let last = log.len() - 1;
+    assert!(
+        log.value(last, "dropped_flits_link_down").expect("counter") > 0,
+        "the flaky link must drop flits before the last snapshot"
+    );
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("UTF-8 stream");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), log.len(), "one JSONL line per snapshot");
+    for (i, line) in lines.iter().enumerate() {
+        let head = format!("{{\"cycle\": {}, \"epoch\": {i},", log.cycle(i));
+        assert!(line.starts_with(&head), "line {i} opens {head}: {line}");
+        let counters = log
+            .counter_names()
+            .iter()
+            .zip(log.counters(i))
+            .map(|(name, v)| format!("\"{name}\": {v}"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        assert!(
+            line.contains(&format!("\"counters\": {{{counters}}}")),
+            "line {i} carries the log's counters: {line}"
+        );
+    }
+
+    let trace = r.trace.as_ref().expect("telemetry and phase timing on");
+    assert!(!trace.is_empty(), "the run must record phase spans");
+    assert_eq!(trace.lanes(), 2, "one lane per shard");
+    for lane in 0..2 {
+        assert!(
+            trace.spans().iter().any(|span| span.lane == lane),
+            "lane {lane} records spans"
+        );
+    }
+    let mut chrome = Vec::new();
+    trace
+        .write_chrome_trace(&mut chrome)
+        .expect("in-memory write");
+    let chrome = String::from_utf8(chrome).expect("UTF-8 trace");
+    assert_eq!(
+        chrome.matches("\"ph\": \"X\"").count(),
+        trace.spans().len(),
+        "one complete event per span"
+    );
 }
