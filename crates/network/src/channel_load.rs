@@ -4,13 +4,17 @@
 //! reproduction) rests on the claim that, under uniform random traffic
 //! with dimension-ordered routing, the *center bisection channels* of a
 //! k-ary 2-mesh are the hottest and carry `k/4` flits per injected
-//! flit/node. This module counts flit traversals per directed channel so
-//! that claim can be verified empirically instead of assumed.
+//! flit/node. Every router counts the flits that leave through each of
+//! its output ports ([`Router::departures`]); this module reads those
+//! counts per directed channel so that claim can be verified
+//! empirically instead of assumed.
 
 use crate::topology::Mesh;
+use router_core::Router;
 use std::fmt;
 
-/// Flit counts per directed channel.
+/// Flit counts per directed channel, as [`crate::Network::channel_load`]
+/// reads them off the routers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelLoad {
     /// Ports per node, the row stride of `counts`.
@@ -21,33 +25,17 @@ pub struct ChannelLoad {
 }
 
 impl ChannelLoad {
-    /// A zeroed counter set for `mesh`.
-    #[must_use]
-    pub fn new(mesh: &Mesh) -> Self {
+    /// The departures `routers` have counted, each with `ports` output
+    /// ports, over a window of `cycles`.
+    pub(crate) fn from_routers(routers: &[Router], ports: usize, cycles: u64) -> Self {
         ChannelLoad {
-            ports: mesh.ports(),
-            counts: vec![0; mesh.nodes() * mesh.ports()].into_boxed_slice(),
-            cycles: 0,
+            ports,
+            counts: routers
+                .iter()
+                .flat_map(|r| (0..ports).map(|p| r.departures(p)))
+                .collect(),
+            cycles,
         }
-    }
-
-    /// Records a flit leaving `node` through `out_port`.
-    #[inline]
-    pub fn record(&mut self, node: usize, out_port: usize) {
-        debug_assert!(out_port < self.ports, "port {out_port} out of range");
-        self.counts[node * self.ports + out_port] += 1;
-    }
-
-    /// Advances the observation window by one cycle.
-    pub fn tick(&mut self) {
-        self.cycles += 1;
-    }
-
-    /// Advances the observation window by `n` cycles at once — used when
-    /// an engine fast-forwards a quiescent stretch (no flits crossed any
-    /// channel, so only the window length moves).
-    pub fn tick_n(&mut self, n: u64) {
-        self.cycles += n;
     }
 
     /// Cycles observed.
@@ -118,15 +106,23 @@ impl fmt::Display for ChannelLoad {
 mod tests {
     use super::*;
 
+    /// A load over `cycles` with one flit per `(node, out_port)` entry.
+    fn synthetic(mesh: &Mesh, cycles: u64, flits: &[(usize, usize)]) -> ChannelLoad {
+        let mut counts = vec![0; mesh.nodes() * mesh.ports()];
+        for &(node, port) in flits {
+            counts[node * mesh.ports() + port] += 1;
+        }
+        ChannelLoad {
+            ports: mesh.ports(),
+            counts: counts.into_boxed_slice(),
+            cycles,
+        }
+    }
+
     #[test]
     fn utilization_is_count_over_cycles() {
         let mesh = Mesh::new(4, 2);
-        let mut load = ChannelLoad::new(&mesh);
-        for _ in 0..10 {
-            load.tick();
-        }
-        load.record(0, 0);
-        load.record(0, 0);
+        let load = synthetic(&mesh, 10, &[(0, 0), (0, 0)]);
         assert_eq!(load.count(0, 0), 2);
         assert!((load.utilization(0, 0) - 0.2).abs() < 1e-12);
     }
@@ -134,11 +130,7 @@ mod tests {
     #[test]
     fn hottest_finds_the_maximum() {
         let mesh = Mesh::new(4, 2);
-        let mut load = ChannelLoad::new(&mesh);
-        load.tick();
-        load.record(3, 1);
-        load.record(3, 1);
-        load.record(5, 2);
+        let load = synthetic(&mesh, 1, &[(3, 1), (3, 1), (5, 2)]);
         let (node, port, u) = load.hottest(&mesh).unwrap();
         assert_eq!((node, port), (3, 1));
         assert!((u - 2.0).abs() < 1e-12);
@@ -147,17 +139,15 @@ mod tests {
     #[test]
     fn mean_ignores_unwired_edges() {
         let mesh = Mesh::new(2, 2);
-        let mut load = ChannelLoad::new(&mesh);
-        load.tick();
         // 2x2 mesh: each node has exactly 2 wired non-local ports.
-        load.record(0, 0);
+        let load = synthetic(&mesh, 1, &[(0, 0)]);
         assert!((load.mean_utilization(&mesh) - 1.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_cycles_zero_utilization() {
         let mesh = Mesh::new(4, 2);
-        let load = ChannelLoad::new(&mesh);
+        let load = synthetic(&mesh, 0, &[]);
         assert_eq!(load.utilization(0, 0), 0.0);
         assert_eq!(load.mean_utilization(&mesh), 0.0);
     }

@@ -11,20 +11,19 @@
 //!
 //! 1. **Gate** — workers arrive and block; the coordinator waits for
 //!    them, then runs the serial section alone (see `crate::sim`): it
-//!    commits the previous cycle's measurement records **in fixed node
-//!    order** (sample tagging, then the floating-point latency
-//!    accumulator, the tagged-sample log and the channel-load counters —
-//!    the only order-sensitive state, which never leaves this section),
-//!    emits the telemetry boundary, takes the rebalance decision,
-//!    evaluates the stop condition, and decides whether the next cycles
-//!    can be **fast-forwarded**: every shard votes (via a `fetch_min`
-//!    register) the earliest future cycle at which it has any work —
-//!    pending link events, staged boundary mail, active routers, or a
-//!    source about to cross its injection threshold — and when the
-//!    minimum lies beyond the next cycle, the skipped cycles are provably
-//!    no-ops for *every* shard and are elided. The gate is a central sense-reversing spin
-//!    barrier (`SpinBarrier`) that spins briefly then yields; with one
-//!    party it never blocks.
+//!    commits the previous cycle's order-sensitive records **in fixed
+//!    node order** (sample tagging, a global count in creation order,
+//!    and the tagged-sample log, filled in tail order — state that never
+//!    leaves this section), emits the telemetry boundary, takes the
+//!    rebalance decision, evaluates the stop condition, and decides
+//!    whether the next cycles can be **fast-forwarded**: every shard
+//!    votes (via a `fetch_min` register) the earliest future cycle at
+//!    which it has any work — pending link events, staged boundary mail,
+//!    active routers, or a source about to cross its injection threshold
+//!    — and when the minimum lies beyond the next cycle, the skipped
+//!    cycles are provably no-ops for *every* shard and are elided. The
+//!    gate is a central sense-reversing spin barrier (`SpinBarrier`) that
+//!    spins briefly then yields; with one party it never blocks.
 //! 2. **Fused compute** (parallel, no internal barrier) — each shard:
 //!    schedules the boundary flits and credits other shards published
 //!    onto its own link wheel (each carries its absolute due cycle),
@@ -35,9 +34,11 @@
 //!    per-shard-pair mailboxes **at emission time**, stamped with the
 //!    cycle they are due (≥ the next cycle), so the receiver can schedule
 //!    them whenever it next drains its mailboxes without any mid-cycle
-//!    exchange barrier. Tail ejections, channel-load events, and created
-//!    packet ids are recorded per shard in node order for the next
-//!    gate's serial commit.
+//!    exchange barrier. Created packet ids, tail ejections and dropped
+//!    heads are recorded per shard in node order for the next gate's
+//!    serial commit. Every commutative count stays where it happens:
+//!    routers count their departures (the channel load), and each shard
+//!    keeps running telemetry totals that the epoch boundary sums.
 //!
 //! [`crate::sim::Network::run`] runs shard 0 on the calling thread and
 //! every other shard on a scoped worker; [`crate::sim::Network::step`]
@@ -59,8 +60,9 @@
 //! addition ([`Source::fast_forward`]), exactly the operations the
 //! skipped steps would have performed, so even the floating-point state
 //! is identical. The only order-sensitive state — the global tagging
-//! counter and the floating-point latency accumulators — never leaves
-//! the serial commit. `tests/engine_equivalence.rs` enforces the claim
+//! counter and the tagged-sample log — never leaves the serial commit,
+//! and the latency statistics are folded over that log once the run
+//! ends. `tests/engine_equivalence.rs` enforces the claim
 //! against the cycle-driven oracle, and `tests/golden_results.rs` pins
 //! exact results across commits.
 //!
@@ -358,10 +360,11 @@ impl Mailboxes {
     }
 }
 
-/// What one shard reports to the serial commit each cycle. Every vector
-/// is filled in node order during the parallel phases and drained by the
-/// coordinating thread, so concatenating the shards in index order
-/// replays the one-shard schedule's exact event sequence.
+/// What one shard reports past the gate. The per-cycle records are
+/// filled in node order during the fused phase and drained by the
+/// serial commit, so concatenating the shards in index order replays the
+/// one-shard schedule's exact event sequence. The rest are running
+/// totals, never reset, that the telemetry boundary sums in shard order.
 #[derive(Debug, Default)]
 pub(crate) struct ShardOut {
     /// Packets created this cycle, in node order.
@@ -369,31 +372,28 @@ pub(crate) struct ShardOut {
     /// Tail-flit ejections this cycle, in node order: `(packet,
     /// creation cycle, destination node)`.
     pub tails: Vec<(PacketId, u64, u32)>,
-    /// Channel-load events this cycle: `(node, out_port)`.
-    pub loads: Vec<(u32, u8)>,
     /// Flits ejected this cycle.
     pub ejected: u64,
     /// Packets whose head the fault layer dropped this cycle, in node
     /// order — resolved against the tagged sample at the serial commit.
     pub drops: Vec<PacketId>,
-    /// Flits handed to the injection stage this cycle (pre-clip, so the
+    /// Flits handed to the injection stage so far (pre-clip, so the
     /// telemetry counter matches the sources' own accounting).
     pub injected: u64,
-    /// Router ticks executed this cycle (telemetry gauge delta).
+    /// Router ticks executed so far.
     pub ticks: u64,
-    /// Cross-shard flits staged into mailboxes this cycle.
+    /// Cross-shard flits staged into mailboxes so far.
     pub mail_flits: u64,
-    /// Cross-shard credits staged into mailboxes this cycle.
+    /// Cross-shard credits staged into mailboxes so far.
     pub mail_credits: u64,
-    /// Per-reason drop deltas this cycle, absorbed by the telemetry
-    /// registry at the serial commit (in fixed shard order).
+    /// Drops so far, by reason.
     pub drop_stats: DropStats,
-    /// Wall-clock nanoseconds this cycle spent in the fused phases
+    /// Wall-clock nanoseconds spent so far in the fused phases
     /// `[delivery, sources, router]` — stamped only when tracing is on.
     pub span_nanos: [u64; 3],
     /// Events on this shard's wheel as its last tick phase left them (a
-    /// level, not a delta: never reset). Mail the shard published is not
-    /// counted here — its receiver may already have scheduled it.
+    /// level, not a total). Mail the shard published is not counted
+    /// here — its receiver may already have scheduled it.
     pub wheel_pending: u64,
 }
 
@@ -408,8 +408,6 @@ pub(crate) struct ShardAux {
     pub tick_buf: TickOutput,
     /// Reused source step buffer.
     pub step_buf: SourceStep,
-    /// Router ticks executed by this shard (work accounting).
-    pub router_ticks: u64,
     /// Cycles this shard has *executed* (fast-forwarded cycles are not
     /// counted — no work can happen in them). Every shard executes the
     /// same cycles in lockstep, so this counter is identical across
@@ -435,7 +433,6 @@ impl ShardAux {
             wheel: EventWheel::with_slot_capacity(horizon, per_slot),
             tick_buf: TickOutput::default(),
             step_buf: SourceStep::default(),
-            router_ticks: 0,
             executed: 0,
             src_next: 0,
             busy: false,
@@ -611,7 +608,7 @@ impl ShardSet {
 
     /// Router ticks executed across all shards.
     pub(crate) fn router_ticks(&self) -> u64 {
-        self.aux.iter().map(|a| a.router_ticks).sum()
+        self.outs.iter().map(|o| lock_mailbox(o).ticks).sum()
     }
 
     /// Acts on a rebalance decision that fired after `executed` cycles:
@@ -763,11 +760,10 @@ impl ShardCtx<'_> {
     /// executed cycle: constant-rate accumulation must add `rate` exactly
     /// once per cycle), recording the created packet ids for the serial
     /// tagging commit.
-    pub(crate) fn phase_sources(&mut self, env: &ShardEnv<'_>, now: u64) {
+    pub(crate) fn phase_sources(&mut self, env: &ShardEnv<'_>, now: u64, out: &mut ShardOut) {
         let mesh = env.cfg.mesh;
         let local = mesh.local_port();
         let mut step = std::mem::take(&mut self.aux.step_buf);
-        let mut out = lock_mailbox(&env.outs[self.idx]);
         for i in 0..self.sources.len() {
             self.sources[i].step_into(now, &mesh, &env.cfg.pattern, &mut step);
             out.created.extend_from_slice(&step.created);
@@ -799,25 +795,22 @@ impl ShardCtx<'_> {
                 );
             }
         }
-        drop(out);
         self.aux.step_buf = step;
     }
 
     /// Phase 2: ticks this shard's active routers — every router under
-    /// `tick_all` — in node order (the ejection order feeds the latency
-    /// accumulator, whose floating-point state is order-sensitive), and
-    /// retires the ones left quiescent. Cross-shard departures and
-    /// credits are staged in the mailboxes at emission time (stamped with
-    /// their due cycle); ejections and channel-load events are recorded
-    /// for the serial commit.
-    pub(crate) fn phase_tick(&mut self, env: &ShardEnv<'_>, now: u64) {
+    /// `tick_all` — in node order (the ejection order fills the
+    /// tagged-sample log), and retires the ones left quiescent.
+    /// Cross-shard departures and credits are staged in the mailboxes at
+    /// emission time (stamped with their due cycle); ejections are
+    /// recorded for the serial commit.
+    pub(crate) fn phase_tick(&mut self, env: &ShardEnv<'_>, now: u64, out: &mut ShardOut) {
         let local = env.cfg.mesh.local_port();
         let metering = env.rebalance_epoch != 0;
         self.aux.busy = false;
         self.aux.sent_mail = false;
 
         let mut buf = std::mem::take(&mut self.aux.tick_buf);
-        let mut out = lock_mailbox(&env.outs[self.idx]);
         for i in 0..self.routers.len() {
             if !(env.tick_all || self.active[i]) {
                 continue;
@@ -829,28 +822,26 @@ impl ShardCtx<'_> {
                 fault: env.fault.map(|f| (f, f.epoch_at(now))),
             };
             self.routers[i].tick_into(now, &oracle, &mut buf);
-            self.aux.router_ticks += 1;
             out.ticks += 1;
             if metering {
                 self.work_epoch[i] += W_TICK + buf.departures.len() as u64;
             }
             for dep in buf.departures.drain(..) {
-                out.loads.push((node as u32, dep.out_port as u8));
                 if env.fault.is_some()
-                    && self.clip_departure(env, now, node, dep.out_port, &dep.flit, &mut out)
+                    && self.clip_departure(env, now, node, dep.out_port, &dep.flit, out)
                 {
                     continue;
                 }
                 if dep.out_port == local {
-                    self.eject(env, node, dep.flit, &mut out);
+                    self.eject(env, node, dep.flit, out);
                 } else {
                     let ev = LinkEvent::departure(env.route_table, node, dep.out_port, dep.flit);
-                    self.send(env, now + 1 + env.cfg.link_delay, ev, &mut out);
+                    self.send(env, now + 1 + env.cfg.link_delay, ev, out);
                 }
             }
             for c in buf.credits.drain(..) {
                 let ev = LinkEvent::credit(env.route_table, node, c.in_port, c.vc);
-                self.send(env, now + 1 + env.credit_latency, ev, &mut out);
+                self.send(env, now + 1 + env.credit_latency, ev, out);
             }
             if self.routers[i].is_quiescent() {
                 self.active[i] = false;
@@ -859,7 +850,6 @@ impl ShardCtx<'_> {
             }
         }
         out.wheel_pending = self.aux.wheel.pending() as u64;
-        drop(out);
         self.aux.tick_buf = buf;
 
         // Publish staged boundary mail for the owners' next begin phase.
@@ -946,37 +936,38 @@ impl ShardCtx<'_> {
         lockstep.shard_work[self.idx].store(total, Ordering::Release);
     }
 
-    /// Executes one full cycle (the fused compute phase), counts it
-    /// against the rebalance epoch, and votes. With phase timing on,
-    /// returns the wall-clock nanoseconds of `[delivery, sources,
-    /// router]` (all zero otherwise), which tracing also adds to this
-    /// shard's `ShardOut` for the leader's span log.
+    /// Executes one full cycle (the fused compute phase) under one lock
+    /// of this shard's `ShardOut`, counts it against the rebalance epoch,
+    /// and votes. With phase timing on, returns the wall-clock
+    /// nanoseconds of `[delivery, sources, router]` (all zero otherwise),
+    /// which tracing also adds to the `ShardOut` for the span log.
     pub(crate) fn run_cycle(
         &mut self,
         env: &ShardEnv<'_>,
         lockstep: &Lockstep,
         now: u64,
     ) -> [u64; 3] {
+        let mut out = lock_mailbox(&env.outs[self.idx]);
         let mut spans = [0; 3];
         if env.cfg.phase_timing {
             let t0 = Instant::now();
             self.phase_deliver(env, now);
             let t1 = Instant::now();
-            self.phase_sources(env, now);
+            self.phase_sources(env, now, &mut out);
             let t2 = Instant::now();
-            self.phase_tick(env, now);
+            self.phase_tick(env, now, &mut out);
             spans = [t1 - t0, t2 - t1, t2.elapsed()].map(|d| d.as_nanos() as u64);
             if env.trace {
-                let mut out = lock_mailbox(&env.outs[self.idx]);
                 for (slot, d) in out.span_nanos.iter_mut().zip(spans) {
                     *slot += d;
                 }
             }
         } else {
             self.phase_deliver(env, now);
-            self.phase_sources(env, now);
-            self.phase_tick(env, now);
+            self.phase_sources(env, now, &mut out);
+            self.phase_tick(env, now, &mut out);
         }
+        drop(out);
         self.end_cycle(env, lockstep);
         self.vote(lockstep, now);
         spans
@@ -1048,8 +1039,8 @@ impl ShardCtx<'_> {
 
     /// Consumes an ejected flit at its destination ("immediate
     /// ejection"): reassembly and conservation checks happen here; the
-    /// order-sensitive tagging/latency updates are
-    /// deferred to the serial commit via `out.tails`.
+    /// order-sensitive sample bookkeeping is deferred to the serial
+    /// commit via `out.tails`.
     fn eject(&mut self, env: &ShardEnv<'_>, node: usize, flit: Flit, out: &mut ShardOut) {
         assert_eq!(flit.dest, node, "flit ejected at the wrong node");
         out.ejected += 1;

@@ -331,22 +331,21 @@ struct Measurement {
     tagged_ranges: Vec<(u64, u64)>,
     tagged_created: u64,
     tagged_done: u64,
-    latency: LatencyStats,
-    /// The tagged-sample log: `(src, dst, latency)` per ejected tagged
-    /// packet, in commit order. A run tags at most `sample_packets`
-    /// packets, so the log is reserved for that many at construction
-    /// and never reallocates; a sample too large to reserve (such as
-    /// `with_sample(u64::MAX)`) starts empty and grows.
-    /// [`Network::run`] sorts it into the exact tails.
+    /// The tagged-sample log, the run's one latency record: `(src, dst,
+    /// latency)` per ejected tagged packet, in commit order. A run tags
+    /// at most `sample_packets` packets, so the log is reserved for that
+    /// many at construction and never reallocates; a sample too large to
+    /// reserve (such as `with_sample(u64::MAX)`) starts empty and grows.
+    /// [`Network::run`] derives the latency statistics and the exact
+    /// tails from it.
     sample_log: Vec<(u32, u32, u64)>,
-    channel_load: ChannelLoad,
     flits_ejected: u64,
     measured_flits: u64,
     measure_start: Option<u64>,
     /// Telemetry state, allocated only when
     /// [`NetworkConfig::with_telemetry`] is set. Lives inside
     /// `Measurement` because every mutation happens in the serial
-    /// section's commit.
+    /// section, at the epoch boundary.
     telemetry: Option<Box<TelemetryState>>,
 }
 
@@ -384,7 +383,6 @@ impl Measurement {
         let seq = packet_seq(packet);
         if (lo..hi).contains(&seq) {
             self.tagged_done += 1;
-            self.latency.record(now - created);
             self.sample_log
                 .push((packet_source(packet) as u32, dest as u32, now - created));
         }
@@ -457,7 +455,6 @@ impl Network {
         // Horizon: an event sent during cycle `t` arrives at
         // `t + 1 + latency`, so the wheel must reach that far ahead.
         let horizon = 1 + cfg.link_delay.max(credit_latency) + 1;
-        let channel_load = ChannelLoad::new(&cfg.mesh);
         let vcs = cfg.router.vcs();
         let (shards, rebalance) = match cfg.engine {
             EngineKind::ParallelShards { shards } => (shards, cfg.rebalance),
@@ -489,9 +486,7 @@ impl Network {
                 tagged_ranges: vec![(0, 0); nodes],
                 tagged_created: 0,
                 tagged_done: 0,
-                latency: LatencyStats::new(),
                 sample_log,
-                channel_load,
                 flits_ejected: 0,
                 measured_flits: 0,
                 measure_start: None,
@@ -520,10 +515,11 @@ impl Network {
         self.now
     }
 
-    /// Per-channel flit counts observed so far.
+    /// Per-channel flit counts observed so far, read off the routers'
+    /// departure counters, over a window of every cycle simulated.
     #[must_use]
-    pub fn channel_load(&self) -> &ChannelLoad {
-        &self.meas.channel_load
+    pub fn channel_load(&self) -> ChannelLoad {
+        ChannelLoad::from_routers(&self.routers, self.cfg.mesh.ports(), self.now)
     }
 
     /// Total source backlog in packets (diagnostic; grows without bound
@@ -760,6 +756,12 @@ impl Network {
         };
         let node_drops = std::mem::take(&mut self.drops);
         let log = std::mem::take(&mut self.meas.sample_log);
+        // Folded in commit order, which the floating-point statistics
+        // depend on, before the tails sort the log.
+        let mut stats = LatencyStats::new();
+        for &(_, _, latency) in &log {
+            stats.record(latency);
+        }
         let histogram = Latencies::new(log.iter().map(|&(_, _, latency)| latency).collect());
         let (metrics, flow_stats, trace) = match self.meas.telemetry.take() {
             Some(t) => {
@@ -771,8 +773,8 @@ impl Network {
         };
         RunResult {
             offered: self.cfg.injection_fraction,
-            avg_latency: self.meas.latency.mean(),
-            stats: self.meas.latency.clone(),
+            avg_latency: stats.mean(),
+            stats,
             saturated,
             cycles: self.now,
             accepted: per_node_cycle / self.cfg.mesh.capacity_flits_per_node(),
@@ -895,13 +897,12 @@ fn take_front<'a, T>(slice: &mut &'a mut [T], n: usize) -> &'a mut [T] {
 
 /// The serial section of one era: the global, order-sensitive state the
 /// calling thread alone touches while every worker is parked at the
-/// gate. Its commit drains every shard's per-cycle records **in shard
-/// (= node) order**, replaying exactly the one-shard schedule's
-/// within-cycle event sequence — tagging first (the source phase
-/// precedes every ejection), then the floating-point latency
-/// accumulators and channel-load counters. This is the only place
-/// per-shard state is merged, and it never depends on thread completion
-/// order.
+/// gate. Its commit drains only what is order-sensitive — the created
+/// ids it tags, the tails that feed the tagged-sample log, the dropped
+/// heads — plus one ejection sum, **in shard (= node) order**, which
+/// never depends on thread completion order. Every commutative count
+/// stays where it happens: routers count channel load, and shards keep
+/// the running totals the telemetry boundary reads.
 struct Committer<'a> {
     cfg: &'a NetworkConfig,
     meas: &'a mut Measurement,
@@ -1044,22 +1045,24 @@ impl Committer<'_> {
         self.executed = target <= now;
         if target > now {
             // Cycles [now, target) are provably no-ops for every shard.
-            // The only global per-cycle effect is the channel-load
-            // window.
-            let skipped = target - now;
-            self.meas.channel_load.tick_n(skipped);
-            self.phases.fast_forwarded += skipped;
+            self.phases.fast_forwarded += target - now;
         }
         ControlFlow::Continue(target)
     }
 
+    /// Commits the cycle `now` in one pass, one lock per shard: within
+    /// a shard the created ids, then the tails, then the drops. This
+    /// replays the one-shard schedule exactly, although a later shard
+    /// tags after an earlier one's tails: a packet created this cycle
+    /// cannot eject or be clipped at a link this cycle (every path has
+    /// ≥ 1 cycle of latency), one clipped at injection belongs to its
+    /// own source's shard, and a tagged range only grows past the
+    /// sequence numbers older tails hold. The ejection sum lands after
+    /// the loop, so a later shard's tagging still opens the measurement
+    /// window for the whole cycle.
     fn commit(&mut self, now: u64, outs: &[Mutex<ShardOut>]) {
         let measuring = now >= self.cfg.warmup_cycles;
-        // Tagging first: sources tag during the source phase, before any
-        // ejection of the same cycle is observed. (A packet created this
-        // cycle cannot eject this cycle — every path has ≥ 1 cycle of
-        // pipe latency — but the measure_start transition must see the
-        // source-phase state.)
+        let mut ejected = 0;
         for out in outs {
             let mut o = lock_mailbox(out);
             for id in o.created.drain(..) {
@@ -1067,41 +1070,24 @@ impl Committer<'_> {
                     self.meas.tag_created(id, now, self.cfg);
                 }
             }
-        }
-        // Then the ejection-side accumulators, in shard (= node) order.
-        for (lane, out) in outs.iter().enumerate() {
-            let mut o = lock_mailbox(out);
-            self.meas.flits_ejected += o.ejected;
-            if self.meas.measure_start.is_some() {
-                self.meas.measured_flits += o.ejected;
-            }
-            o.ejected = 0;
-            for (node, port) in o.loads.drain(..) {
-                self.meas.channel_load.record(node as usize, port as usize);
-            }
             for (packet, created, dest) in o.tails.drain(..) {
                 self.meas.record_tail(packet, created, now, dest as usize);
             }
-            // Dropped tagged packets resolve here, after tagging above
-            // (a packet clipped at injection the cycle it was created
-            // is tagged first). Only a counter — order against tails is
-            // immaterial.
             for packet in o.drops.drain(..) {
                 self.meas.record_dropped(packet);
             }
-            // Telemetry deltas fold in fixed shard order (without
-            // telemetry nothing reads them).
-            if let Some(t) = self.meas.telemetry.as_deref_mut() {
-                t.absorb_shard(lane, &mut o);
-            }
+            ejected += std::mem::take(&mut o.ejected);
         }
-        self.meas.channel_load.tick();
+        self.meas.flits_ejected += ejected;
+        if self.meas.measure_start.is_some() {
+            self.meas.measured_flits += ejected;
+        }
     }
 
     /// Emits the epoch snapshot if `cycle` — the first *uncommitted*
     /// cycle — is the telemetry boundary. Runs only in the serial
-    /// section, every worker parked, so the measurement and mailbox
-    /// state it reads are stable. This is the only emitter.
+    /// section, every worker parked, so the measurement, shard and
+    /// mailbox state it reads are stable. This is the only emitter.
     fn telemetry_boundary(&mut self, cycle: u64, env: &ShardEnv<'_>) {
         let Some(t) = self.meas.telemetry.as_deref_mut() else {
             return;
@@ -1109,19 +1095,14 @@ impl Committer<'_> {
         if cycle != t.next {
             return;
         }
-        // Every flit and credit in flight: each shard's wheel as its
-        // last tick left it, plus the mail staged at the gate — which
-        // its receiver has not scheduled yet (mail a receiver already
-        // scheduled is on that receiver's wheel).
-        let on_wheels: u64 = env.outs.iter().map(|o| lock_mailbox(o).wheel_pending).sum();
         let counts = BoundaryCounts {
             flits_ejected: self.meas.flits_ejected,
             tagged_created: self.meas.tagged_created,
             tagged_done: self.meas.tagged_done,
             unreachable_pairs: env.fault.map_or(0, |f| f.unreachable_pairs(cycle)),
-            wheel_pending: on_wheels + env.mail.staged(|_| true),
+            staged_mail: env.mail.staged(|_| true),
         };
-        t.emit(cycle, counts, self.phases);
+        t.emit(cycle, counts, self.phases, env.outs);
     }
 }
 

@@ -20,7 +20,7 @@ pub struct PhaseNanos {
     /// Router ticks, including departure forwarding and ejection.
     pub router: u64,
     /// The serial section at every gate: the node-order commit of
-    /// tagging, latency, and channel-load state, the telemetry boundary,
+    /// sample tagging and the tagged-sample log, the telemetry boundary,
     /// and the rebalance, stop and fast-forward decisions — for every
     /// engine kind.
     pub stats: u64,
@@ -190,32 +190,6 @@ impl LatencyStats {
     pub fn max(&self) -> Option<u64> {
         self.max
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
 }
 
 impl fmt::Display for LatencyStats {
@@ -256,36 +230,6 @@ mod tests {
         assert_eq!(s.min(), Some(10));
         assert_eq!(s.max(), Some(30));
         assert!((s.std_dev().unwrap() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_combined_stream() {
-        let mut a = LatencyStats::new();
-        let mut b = LatencyStats::new();
-        let mut all = LatencyStats::new();
-        for (i, x) in [5u64, 9, 13, 21, 2, 8].iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(*x);
-            } else {
-                b.record(*x);
-            }
-            all.record(*x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean().unwrap() - all.mean().unwrap()).abs() < 1e-9);
-        assert!((a.std_dev().unwrap() - all.std_dev().unwrap()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = LatencyStats::new();
-        a.record(7);
-        let before = a.clone();
-        a.merge(&LatencyStats::new());
-        assert_eq!(a, before);
     }
 
     #[test]

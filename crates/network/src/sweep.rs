@@ -95,8 +95,7 @@ pub fn sweep(base: &NetworkConfig, opts: &SweepOptions) -> Vec<LoadPoint> {
 /// [`crate::config::EngineKind::ParallelShards`] —
 /// and the queue keeps the total width of concurrently running points
 /// within the budget, the `workers × shards ≤ cores` arithmetic this
-/// module used to approximate per-sweep (see [`runqueue::worker_budget`]
-/// for the uniform-width closed form).
+/// module used to approximate per-sweep.
 ///
 /// Points are prioritized in *descending-load order*: the
 /// near-saturation points simulate the most cycles by far, so starting

@@ -13,19 +13,20 @@
 //!
 //! The snapshot stream's **counter** section is part of the engine
 //! equivalence contract: it must be bit-identical across engine kinds,
-//! shard counts, and thread schedules. That works
-//! because every counter is either maintained at a serially-ordered
-//! point (the serial section's commit, which drains shard outputs in
-//! fixed shard order) or recomputed at the boundary from state that is
-//! itself bit-identical (`Measurement` totals, the pure
-//! `FaultModel::unreachable_pairs` function). **Gauges** are
-//! engine-specific diagnostics — router ticks, mailbox traffic, barrier
-//! waits — and are excluded from the identity check by design.
+//! shard counts, and thread schedules. That works because every counter
+//! is read at the boundary from state that is itself bit-identical:
+//! `Measurement` totals, the pure `FaultModel::unreachable_pairs`
+//! function, and sums of the shards' running totals — integer sums, so
+//! the partition does not change them. Nothing is folded per cycle.
+//! **Gauges** are engine-specific diagnostics — router ticks, mailbox
+//! traffic, barrier waits — and are excluded from the identity check by
+//! design.
 
 use crate::fault::{DropReason, DropStats, DROP_REASONS};
-use crate::shard::ShardOut;
+use crate::shard::{lock_mailbox, ShardOut};
 use crate::stats::PhaseNanos;
 use std::fmt;
+use std::sync::Mutex;
 use telemetry::{MemoryTap, MetricId, MetricsLog, MetricsRegistry, MetricsTap, TraceLog};
 
 /// Counter names for dropped flits, indexed by `DropReason as usize`
@@ -75,16 +76,14 @@ struct Ids {
 /// `phase_timing` are on.
 struct TraceState {
     log: TraceLog,
-    /// Cumulative per-lane (= per-shard) phase nanos.
-    cum: Vec<[u64; 3]>,
-    /// The cumulative values at the previous epoch boundary.
+    /// Each lane's (= shard's) `ShardOut::span_nanos` at the previous
+    /// epoch boundary.
     last: Vec<[u64; 3]>,
 }
 
-/// The boundary-computed values the serial section hands to
-/// [`TelemetryState::emit`]: totals it reads off bit-identical
-/// measurement state at the epoch boundary rather than maintaining
-/// incrementally, plus the link-layer level.
+/// The values the serial section hands to [`TelemetryState::emit`]
+/// beside the shard outputs: totals it reads off bit-identical
+/// measurement state at the epoch boundary, plus the staged mail.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BoundaryCounts {
     /// Flits ejected so far (the `Measurement` total).
@@ -96,9 +95,10 @@ pub(crate) struct BoundaryCounts {
     /// Source→destination pairs currently unroutable under the fault
     /// plan (pure function of config and cycle).
     pub(crate) unreachable_pairs: u64,
-    /// Flits and credits in flight on the wires (the `wheel_pending`
-    /// gauge): every shard's wheel plus the staged boundary mail.
-    pub(crate) wheel_pending: u64,
+    /// Boundary mail staged at the gate, which its receiver has not
+    /// scheduled yet: with every shard's wheel level, the flits and
+    /// credits on the wires (the `wheel_pending` gauge).
+    pub(crate) staged_mail: u64,
 }
 
 /// All telemetry state of one run. Boxed inside `Measurement` so the
@@ -167,7 +167,6 @@ impl TelemetryState {
             stream: None,
             trace: tracing.then(|| TraceState {
                 log: TraceLog::new(lanes),
-                cum: vec![[0; 3]; lanes],
                 last: vec![[0; 3]; lanes],
             }),
         }
@@ -178,46 +177,53 @@ impl TelemetryState {
         self.stream = Some(tap);
     }
 
-    /// Folds one shard's per-cycle telemetry deltas into the registry
-    /// and resets them. Called by the serial commit for every shard in
-    /// fixed shard order, so the counter section stays deterministic.
-    pub(crate) fn absorb_shard(&mut self, lane: usize, out: &mut ShardOut) {
-        self.reg.add(self.ids.flits_injected, out.injected);
-        out.injected = 0;
-        self.reg.add(self.ids.router_ticks, out.ticks);
-        out.ticks = 0;
-        self.reg.add(self.ids.mail_flits, out.mail_flits);
-        out.mail_flits = 0;
-        self.reg.add(self.ids.mail_credits, out.mail_credits);
-        out.mail_credits = 0;
-        for r in DropReason::ALL {
-            let i = r as usize;
-            self.reg
-                .add(self.ids.drop_flits[i], out.drop_stats.flits[i]);
-            self.reg
-                .add(self.ids.drop_packets[i], out.drop_stats.packets[i]);
-        }
-        out.drop_stats = DropStats::default();
-        if let Some(tr) = self.trace.as_mut() {
-            for (slot, v) in tr.cum[lane].iter_mut().zip(out.span_nanos) {
-                *slot += v;
+    /// Emits the snapshot for boundary `cycle` (callers check
+    /// [`TelemetryState::next`] first): sums the shards' running totals
+    /// in shard order, refreshes every metric, records into the retained
+    /// log and the optional stream, pushes each lane's span growth since
+    /// the previous boundary, and advances the boundary.
+    pub(crate) fn emit(
+        &mut self,
+        cycle: u64,
+        counts: BoundaryCounts,
+        phases: &PhaseNanos,
+        outs: &[Mutex<ShardOut>],
+    ) {
+        debug_assert_eq!(cycle, self.next, "emit off the epoch boundary");
+        let (mut injected, mut ticks, mut mail_flits, mut mail_credits) = (0, 0, 0, 0);
+        let mut on_wheels = 0;
+        let mut drops = DropStats::default();
+        for (lane, out) in outs.iter().enumerate() {
+            let o = lock_mailbox(out);
+            injected += o.injected;
+            ticks += o.ticks;
+            mail_flits += o.mail_flits;
+            mail_credits += o.mail_credits;
+            on_wheels += o.wheel_pending;
+            drops.merge(&o.drop_stats);
+            if let Some(tr) = self.trace.as_mut() {
+                for (p, name) in SHARD_PHASES.iter().enumerate() {
+                    tr.log.push(lane, name, o.span_nanos[p] - tr.last[lane][p]);
+                }
+                tr.last[lane] = o.span_nanos;
             }
         }
-        out.span_nanos = [0; 3];
-    }
-
-    /// Emits the snapshot for boundary `cycle` (callers check
-    /// [`TelemetryState::next`] first): refreshes the boundary-computed
-    /// counters and the gauges, records into the retained log and the
-    /// optional stream, flushes phase spans, and advances the boundary.
-    pub(crate) fn emit(&mut self, cycle: u64, counts: BoundaryCounts, phases: &PhaseNanos) {
-        debug_assert_eq!(cycle, self.next, "emit off the epoch boundary");
+        self.reg.set(self.ids.flits_injected, injected);
         self.reg.set(self.ids.flits_ejected, counts.flits_ejected);
         self.reg.set(self.ids.tagged_created, counts.tagged_created);
         self.reg.set(self.ids.tagged_done, counts.tagged_done);
+        for r in DropReason::ALL {
+            let i = r as usize;
+            self.reg.set(self.ids.drop_flits[i], drops.flits[i]);
+            self.reg.set(self.ids.drop_packets[i], drops.packets[i]);
+        }
         self.reg
             .set(self.ids.unreachable_pairs, counts.unreachable_pairs);
-        self.reg.set(self.ids.wheel_pending, counts.wheel_pending);
+        self.reg.set(self.ids.router_ticks, ticks);
+        self.reg
+            .set(self.ids.wheel_pending, on_wheels + counts.staged_mail);
+        self.reg.set(self.ids.mail_flits, mail_flits);
+        self.reg.set(self.ids.mail_credits, mail_credits);
         self.reg.set(self.ids.fast_forwarded, phases.fast_forwarded);
         self.reg.set(self.ids.barrier_waits, phases.barrier_waits);
         self.reg.set(self.ids.rebalances, phases.rebalances);
@@ -226,14 +232,6 @@ impl TelemetryState {
         self.mem.record(&snap);
         if let Some(stream) = self.stream.as_mut() {
             stream.record(&snap);
-        }
-        if let Some(tr) = self.trace.as_mut() {
-            for lane in 0..tr.cum.len() {
-                for (p, name) in SHARD_PHASES.iter().enumerate() {
-                    tr.log.push(lane, name, tr.cum[lane][p] - tr.last[lane][p]);
-                }
-                tr.last[lane] = tr.cum[lane];
-            }
         }
         self.epochs += 1;
         self.next += self.epoch;
@@ -271,18 +269,18 @@ mod tests {
         let mut out = ShardOut {
             injected: 1,
             ticks: 99,
+            wheel_pending: 3,
             ..ShardOut::default()
         };
         out.drop_stats.count(DropReason::Lossy, true);
-        t.absorb_shard(0, &mut out);
         let counts = BoundaryCounts {
             flits_ejected: 7,
             tagged_created: 3,
             tagged_done: 2,
             unreachable_pairs: 1,
-            wheel_pending: 5,
+            staged_mail: 2,
         };
-        t.emit(64, counts, &PhaseNanos::default());
+        t.emit(64, counts, &PhaseNanos::default(), &[Mutex::new(out)]);
         assert_eq!(t.next, 128);
         let (log, trace) = t.into_parts();
         assert_eq!(log.len(), 1);
@@ -297,31 +295,66 @@ mod tests {
     }
 
     #[test]
-    fn shard_absorption_resets_the_out_and_feeds_lanes() {
+    fn boundaries_read_shard_sums_and_each_lane_span_growth() {
         let mut t = TelemetryState::new(32, 2, true);
-        let mut out = ShardOut {
-            injected: 3,
-            ticks: 10,
-            mail_flits: 2,
-            mail_credits: 1,
-            span_nanos: [100, 200, 300],
-            ..ShardOut::default()
-        };
-        out.drop_stats.flits[DropReason::LinkDown as usize] = 4;
-        t.absorb_shard(1, &mut out);
-        assert_eq!(out.injected, 0);
-        assert_eq!(out.ticks, 0);
-        assert_eq!(out.span_nanos, [0; 3]);
-        assert_eq!(out.drop_stats, DropStats::default());
-        t.emit(32, BoundaryCounts::default(), &PhaseNanos::default());
+        let outs = [
+            Mutex::new(ShardOut {
+                injected: 3,
+                ticks: 10,
+                mail_flits: 2,
+                mail_credits: 1,
+                span_nanos: [100, 200, 300],
+                ..ShardOut::default()
+            }),
+            Mutex::new(ShardOut {
+                injected: 4,
+                ticks: 5,
+                span_nanos: [10, 20, 30],
+                ..ShardOut::default()
+            }),
+        ];
+        lock_mailbox(&outs[0]).drop_stats.flits[DropReason::LinkDown as usize] = 4;
+        t.emit(32, BoundaryCounts::default(), &PhaseNanos::default(), &outs);
+        // The totals only grow; lane 1 spent no time this epoch.
+        {
+            let mut o = lock_mailbox(&outs[0]);
+            o.injected += 2;
+            o.ticks += 6;
+            o.mail_flits += 1;
+            o.span_nanos[2] += 50;
+        }
+        lock_mailbox(&outs[1]).drop_stats.flits[DropReason::LinkDown as usize] = 1;
+        t.emit(64, BoundaryCounts::default(), &PhaseNanos::default(), &outs);
         let (log, trace) = t.into_parts();
-        assert_eq!(log.value(0, "flits_injected"), Some(3));
-        assert_eq!(log.value(0, "router_ticks"), Some(10));
+        assert_eq!(log.value(0, "flits_injected"), Some(7));
+        assert_eq!(log.value(0, "router_ticks"), Some(15));
         assert_eq!(log.value(0, "mail_flits"), Some(2));
+        assert_eq!(log.value(0, "mail_credits"), Some(1));
         assert_eq!(log.value(0, "dropped_flits_link_down"), Some(4));
-        let spans = trace.unwrap();
-        // Only lane 1 accumulated nanos; three spans, one per phase.
-        assert_eq!(spans.spans().len(), 3);
-        assert!(spans.spans().iter().all(|s| s.lane == 1));
+        assert_eq!(log.value(1, "flits_injected"), Some(9));
+        assert_eq!(log.value(1, "router_ticks"), Some(21));
+        assert_eq!(log.value(1, "mail_flits"), Some(3));
+        assert_eq!(log.value(1, "mail_credits"), Some(1));
+        assert_eq!(log.value(1, "dropped_flits_link_down"), Some(5));
+        let spans: Vec<_> = trace
+            .unwrap()
+            .spans()
+            .iter()
+            .map(|s| (s.lane, s.name, s.dur_ns))
+            .collect();
+        // One span per phase per lane at the first boundary, then only
+        // the growth: zero-length spans are not pushed.
+        assert_eq!(
+            spans,
+            [
+                (0, "delivery", 100),
+                (0, "sources", 200),
+                (0, "router", 300),
+                (1, "delivery", 10),
+                (1, "sources", 20),
+                (1, "router", 30),
+                (0, "router", 50),
+            ]
+        );
     }
 }

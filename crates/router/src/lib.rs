@@ -59,4 +59,4 @@ pub use flit::{Flit, FlitKind, PacketFlits, PacketId};
 pub use link::EventWheel;
 pub use router::{CreditOut, Departure, Router, RoutingOracle, TickOutput};
 pub use stats::RouterStats;
-pub use trace::{PipelineEvent, Trace, TraceEntry, TraceSink};
+pub use trace::{PipelineEvent, Trace, TraceEntry};

@@ -93,6 +93,8 @@ pub struct OutputPort {
     /// Which input port holds this output (wormhole only).
     pub holder: Option<usize>,
     sink: bool,
+    /// Flits that have traversed the switch to this output.
+    pub(crate) departures: u64,
 }
 
 impl OutputPort {
@@ -116,6 +118,7 @@ impl OutputPort {
             free: arbitration::low_bits(vcs),
             holder: None,
             sink: false,
+            departures: 0,
         }
     }
 

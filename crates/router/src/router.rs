@@ -232,8 +232,8 @@ pub struct Router {
     pending_st: Vec<StEntry>,
     scratch: Scratch,
     stats: RouterStats,
-    /// Trace sink; `None` (the default) costs one null test per event
-    /// site — see [`crate::trace::TraceSink`].
+    /// Trace buffer; `None` (the default) costs one null test per event
+    /// site — see [`crate::trace`].
     trace: Option<Box<Trace>>,
     last_tick: Option<u64>,
     /// Flits currently buffered across all input VCs (wake accounting:
@@ -313,25 +313,11 @@ impl Router {
         self.trace.as_deref().unwrap_or(&crate::trace::DISABLED)
     }
 
-    /// Takes the recorded pipeline events, leaving tracing on.
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        self.trace
-            .as_deref_mut()
-            .map(Trace::take)
-            .unwrap_or_default()
-    }
-
-    /// Drains the recorded pipeline events into `sink` (in order), leaving
-    /// tracing on — the streaming-consumption counterpart of
-    /// [`Router::take_trace`] for custom [`crate::trace::TraceSink`]s.
-    /// Call it between ticks; the tick path itself records into the
-    /// router's own bounded buffer with no virtual dispatch.
-    pub fn drain_trace_into(&mut self, sink: &mut dyn crate::trace::TraceSink) {
-        if let Some(trace) = self.trace.as_deref_mut() {
-            for entry in trace.take() {
-                sink.record(entry);
-            }
-        }
+    /// Flits that have left through `out_port` so far, the ejection
+    /// port included: every departure passes one switch traversal.
+    #[must_use]
+    pub fn departures(&self, out_port: usize) -> u64 {
+        self.outputs[out_port].departures
     }
 
     #[inline]
@@ -601,6 +587,7 @@ impl Router {
         }
         self.stats.flits_switched += 1;
         self.stats.credits_sent += 1;
+        self.outputs[e.out_port].departures += 1;
         self.record(
             now,
             e.in_port,
@@ -1382,23 +1369,6 @@ mod tests {
         assert_eq!(out_every.credits, out_lazy.credits);
         assert_eq!(every.stats(), lazy.stats());
         assert_eq!(out_every.departures.len(), 4, "both packets delivered");
-    }
-
-    #[test]
-    fn drain_trace_into_streams_to_any_sink() {
-        let mut r = wired(RouterConfig::wormhole(5, 8), 8);
-        r.enable_trace(64);
-        r.accept_flit(0, Flit::head(PacketId::new(1), 9, 0, 0), 10);
-        let _ = run(&mut r, 10, 12, |_: &Flit| 2);
-        let mut sink: Vec<crate::trace::TraceEntry> = Vec::new();
-        r.drain_trace_into(&mut sink);
-        assert!(!sink.is_empty(), "traced events reach the sink");
-        assert!(r.trace().entries().is_empty(), "buffer drained");
-        // An untraced router has nothing to drain.
-        let before = sink.len();
-        let mut untraced = wired(RouterConfig::wormhole(5, 8), 8);
-        untraced.drain_trace_into(&mut sink);
-        assert_eq!(sink.len(), before);
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! traversal — letting tests pin the exact cycle-by-cycle pipeline
 //! behavior and users debug stalls.
 //!
-//! Capture is gated behind an explicit sink: a router holds
+//! Capture is gated behind an explicit buffer: a router holds
 //! `Option<Box<Trace>>`, `None` by default, so the hot tick path pays a
 //! single pointer-null test per *potential* event and never constructs a
-//! [`TraceEntry`] it would throw away. The [`TraceSink`] trait names the
-//! capture contract; [`Trace`] is its canonical bounded-buffer
-//! implementation.
+//! [`TraceEntry`] it would throw away. [`Trace`] is that bounded buffer;
+//! read it back through [`crate::router::Router::trace`].
 //!
 //! This is the *microarchitectural* trace — one entry per pipeline
 //! event inside one router. Run-level observability (named counter
@@ -23,23 +22,6 @@
 
 use crate::flit::PacketId;
 use std::fmt;
-
-/// Something that consumes pipeline events. [`Trace`] (the bounded
-/// in-memory buffer a traced router records into) implements it, as does
-/// a plain `Vec<TraceEntry>`; custom sinks can aggregate or stream
-/// instead. Drain a router's buffered events into any sink between
-/// ticks with [`crate::router::Router::drain_trace_into`] — the hot
-/// path itself never pays a virtual dispatch.
-pub trait TraceSink {
-    /// Consumes one event.
-    fn record(&mut self, entry: TraceEntry);
-}
-
-impl TraceSink for Vec<TraceEntry> {
-    fn record(&mut self, entry: TraceEntry) {
-        self.push(entry);
-    }
-}
 
 /// The disabled trace every untraced router exposes through
 /// [`crate::router::Router::trace`] — recording into it is a no-op.
@@ -175,11 +157,6 @@ impl Trace {
             .collect()
     }
 
-    /// Takes the recorded events, leaving the trace empty but enabled.
-    pub fn take(&mut self) -> Vec<TraceEntry> {
-        std::mem::take(&mut self.entries)
-    }
-
     /// Renders the trace as one line per event.
     #[must_use]
     pub fn render(&self) -> String {
@@ -189,12 +166,6 @@ impl Trace {
             out.push('\n');
         }
         out
-    }
-}
-
-impl TraceSink for Trace {
-    fn record(&mut self, entry: TraceEntry) {
-        Trace::record(self, entry);
     }
 }
 
@@ -239,16 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn take_empties_but_keeps_enabled() {
-        let mut t = Trace::enabled(10);
-        t.record(entry(1, PipelineEvent::Arrived));
-        let taken = t.take();
-        assert_eq!(taken.len(), 1);
-        assert!(t.entries().is_empty());
-        assert!(t.is_enabled());
-    }
-
-    #[test]
     fn of_packet_filters() {
         let mut t = Trace::enabled(10);
         t.record(entry(1, PipelineEvent::Arrived));
@@ -266,13 +227,6 @@ mod tests {
         assert!(s.contains("@4"));
         assert!(s.contains("SA(spec)"));
         assert_eq!(s.lines().count(), 1);
-    }
-
-    #[test]
-    fn trace_sink_trait_routes_to_the_buffer() {
-        let mut t = Trace::enabled(4);
-        TraceSink::record(&mut t, entry(1, PipelineEvent::Arrived));
-        assert_eq!(t.entries().len(), 1);
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn steady_state_ticks_are_allocation_free() {
         "specVC 7-port",
     );
 
-    // Counter sanity check (and the TraceSink gate's other half): the
+    // Counter sanity check (and the trace gate's other half): the
     // same traffic through a router with tracing *enabled* does record —
     // the zero measured above is a property of the default path, not of
     // a broken counter.

@@ -190,11 +190,11 @@ pub struct PointRecord {
     pub saturated: bool,
     /// Cycles simulated.
     pub cycles: u64,
-    /// Median latency (upper bucket bound), if measured.
+    /// Median latency (exact nearest-rank), if measured.
     pub p50: Option<u64>,
-    /// 95th-percentile latency (upper bucket bound), if measured.
+    /// 95th-percentile latency (exact nearest-rank), if measured.
     pub p95: Option<u64>,
-    /// 99th-percentile latency (upper bucket bound), if measured.
+    /// 99th-percentile latency (exact nearest-rank), if measured.
     pub p99: Option<u64>,
     /// Source→destination pairs the fault plan left unroutable at the
     /// end of the run (0 for a healthy network).
@@ -205,7 +205,7 @@ pub struct PointRecord {
     /// Distinct source→destination flows that delivered at least one
     /// tagged packet.
     pub flows: u64,
-    /// Worst flow's median latency (upper bucket bound), if measured.
+    /// Worst flow's median latency (exact nearest-rank), if measured.
     pub flow_p50: Option<u64>,
     /// Worst flow's 95th-percentile latency, if measured.
     pub flow_p95: Option<u64>,

@@ -40,5 +40,5 @@ pub use job::{
     derive_seed, run_batch, BatchOutcome, JobConfig, JobSpec, NodeDrops, PointKey, PointRecord,
     PointRunner,
 };
-pub use queue::{run_tasks, worker_budget, Task};
+pub use queue::{run_tasks, Task};
 pub use sink::{JsonlSink, MemorySink, ResultSink};

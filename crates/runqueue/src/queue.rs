@@ -23,18 +23,6 @@ pub struct Task<T> {
     pub priority: [f64; 2],
 }
 
-/// The classic per-sweep worker budget: with each run occupying
-/// `width` threads, a pool of `workers` single-run lanes satisfies
-/// `workers × width ≤ available` — while always granting at least one
-/// worker, and never more workers than tasks. The queue generalizes
-/// this arithmetic to mixed widths (free-core accounting in
-/// [`run_tasks`]); this function is kept as the closed form for the
-/// uniform-width case and for callers sizing their own pools.
-#[must_use]
-pub fn worker_budget(available: usize, tasks: usize, width: usize) -> usize {
-    (available / width.max(1)).max(1).min(tasks.max(1))
-}
-
 /// Scheduler state shared by the worker threads.
 struct Sched<T> {
     /// Unclaimed task indices, highest priority first.
@@ -320,22 +308,5 @@ mod tests {
             },
         );
         assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn worker_budget_caps_the_thread_product() {
-        assert_eq!(worker_budget(8, 10, 1), 8);
-        assert_eq!(worker_budget(8, 3, 1), 3);
-        assert_eq!(worker_budget(8, 10, 4), 2);
-        assert_eq!(worker_budget(8, 10, 3), 2);
-        assert_eq!(worker_budget(7, 10, 4), 1);
-        assert_eq!(worker_budget(4, 10, 16), 1);
-        assert_eq!(worker_budget(1, 1, 1), 1);
-        assert_eq!(worker_budget(8, 0, 0), 1);
-        for (avail, tasks, width) in [(8, 10, 4), (16, 5, 3), (2, 9, 2), (1, 4, 7)] {
-            let w = worker_budget(avail, tasks, width);
-            assert!(w * width.max(1) <= avail.max(width.max(1)), "budget blown");
-            assert!(w >= 1);
-        }
     }
 }

@@ -659,6 +659,74 @@ fn rebalanced_inline_step_matches_threaded_run() {
     );
 }
 
+/// Channel load is counted where it happens — by each router, at the
+/// switch traversal every departure passes — so no schedule can change
+/// it: the cycle-driven oracle, the event engine and every shard count
+/// read the same table over the same window, with live migration and
+/// fault clipping in the mix.
+#[test]
+fn channel_load_is_identical_across_engines_and_shards() {
+    use peh_dally::noc_network::parse_faults;
+    let base = small(RouterKind::VirtualChannel {
+        vcs: 2,
+        buffers_per_vc: 4,
+    });
+    let configs = [
+        ("healthy", base.clone().with_injection(0.2)),
+        (
+            "hotspot",
+            base.clone()
+                .with_injection(0.1)
+                .with_pattern(TrafficPattern::Hotspot {
+                    hotspot: 5,
+                    hotness: 0.6,
+                })
+                .with_rebalance(40, 1.05),
+        ),
+        (
+            "faulted",
+            base.with_injection(0.15).with_faults(
+                parse_faults("link:5:0:dead@150; link:9:2:flaky@40/10").expect("fault spec"),
+            ),
+        ),
+    ];
+    for (label, cfg) in configs {
+        let stepped = |engine: EngineKind| {
+            let mut net = Network::new(cfg.clone().with_engine(engine));
+            for _ in 0..1_500 {
+                net.step();
+            }
+            net
+        };
+        let oracle = stepped(EngineKind::CycleDriven);
+        let load = oracle.channel_load();
+        assert_eq!(load.cycles(), oracle.cycle(), "{label}: window");
+        if label == "healthy" {
+            // Every flit that leaves through a sink port is ejected.
+            let mesh = oracle.config().mesh;
+            let sunk: u64 = (0..mesh.nodes())
+                .map(|node| load.count(node, mesh.local_port()))
+                .sum();
+            assert_eq!(sunk, oracle.flits_ejected(), "{label}: sink ports");
+        }
+        for engine in [
+            EngineKind::EventDriven,
+            EngineKind::parallel(1),
+            EngineKind::parallel(2),
+            EngineKind::parallel(3),
+            EngineKind::parallel(4),
+            EngineKind::parallel(7),
+        ] {
+            let net = stepped(engine);
+            assert_eq!(net.channel_load(), load, "{label} {engine}");
+            assert_eq!(net.cycle(), oracle.cycle(), "{label} {engine}");
+            if label == "hotspot" && engine == EngineKind::parallel(3) {
+                assert!(net.rebalances() >= 1, "{label}: must migrate");
+            }
+        }
+    }
+}
+
 /// The faulted grid: every fault kind (permanent link kill, router
 /// kill, flaky duty-cycle, lossy, and a mixed plan) × both topologies ×
 /// shard counts {1, 2, 4}. Fault decisions are
