@@ -6,12 +6,12 @@
 //! into a [`FaultModel`]: one `LinkFault` record per *directed* link
 //! (including each node's ejection channel and its injection channel),
 //! a sorted schedule of permanent-kill cycles, and — only when kills
-//! exist — a reachability overlay per kill epoch. Everything here is a
-//! pure function of (configuration, seed, cycle, packet id): no clocks,
-//! no RNG state, no engine-visible ordering, which is what keeps
-//! faulted runs bit-identical across the cycle-driven, event-driven,
-//! and sharded engines for any shard count, thread schedule, and live
-//! rebalancing migration.
+//! exist — a reachability overlay for every kill epoch after the first.
+//! Everything here is a pure function of (configuration, seed, cycle,
+//! packet id): no clocks, no RNG state, no engine-visible ordering,
+//! which is what keeps faulted runs bit-identical across the
+//! cycle-driven, event-driven, and sharded engines for any shard count,
+//! thread schedule, and live rebalancing migration.
 //!
 //! **Drop semantics (clip-at-head).** A link decides a packet's fate
 //! exactly once, when the *head* flit presents at the link: dead and
@@ -26,17 +26,21 @@
 //! buffered + dropped`.
 //!
 //! **Routing overlay.** Permanent kills partition time into epochs (one
-//! per distinct kill cycle). Per epoch the overlay precomputes which
-//! (node, dest) pairs can still reach each other through the routing
-//! algorithm's own candidate sets with dead links masked out; the hot
-//! path then filters the base candidates against it. A filtered choice
-//! is always a subset of the healthy turn-model set, so deadlock
-//! freedom is inherited; a packet with no live candidate is routed to
-//! the local port and dropped there as [`DropReason::Stranded`], and a
-//! packet whose destination is unreachable at injection time is dropped
-//! at the source as [`DropReason::Unreachable`] — reported, never spun
-//! on. Flaky and lossy links deliberately do *not* affect routing: they
-//! model transient loss on a link that is still provisioned.
+//! per distinct kill cycle). Epoch 0 precedes the first kill, so every
+//! pair is reachable in it and it is never built: with `E` epochs and
+//! `N` nodes the overlay holds `(E − 1)·N²` bits. For each later epoch
+//! it precomputes which (node, dest) pairs can still reach each other
+//! through the routing algorithm's own candidate sets with dead links
+//! masked out, and counts that epoch's unreachable pairs while it
+//! builds; the hot path then filters the base candidates against it. A
+//! filtered choice is always a subset of the healthy turn-model set, so
+//! deadlock freedom is inherited; a packet with no live candidate is
+//! routed to the local port and dropped there as
+//! [`DropReason::Stranded`], and a packet whose destination is
+//! unreachable at injection time is dropped at the source as
+//! [`DropReason::Unreachable`] — reported, never spun on. Flaky and
+//! lossy links deliberately do *not* affect routing: they model
+//! transient loss on a link that is still provisioned.
 
 use crate::config::{FaultKind, FaultTarget, NetworkConfig};
 use crate::routing::{RouteTable, MAX_CANDIDATES};
@@ -279,11 +283,21 @@ pub struct FaultModel {
     overlay: Option<Overlay>,
 }
 
-/// Per-epoch reachability bits, laid out `(epoch * nodes + node) *
-/// nodes + dest`.
+/// Reachability bits for kill epochs `1..E`, laid out `((epoch - 1) *
+/// nodes + node) * nodes + dest`: `(E − 1)·N²` bits, since epoch 0,
+/// before the first kill, has every pair reachable and is implicit.
 #[derive(Debug)]
 struct Overlay {
     reach: Box<[u64]>,
+    /// Ordered (src, dst) pairs, `src != dst`, unreachable in each
+    /// epoch, counted while the bits are built (entry 0 is 0).
+    unreachable: Box<[u64]>,
+}
+
+impl Overlay {
+    fn get(&self, i: usize) -> bool {
+        self.reach[i / 64] >> (i % 64) & 1 == 1
+    }
 }
 
 impl FaultModel {
@@ -384,47 +398,43 @@ impl FaultModel {
         e > 0 && self.links[node * self.stride + port].dead_at <= self.kills[e - 1]
     }
 
+    /// Index of the overlay bit for (`node`, `dest`) in kill epoch
+    /// `epoch >= 1`.
+    fn bit(&self, epoch: usize, node: usize, dest: usize) -> usize {
+        ((epoch - 1) * self.nodes + node) * self.nodes + dest
+    }
+
     /// Whether packets at `node` can still reach `dest` through the
     /// routing algorithm's candidate sets in kill epoch `epoch`
     /// (including `dest`'s own ejection channel being alive). Always
-    /// true when the plan schedules no permanent kills.
+    /// true in epoch 0, before the first kill, and when the plan
+    /// schedules no permanent kills; a later epoch reads one of the
+    /// overlay's `(E − 1)·N²` bits.
     #[must_use]
     pub fn reachable(&self, epoch: usize, node: usize, dest: usize) -> bool {
         match &self.overlay {
-            None => true,
-            Some(ov) => {
-                let i = (epoch * self.nodes + node) * self.nodes + dest;
-                ov.reach[i / 64] >> (i % 64) & 1 == 1
-            }
+            Some(ov) if epoch > 0 => ov.get(self.bit(epoch, node, dest)),
+            _ => true,
         }
     }
 
     /// Ordered (src, dst) pairs (`src != dst`) whose destination is
-    /// unreachable in the epoch in force at `now`. 0 without kills.
+    /// unreachable in the epoch in force at `now`. 0 without kills and
+    /// before the first kill. Each epoch's count is taken once, when
+    /// the overlay is built, so this is one lookup.
     #[must_use]
     pub fn unreachable_pairs(&self, now: u64) -> u64 {
-        if self.overlay.is_none() {
-            return 0;
-        }
-        let e = self.epoch_at(now);
-        let mut count = 0;
-        for s in 0..self.nodes {
-            for d in 0..self.nodes {
-                if s != d && !self.reachable(e, s, d) {
-                    count += 1;
-                }
-            }
-        }
-        count
+        self.overlay
+            .as_ref()
+            .map_or(0, |ov| ov.unreachable[self.epoch_at(now)])
     }
 
     /// Fault-aware routing: the base candidate set filtered to live
     /// ports whose downstream node can still reach `dest` in `epoch`.
     /// With no live candidate the packet is routed to the local port —
     /// drained out of the network and dropped there as
-    /// [`DropReason::Stranded`]. With no kills in the plan (or in epoch
-    /// 0) the filter keeps every candidate in base order, so the choice
-    /// is bit-identical to [`RouteTable::route`].
+    /// [`DropReason::Stranded`]. With no kills in the plan, and in epoch
+    /// 0, this is [`RouteTable::route`] itself.
     #[must_use]
     pub fn route(
         &self,
@@ -434,7 +444,7 @@ impl FaultModel {
         dest: usize,
         selector: u64,
     ) -> usize {
-        if self.overlay.is_none() {
+        if epoch == 0 || self.overlay.is_none() {
             return table.route(node, dest, selector);
         }
         let mut cand = [0u8; MAX_CANDIDATES];
@@ -543,24 +553,63 @@ impl FaultModel {
         t
     }
 
-    /// The per-epoch reachability DP. For each destination, nodes are
-    /// visited in increasing topological distance: every base candidate
-    /// is a minimal (strictly distance-decreasing) move, even on a
-    /// torus, so each node's bit only depends on already-computed,
-    /// strictly closer neighbors. The base case is the destination's
-    /// own ejection channel — a dead router (which kills its ejection
-    /// link) makes every pair targeting it unreachable.
+    /// The reachability DP for kill epochs `1..E`, counting each
+    /// epoch's unreachable pairs as it goes. For each destination,
+    /// nodes are visited in increasing topological distance: every base
+    /// candidate is a minimal (strictly distance-decreasing) move, even
+    /// on a torus, so each node's bit only depends on already-computed,
+    /// strictly closer neighbors. The order is a counting sort of the
+    /// distances, summed per dimension from a `k × k` ring-distance
+    /// table over the route table's coordinate bytes. The base case is
+    /// the destination's own ejection channel — a dead router (which
+    /// kills its ejection link) makes every pair targeting it
+    /// unreachable.
     fn build_overlay(&self, mesh: &Mesh, table: &RouteTable) -> Overlay {
         let n = self.nodes;
         let epochs = self.epochs();
-        let mut reach = vec![0u64; (epochs * n * n).div_ceil(64)].into_boxed_slice();
-        let mut order: Vec<u32> = (0..n as u32).collect();
+        let k = mesh.radix();
+        // `ring[a * k + b]`: hops between coordinates `a` and `b` of one
+        // dimension, the shorter way round on a torus.
+        let ring: Vec<usize> = (0..k * k)
+            .map(|i| {
+                let direct = (i / k).abs_diff(i % k);
+                if mesh.is_torus() {
+                    direct.min(k - direct)
+                } else {
+                    direct
+                }
+            })
+            .collect();
+        let max_dist = mesh.dims() * ring.iter().max().copied().unwrap_or(0);
+        let mut ov = Overlay {
+            reach: vec![0u64; ((epochs - 1) * n * n).div_ceil(64)].into_boxed_slice(),
+            unreachable: vec![0u64; epochs].into_boxed_slice(),
+        };
+        let mut dist = vec![0usize; n];
+        let mut start = vec![0usize; max_dist + 2];
+        let mut order = vec![0usize; n];
         let mut cand = [0u8; MAX_CANDIDATES];
         for d in 0..n {
-            order.sort_unstable_by_key(|&s| mesh.distance(s as usize, d));
-            for e in 0..epochs {
-                for &su in &order {
-                    let s = su as usize;
+            let dc = table.coords(d);
+            start.fill(0);
+            for (s, ds) in dist.iter_mut().enumerate() {
+                *ds = table
+                    .coords(s)
+                    .iter()
+                    .zip(dc)
+                    .map(|(&a, &b)| ring[a as usize * k + b as usize])
+                    .sum();
+                start[*ds + 1] += 1;
+            }
+            for r in 1..start.len() {
+                start[r] += start[r - 1];
+            }
+            for (s, &ds) in dist.iter().enumerate() {
+                order[start[ds]] = s;
+                start[ds] += 1;
+            }
+            for e in 1..epochs {
+                for &s in &order {
                     let ok = if s == d {
                         !self.dead_in_epoch(e, d, self.local)
                     } else {
@@ -569,20 +618,21 @@ impl FaultModel {
                             let p = pc as usize;
                             debug_assert_ne!(p, self.local, "non-local pair routed local");
                             !self.dead_in_epoch(e, s, p)
-                                && table.neighbor(s, p).is_some_and(|nb| {
-                                    let i = (e * n + nb) * n + d;
-                                    reach[i / 64] >> (i % 64) & 1 == 1
-                                })
+                                && table
+                                    .neighbor(s, p)
+                                    .is_some_and(|nb| ov.get(self.bit(e, nb, d)))
                         })
                     };
                     if ok {
-                        let i = (e * n + s) * n + d;
-                        reach[i / 64] |= 1 << (i % 64);
+                        let i = self.bit(e, s, d);
+                        ov.reach[i / 64] |= 1 << (i % 64);
+                    } else if s != d {
+                        ov.unreachable[e] += 1;
                     }
                 }
             }
         }
-        Overlay { reach }
+        ov
     }
 }
 

@@ -393,6 +393,12 @@ impl RouteTable {
         (nb != u32::MAX).then_some(nb as usize)
     }
 
+    /// `node`'s coordinates, one byte per dimension.
+    #[inline]
+    pub(crate) fn coords(&self, node: usize) -> &[u8] {
+        &self.coords[node * self.dims..(node + 1) * self.dims]
+    }
+
     /// The output port for a packet at `node` heading to `dest`.
     /// `selector` picks among adaptive candidates (ignored for
     /// deterministic algorithms) exactly like [`west_first_route`] and
@@ -400,8 +406,7 @@ impl RouteTable {
     #[inline]
     #[must_use]
     pub fn route(&self, node: usize, dest: usize, selector: u64) -> usize {
-        let nc = &self.coords[node * self.dims..(node + 1) * self.dims];
-        let dc = &self.coords[dest * self.dims..(dest + 1) * self.dims];
+        let (nc, dc) = (self.coords(node), self.coords(dest));
         match &self.candidates {
             None => {
                 for (d, (&c, &t)) in nc.iter().zip(dc).enumerate() {
@@ -444,8 +449,7 @@ impl RouteTable {
         dest: usize,
         out: &mut [u8; MAX_CANDIDATES],
     ) -> usize {
-        let nc = &self.coords[node * self.dims..(node + 1) * self.dims];
-        let dc = &self.coords[dest * self.dims..(dest + 1) * self.dims];
+        let (nc, dc) = (self.coords(node), self.coords(dest));
         match &self.candidates {
             None => {
                 for (d, (&c, &t)) in nc.iter().zip(dc).enumerate() {
@@ -483,8 +487,7 @@ impl RouteTable {
     #[inline]
     #[must_use]
     pub fn vc_mask(&self, node: usize, dest: usize) -> u64 {
-        let nc = &self.coords[node * self.dims..(node + 1) * self.dims];
-        let dc = &self.coords[dest * self.dims..(dest + 1) * self.dims];
+        let (nc, dc) = (self.coords(node), self.coords(dest));
         for (&c, &t) in nc.iter().zip(dc) {
             if c != t {
                 return self.masks[c as usize * self.radix + t as usize];

@@ -810,6 +810,7 @@ impl ShardCtx<'_> {
         self.aux.busy = false;
         self.aux.sent_mail = false;
 
+        let fault = env.fault.map(|f| (f, f.epoch_at(now)));
         let mut buf = std::mem::take(&mut self.aux.tick_buf);
         for i in 0..self.routers.len() {
             if !(env.tick_all || self.active[i]) {
@@ -819,7 +820,7 @@ impl ShardCtx<'_> {
             let oracle = NodeOracle {
                 table: env.route_table,
                 node,
-                fault: env.fault.map(|f| (f, f.epoch_at(now))),
+                fault,
             };
             self.routers[i].tick_into(now, &oracle, &mut buf);
             out.ticks += 1;
