@@ -1,17 +1,13 @@
 //! Ablation studies over the design choices (speculation, buffer depth,
 //! VC count, credit-path latency, speculation accuracy).
+//! Each curve runs through the sequential `noc_network::sweep::sweep`,
+//! which stops at the first saturated load instead of running every
+//! point past it to the scale's cycle limit.
 //! Usage: repro-ablations [quick|medium|paper]
 use peh_dally::ablations;
 
 fn main() {
-    let opts = match repro_bench::parse_args(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let scale = opts.scale;
+    let scale = repro_bench::harness_options_or_exit().scale;
     print!(
         "{}",
         ablations::render("== Speculation on/off ==", &ablations::speculation(scale))

@@ -1,8 +1,7 @@
 //! Regenerates Figure 13 (see `peh_dally::figures::fig13_configs`),
-//! running all three series as one `runqueue` batch under the host's
-//! core budget (identical output to the direct sweep path; see
+//! running every series as one run-queue batch (see
 //! `repro_bench::queued`).
 //! Usage: repro-fig13 [quick|medium|paper] [--csv]
 fn main() {
-    repro_bench::queued::queued_figure_main("Figure 13", peh_dally::figures::fig13_configs());
+    repro_bench::figure_main("Figure 13", peh_dally::figures::fig13_configs());
 }

@@ -1,5 +1,7 @@
-//! Regenerates Figure 15 (see `peh_dally::figures::fig15`).
+//! Regenerates Figure 15 (see `peh_dally::figures::fig15_configs`),
+//! running every series as one run-queue batch (see
+//! `repro_bench::queued`).
 //! Usage: repro-fig15 [quick|medium|paper] [--csv]
 fn main() {
-    repro_bench::figure_main(peh_dally::figures::fig15);
+    repro_bench::figure_main("Figure 15", peh_dally::figures::fig15_configs());
 }

@@ -1,8 +1,7 @@
 //! Regenerates Figure 18 (see `peh_dally::figures::fig18_configs`),
-//! running both credit-latency series as one `runqueue` batch under the
-//! host's core budget (identical output to the direct sweep path; see
+//! running every series as one run-queue batch (see
 //! `repro_bench::queued`).
 //! Usage: repro-fig18 [quick|medium|paper] [--csv]
 fn main() {
-    repro_bench::queued::queued_figure_main("Figure 18", peh_dally::figures::fig18_configs());
+    repro_bench::figure_main("Figure 18", peh_dally::figures::fig18_configs());
 }

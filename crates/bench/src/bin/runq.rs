@@ -131,9 +131,6 @@ fn run() -> Result<(), String> {
         );
     }
     let cancel = CancelToken::new();
-    // The live progress line derives its rate and ETA from the same
-    // metrics-tap machinery the engines stream through: one snapshot per
-    // completed point, rated over a trailing window.
     let mut meter = ProgressMeter::new();
     let outcome = run_batch(
         &batch.jobs,

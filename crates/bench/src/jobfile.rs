@@ -190,9 +190,10 @@ fn build_job(index: usize, t: &Table) -> Result<JobSpec<NetworkConfig>, String> 
     if loads.is_empty() {
         return Err("`loads` must not be empty".into());
     }
-    // NaN is caught too: it fails `l > 0.0`.
-    if !loads.iter().all(|&l| l > 0.0) {
-        return Err("every load must be positive".into());
+    // NaN fails `l > 0.0`; `inf` (a float to Rust's parser) would pass
+    // it and panic in a worker when the sources are built.
+    if !loads.iter().all(|&l| l.is_finite() && l > 0.0) {
+        return Err("every load must be positive and finite".into());
     }
     let reps = get_u64(t, "seeds", 1)?;
     if reps == 0 {
@@ -346,6 +347,7 @@ priority = 2.5
             ("[[job]]\nname = \"x\"\n", "loads"),
             ("[[job]]\nloads = []\n", "loads"),
             ("[[job]]\nloads = [0.0]\n", "positive"),
+            ("[[job]]\nloads = [0.1, inf]\n", "finite"),
             ("[[job]]\nloads = [0.1]\nseeds = 0\n", "seeds"),
             ("[[job]]\nloads = [0.1]\npattern = \"banana\"\n", "banana"),
             ("[[job]]\nloads = [0.1]\nmesh = 1\n", "radix"),

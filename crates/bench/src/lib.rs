@@ -15,6 +15,7 @@ pub mod jobfile;
 pub mod meta;
 pub mod queued;
 
+use noc_network::NetworkConfig;
 use peh_dally::SimScale;
 
 /// Options parsed from a harness binary's command line.
@@ -53,7 +54,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOpti
 
 /// Parses harness options from the process argv, exiting with status 2
 /// (and usage on stderr) when they do not parse — the shared front door
-/// of every figure binary, queued or direct.
+/// of every simulated-figure binary and `repro-ablations`.
 #[must_use]
 pub fn harness_options_or_exit() -> HarnessOptions {
     parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
@@ -62,22 +63,21 @@ pub fn harness_options_or_exit() -> HarnessOptions {
     })
 }
 
-/// Renders a figure the way every repro binary does: CSV on `--csv`,
-/// otherwise the aligned table followed by the ASCII chart.
-pub fn print_figure(fig: &peh_dally::figures::Figure, csv: bool) {
-    if csv {
-        print!("{}", peh_dally::report::figure_csv(fig));
-    } else {
-        print!("{}", peh_dally::report::figure_table(fig));
-        println!();
-        print!("{}", peh_dally::report::figure_chart(fig, 60, 18));
-    }
-}
-
-/// Runs a simulated-figure binary: parse args, build the figure, print.
-pub fn figure_main(build: impl Fn(SimScale) -> peh_dally::figures::Figure) {
+/// Runs a simulated-figure binary: parses the harness arguments, builds
+/// the figure's series as one run-queue batch
+/// ([`queued::queued_figure`], with per-point progress on stderr unless
+/// `--csv`), and prints it — CSV on `--csv`, otherwise the aligned
+/// table followed by the ASCII chart.
+pub fn figure_main(name: &str, configs: Vec<(String, NetworkConfig)>) {
     let opts = harness_options_or_exit();
-    print_figure(&build(opts.scale), opts.csv);
+    let fig = queued::queued_figure(name, configs, opts.scale, !opts.csv);
+    if opts.csv {
+        print!("{}", peh_dally::report::figure_csv(&fig));
+    } else {
+        print!("{}", peh_dally::report::figure_table(&fig));
+        println!();
+        print!("{}", peh_dally::report::figure_chart(&fig, 60, 18));
+    }
 }
 
 #[cfg(test)]

@@ -52,13 +52,14 @@ pub fn generator_line(bin: &str) -> String {
 }
 
 /// The shared provenance fields as a JSON-object body (no braces):
-/// `"recorded": ..., "generator": ..., "host_parallelism": ...`.
+/// `"recorded": ..., "generator": ..., "host_parallelism": ...`, with
+/// the generator line (verbatim argv) escaped as a JSON string.
 #[must_use]
 pub fn provenance_fields(bin: &str) -> String {
     format!(
         "\"recorded\": \"{}\", \"generator\": \"{}\", \"host_parallelism\": {}",
         today_utc(),
-        generator_line(bin),
+        runqueue::json_escape(&generator_line(bin)),
         host_parallelism()
     )
 }

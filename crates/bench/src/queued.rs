@@ -1,17 +1,18 @@
-//! Figure reproduction on the run queue: the ported `repro-*` binaries
-//! build their series as a [`runqueue`] batch instead of hand-rolling a
-//! sweep per series.
+//! Figure reproduction on the run queue: every simulated `repro-*`
+//! binary builds its series as one [`runqueue`] batch.
 //!
 //! One figure = one batch: every series becomes a [`JobSpec`] over the
-//! scale's load grid, all points share one core budget, and completed
-//! points stream through a [`MemorySink`] (with live progress on
-//! stderr) before being reassembled into the same
-//! [`peh_dally::figures::Figure`] the direct sweep path produces. The
-//! output is **identical** to `sweep_parallel` per series — each point
-//! is the same deterministic `Network::run`, and the same
-//! stop-at-saturation truncation is applied per series post hoc — the
-//! difference is purely *scheduling*: points of all series interleave
-//! under `workers × shards ≤ cores` instead of one sweep at a time.
+//! scale's load grid, all points share one core budget (a point of a
+//! sharded configuration occupies its shard count, clamped to the mesh),
+//! and completed points stream through a [`MemorySink`] (with live
+//! progress on stderr) before being reassembled into a
+//! [`peh_dally::figures::Figure`]. Each series is **identical** to the
+//! sequential [`noc_network::sweep::sweep`] of its configuration: every
+//! point is the same deterministic `Network::run`, and the sweep's
+//! stop-at-saturation truncation is applied per series post hoc. The
+//! batch runs the points past saturation too (up to the scale's
+//! `max_cycles` each) in exchange for interleaving all series under
+//! `workers × shards ≤ cores`.
 
 use noc_network::{NetworkConfig, NetworkRunner};
 use peh_dally::figures::{Figure, Series};
@@ -95,39 +96,48 @@ pub fn queued_figure(
     }
 }
 
-/// Entry point for a queue-backed figure binary: parses the standard
-/// harness arguments, builds the figure through [`queued_figure`], and
-/// prints the same table/chart/CSV as `repro_bench::figure_main`.
-pub fn queued_figure_main(name: &str, configs: Vec<(String, NetworkConfig)>) {
-    let opts = crate::harness_options_or_exit();
-    let fig = queued_figure(name, configs, opts.scale, !opts.csv);
-    crate::print_figure(&fig, opts.csv);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_network::sweep::{sweep_parallel, SweepOptions};
+    use noc_network::config::EngineKind;
+    use noc_network::sweep::{sweep, LoadPoint, SweepOptions};
     use noc_network::RouterKind;
 
+    fn same_points(a: &[LoadPoint], b: &[LoadPoint], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.offered.to_bits(), y.offered.to_bits(), "{what}");
+            assert_eq!(
+                x.latency.map(f64::to_bits),
+                y.latency.map(f64::to_bits),
+                "{what} at load {}",
+                x.offered
+            );
+            assert_eq!(x.accepted.to_bits(), y.accepted.to_bits(), "{what}");
+            assert_eq!(x.saturated, y.saturated, "{what}");
+        }
+    }
+
     #[test]
-    fn queued_figure_matches_sweep_parallel_bit_for_bit() {
-        // A tiny two-series figure on the 4x4 mesh: the queued batch
-        // must reproduce exactly what per-series sweep_parallel curves
-        // produce (same points, same truncation), because every point is
-        // the same deterministic run.
+    fn queued_figure_matches_sweep_bit_for_bit() {
+        // A four-series figure on the 4x4 mesh whose batch must
+        // reproduce, series by series, the sequential sweep's curve.
+        // Its 8-load grid reaches saturation, and on a host with fewer
+        // than 32 cores the batch's 32 points outnumber the workers, so
+        // each worker runs several of them.
         let scale = SimScale {
             warmup_cycles: 100,
             sample_packets: 150,
             max_cycles: 8_000,
-            load_step: 0.3,
-            max_load: 0.9,
+            load_step: 0.12,
+            max_load: 0.96,
         };
+        let wh = NetworkConfig::mesh(4, RouterKind::Wormhole { buffers: 8 });
         let configs = vec![
-            (
-                "wh".to_string(),
-                NetworkConfig::mesh(4, RouterKind::Wormhole { buffers: 8 }),
-            ),
+            ("wh".to_string(), wh.clone()),
+            // Differs from "wh" only in a hashed knob: the config hash
+            // must keep the two series' records apart.
+            ("wh single-cycle".to_string(), wh.with_single_cycle(true)),
             (
                 "specvc".to_string(),
                 NetworkConfig::mesh(
@@ -138,23 +148,56 @@ mod tests {
                     },
                 ),
             ),
+            // 99 shards clamp to the 16-node mesh inside the engine, and
+            // the point's width clamps the same way.
+            (
+                "vc sharded".to_string(),
+                NetworkConfig::mesh(
+                    4,
+                    RouterKind::VirtualChannel {
+                        vcs: 2,
+                        buffers_per_vc: 4,
+                    },
+                )
+                .with_engine(EngineKind::ParallelShards { shards: 99 }),
+            ),
         ];
+        let loads = scale.loads();
+        assert_eq!(loads.len(), 8);
         let fig = queued_figure("test", configs.clone(), scale, false);
-        assert_eq!(fig.series.len(), 2);
+        assert_eq!(fig.name, "test");
+        assert_eq!(fig.series.len(), configs.len());
         let opts = SweepOptions {
-            loads: scale.loads(),
+            loads: loads.clone(),
             stop_at_saturation: true,
         };
         for (series, (label, cfg)) in fig.series.iter().zip(&configs) {
             assert_eq!(&series.label, label);
-            let swept = sweep_parallel(&scale.apply(cfg.clone()), &opts);
-            assert_eq!(series.points.len(), swept.len(), "{label}");
-            for (a, b) in series.points.iter().zip(&swept) {
-                assert_eq!(a.offered.to_bits(), b.offered.to_bits());
-                assert_eq!(a.latency.map(f64::to_bits), b.latency.map(f64::to_bits));
-                assert_eq!(a.accepted.to_bits(), b.accepted.to_bits());
-                assert_eq!(a.saturated, b.saturated);
-            }
+            same_points(
+                &series.points,
+                &sweep(&scale.apply(cfg.clone()), &opts),
+                label,
+            );
         }
+        // Post-hoc truncation: a series that saturates inside the grid
+        // ends at its first saturated point.
+        let wh = &fig.series[0];
+        assert!(wh.points.len() < loads.len(), "wh saturates in the grid");
+        assert!(wh.points.last().expect("points").saturated);
+
+        // The same batch again agrees bit for bit.
+        let again = queued_figure("test", configs.clone(), scale, false);
+        for (a, b) in fig.series.iter().zip(&again.series) {
+            same_points(&a.points, &b.points, &a.label);
+        }
+
+        // An empty grid still names every series, each with no points.
+        let empty = SimScale {
+            max_load: 0.0,
+            ..scale
+        };
+        let fig = queued_figure("empty", configs, empty, false);
+        assert_eq!(fig.series.len(), 4);
+        assert!(fig.series.iter().all(|s| s.points.is_empty()));
     }
 }

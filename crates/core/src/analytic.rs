@@ -1,8 +1,6 @@
 //! Closed-form zero-load latency, used to cross-validate the simulator
 //! against the delay model's pipeline depths.
 
-use noc_network::Mesh;
-
 /// Zero-load packet latency on a mesh, in cycles:
 ///
 /// ```text
@@ -29,15 +27,10 @@ pub fn zero_load_latency(stages: u32, distance: f64, packet_len: u32, link_delay
     inj + (distance + 1.0) * (s - 1.0) + distance * hop_link + f64::from(packet_len - 1)
 }
 
-/// Zero-load latency averaged over uniform traffic on `mesh`.
-#[must_use]
-pub fn zero_load_uniform(mesh: &Mesh, stages: u32, packet_len: u32, link_delay: u64) -> f64 {
-    zero_load_latency(stages, mesh.average_distance(), packet_len, link_delay)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_network::Mesh;
 
     #[test]
     fn paper_zero_load_values() {

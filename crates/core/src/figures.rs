@@ -1,9 +1,11 @@
-//! One function per table/figure of the paper.
+//! One function per table/figure of the paper. The model's tables and
+//! figures are computed here; a simulated figure is the list of
+//! labelled configurations its series sweep, which the `repro-*`
+//! binaries run as one batch (`repro_bench::queued::queued_figure`).
 
-use crate::scale::SimScale;
 use delay_model::{canonical, FlowControl, ModuleKind, RouterParams, RoutingFunction};
 use noc_network::{
-    sweep::{saturation_throughput, sweep_parallel, LoadPoint, SweepOptions},
+    sweep::{saturation_throughput, LoadPoint},
     NetworkConfig, RouterKind,
 };
 
@@ -169,31 +171,21 @@ pub struct Figure {
     pub series: Vec<Series>,
 }
 
-fn run_series(name: &str, configs: Vec<(String, NetworkConfig)>, scale: SimScale) -> Figure {
-    let opts = SweepOptions {
-        loads: scale.loads(),
-        stop_at_saturation: true,
-    };
-    let series = configs
+/// Each router kind on the paper's 8×8 mesh, labelled with its legend
+/// name.
+fn on_paper_mesh(kinds: impl IntoIterator<Item = RouterKind>) -> Vec<(String, NetworkConfig)> {
+    kinds
         .into_iter()
-        .map(|(label, cfg)| Series {
-            label,
-            points: sweep_parallel(&scale.apply(cfg), &opts),
-        })
-        .collect();
-    Figure {
-        name: name.into(),
-        series,
-    }
+        .map(|k| (k.label(), NetworkConfig::mesh(8, k)))
+        .collect()
 }
 
 /// The labelled configurations of Figure 13: WH (8 bufs), VC
 /// (2vcs×4bufs), specVC (2vcs×4bufs) on the 8×8 mesh — 8 flit buffers
-/// per input port. Public so batch drivers (e.g. the `runq`-backed
-/// `repro-fig13`) sweep exactly the figure's experiments.
+/// per input port.
 #[must_use]
 pub fn fig13_configs() -> Vec<(String, NetworkConfig)> {
-    [
+    on_paper_mesh([
         RouterKind::Wormhole { buffers: 8 },
         RouterKind::VirtualChannel {
             vcs: 2,
@@ -203,99 +195,63 @@ pub fn fig13_configs() -> Vec<(String, NetworkConfig)> {
             vcs: 2,
             buffers_per_vc: 4,
         },
-    ]
-    .into_iter()
-    .map(|k| (k.label(), NetworkConfig::mesh(8, k)))
-    .collect()
-}
-
-/// Figure 13: see [`fig13_configs`].
-#[must_use]
-pub fn fig13(scale: SimScale) -> Figure {
-    run_series("Figure 13", fig13_configs(), scale)
+    ])
 }
 
 /// Figure 14: 16 buffers per port, 2 VCs — WH (16), VC (2×8), specVC (2×8).
 #[must_use]
-pub fn fig14(scale: SimScale) -> Figure {
-    run_series(
-        "Figure 14",
-        [
-            RouterKind::Wormhole { buffers: 16 },
-            RouterKind::VirtualChannel {
-                vcs: 2,
-                buffers_per_vc: 8,
-            },
-            RouterKind::SpeculativeVc {
-                vcs: 2,
-                buffers_per_vc: 8,
-            },
-        ]
-        .into_iter()
-        .map(|k| (k.label(), NetworkConfig::mesh(8, k)))
-        .collect(),
-        scale,
-    )
+pub fn fig14_configs() -> Vec<(String, NetworkConfig)> {
+    on_paper_mesh([
+        RouterKind::Wormhole { buffers: 16 },
+        RouterKind::VirtualChannel {
+            vcs: 2,
+            buffers_per_vc: 8,
+        },
+        RouterKind::SpeculativeVc {
+            vcs: 2,
+            buffers_per_vc: 8,
+        },
+    ])
 }
 
 /// Figure 15: 16 buffers per port, 4 VCs — WH (16), VC (4×4), specVC (4×4).
 #[must_use]
-pub fn fig15(scale: SimScale) -> Figure {
-    run_series(
-        "Figure 15",
-        [
-            RouterKind::Wormhole { buffers: 16 },
-            RouterKind::VirtualChannel {
-                vcs: 4,
-                buffers_per_vc: 4,
-            },
-            RouterKind::SpeculativeVc {
-                vcs: 4,
-                buffers_per_vc: 4,
-            },
-        ]
-        .into_iter()
-        .map(|k| (k.label(), NetworkConfig::mesh(8, k)))
-        .collect(),
-        scale,
-    )
+pub fn fig15_configs() -> Vec<(String, NetworkConfig)> {
+    on_paper_mesh([
+        RouterKind::Wormhole { buffers: 16 },
+        RouterKind::VirtualChannel {
+            vcs: 4,
+            buffers_per_vc: 4,
+        },
+        RouterKind::SpeculativeVc {
+            vcs: 4,
+            buffers_per_vc: 4,
+        },
+    ])
 }
 
 /// Figure 17: the pipelined model vs the single-cycle ("unit latency")
-/// model, 8 buffers per port.
+/// model, 8 buffers per port — Figure 13's three routers, then WH and
+/// VC again as single-cycle routers.
 #[must_use]
-pub fn fig17(scale: SimScale) -> Figure {
-    let wh = RouterKind::Wormhole { buffers: 8 };
-    let vc = RouterKind::VirtualChannel {
-        vcs: 2,
-        buffers_per_vc: 4,
-    };
-    let spec = RouterKind::SpeculativeVc {
-        vcs: 2,
-        buffers_per_vc: 4,
-    };
-    run_series(
-        "Figure 17",
-        vec![
-            (wh.label(), NetworkConfig::mesh(8, wh)),
-            (vc.label(), NetworkConfig::mesh(8, vc)),
-            (spec.label(), NetworkConfig::mesh(8, spec)),
+pub fn fig17_configs() -> Vec<(String, NetworkConfig)> {
+    let mut configs = fig13_configs();
+    let single_cycle: Vec<_> = configs[..2]
+        .iter()
+        .map(|(label, cfg)| {
             (
-                format!("{} (single-cycle)", wh.label()),
-                NetworkConfig::mesh(8, wh).with_single_cycle(true),
-            ),
-            (
-                format!("{} (single-cycle)", vc.label()),
-                NetworkConfig::mesh(8, vc).with_single_cycle(true),
-            ),
-        ],
-        scale,
-    )
+                format!("{label} (single-cycle)"),
+                cfg.clone().with_single_cycle(true),
+            )
+        })
+        .collect();
+    configs.extend(single_cycle);
+    configs
 }
 
 /// The labelled configurations of Figure 18: speculative VC routers
 /// (2 VCs × 4 buffers) with 1-cycle vs 4-cycle credit propagation
-/// latency. Public for the same reason as [`fig13_configs`].
+/// latency.
 #[must_use]
 pub fn fig18_configs() -> Vec<(String, NetworkConfig)> {
     let spec = RouterKind::SpeculativeVc {
@@ -312,12 +268,6 @@ pub fn fig18_configs() -> Vec<(String, NetworkConfig)> {
             NetworkConfig::mesh(8, spec).with_credit_prop_delay(4),
         ),
     ]
-}
-
-/// Figure 18: see [`fig18_configs`].
-#[must_use]
-pub fn fig18(scale: SimScale) -> Figure {
-    run_series("Figure 18", fig18_configs(), scale)
 }
 
 #[cfg(test)]

@@ -11,15 +11,17 @@
 //! | Table 1 | [`figures::table1`] | parametric delay equations at p=5, w=32, v=2 |
 //! | Figure 11 | [`figures::fig11_nonspeculative`], [`figures::fig11_speculative`] | model-prescribed pipelines vs (p, v) |
 //! | Figure 12 | [`figures::fig12`] | combined VA∥SA stage delay vs routing function |
-//! | Figure 13 | [`figures::fig13`] | latency–throughput, 8 buffers/port |
-//! | Figure 14 | [`figures::fig14`] | latency–throughput, 16 buffers/port, 2 VCs |
-//! | Figure 15 | [`figures::fig15`] | latency–throughput, 16 buffers/port, 4 VCs |
-//! | Figure 17 | [`figures::fig17`] | pipelined model vs single-cycle ("unit latency") model |
-//! | Figure 18 | [`figures::fig18`] | credit propagation latency sensitivity |
+//! | Figure 13 | [`figures::fig13_configs`] | latency–throughput, 8 buffers/port |
+//! | Figure 14 | [`figures::fig14_configs`] | latency–throughput, 16 buffers/port, 2 VCs |
+//! | Figure 15 | [`figures::fig15_configs`] | latency–throughput, 16 buffers/port, 4 VCs |
+//! | Figure 17 | [`figures::fig17_configs`] | pipelined model vs single-cycle ("unit latency") model |
+//! | Figure 18 | [`figures::fig18_configs`] | credit propagation latency sensitivity |
 //!
-//! Simulated figures take a [`SimScale`] choosing between a quick smoke
-//! scale and the paper's full protocol (10,000 warm-up cycles, 100,000
-//! tagged packets).
+//! A simulated figure's function returns the labelled configurations of
+//! its series; `repro_bench::queued::queued_figure` sweeps them as one
+//! run-queue batch at a [`SimScale`], which chooses between a quick
+//! smoke scale and the paper's full protocol (10,000 warm-up cycles,
+//! 100,000 tagged packets).
 //!
 //! ```
 //! use peh_dally::figures;

@@ -202,6 +202,9 @@ impl fmt::Display for RoutingAlgo {
 /// value and the change that makes the configuration valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
+    /// An offered load (`injection_fraction`) that is not a finite
+    /// fraction of capacity above zero: zero, negative, NaN or infinite.
+    InjectionFractionInvalid,
     /// A torus with fewer than two VCs per port: the dateline
     /// deadlock-avoidance scheme needs two VC classes per ring.
     TorusNeedsDatelineVcs {
@@ -307,6 +310,11 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
+            ConfigError::InjectionFractionInvalid => write!(
+                f,
+                "the offered load (injection fraction) must be a finite fraction of \
+                 capacity above 0; got zero, a negative value, NaN or infinity"
+            ),
             ConfigError::TorusNeedsDatelineVcs { vcs } => write!(
                 f,
                 "a torus needs >= 2 VCs per port for the dateline deadlock-avoidance \
@@ -915,11 +923,15 @@ impl NetworkConfig {
     ///
     /// # Errors
     ///
-    /// See [`ConfigError`] for the rejected combinations: a torus
-    /// without dateline VCs, west-first outside a 2-D mesh, a turn model
-    /// on a torus, shapes beyond the route table's compact encoding, and
-    /// routers wider than 64 input channels.
+    /// See [`ConfigError`] for the rejected combinations: an offered
+    /// load that is not finite and positive, a torus without dateline
+    /// VCs, west-first outside a 2-D mesh, a turn model on a torus,
+    /// shapes beyond the route table's compact encoding, and routers
+    /// wider than 64 input channels.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.injection_fraction.is_finite() && self.injection_fraction > 0.0) {
+            return Err(ConfigError::InjectionFractionInvalid);
+        }
         if self.mesh.radix() > 256 {
             return Err(ConfigError::RadixTooLarge {
                 radix: self.mesh.radix(),
@@ -1288,6 +1300,29 @@ mod tests {
             Ok(()),
             "dimension-ordered has no dimension cap"
         );
+    }
+
+    #[test]
+    fn validate_rejects_a_load_that_is_not_finite_and_positive() {
+        let ok = NetworkConfig::mesh(4, RouterKind::Wormhole { buffers: 8 });
+        for bad in [0.0, -0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut cfg = ok.clone();
+            cfg.injection_fraction = bad;
+            assert_eq!(
+                cfg.validate(),
+                Err(ConfigError::InjectionFractionInvalid),
+                "load {bad}"
+            );
+        }
+        // `with_injection` lets infinity through; building the network
+        // must then return the error instead of panicking in a source.
+        let Err(err) = crate::sim::Network::try_new(ok.clone().with_injection(f64::INFINITY))
+        else {
+            panic!("an infinite load must be rejected");
+        };
+        assert_eq!(err, ConfigError::InjectionFractionInvalid);
+        assert!(err.to_string().contains("finite"), "{err}");
+        assert!(crate::sim::Network::try_new(ok.with_injection(2.0)).is_ok());
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use routing::RouteTable;
 pub use runqueue::CancelToken;
 pub use sim::{Network, RunResult, CANCEL_BATCH};
 pub use stats::{LatencyStats, PhaseNanos};
-pub use sweep::{sweep, sweep_parallel, LoadPoint, SweepOptions};
+pub use sweep::{sweep, LoadPoint, SweepOptions};
 // The observability vocabulary the engines speak, re-exported so
 // downstream crates need no direct `telemetry` dependency.
 pub use telemetry::{

@@ -149,11 +149,12 @@ impl JobConfig for NetworkConfig {
 /// producing the incremental record a [`runqueue::ResultSink`] streams.
 ///
 /// The point's configuration is the job's with the load and seed
-/// applied — exactly what [`crate::sweep::sweep_parallel`] runs for the
-/// same load, so a one-rep job reproduces a sweep bit for bit. A run
-/// whose cancellation token fires mid-flight yields `None`: partial
-/// measurements are never recorded, which is what makes an interrupted
-/// batch resumable by key dedup alone.
+/// applied — exactly what [`crate::sweep::sweep`] runs for the same
+/// load, so a one-rep job reproduces a sweep bit for bit; the `repro-*`
+/// figure binaries build every curve this way. A run whose cancellation
+/// token fires mid-flight yields `None`: partial measurements are never
+/// recorded, which is what makes an interrupted batch resumable by key
+/// dedup alone.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NetworkRunner;
 

@@ -522,13 +522,6 @@ impl Network {
         ChannelLoad::from_routers(&self.routers, self.cfg.mesh.ports(), self.now)
     }
 
-    /// Total source backlog in packets (diagnostic; grows without bound
-    /// past saturation).
-    #[must_use]
-    pub fn total_backlog(&self) -> usize {
-        self.sources.iter().map(Source::backlog).sum()
-    }
-
     /// Shard migrations performed so far (nonzero only under
     /// [`EngineKind::ParallelShards`] with
     /// [`NetworkConfig::with_rebalance`] set and an imbalance above its

@@ -105,9 +105,9 @@ impl<C: JobConfig> JobSpec<C> {
 
 /// Deterministic per-job seed derivation. Repetition 0 uses the base
 /// seed unchanged, so a one-rep job reproduces a direct
-/// `Network::run` (and a `sweep_parallel`) of the same configuration bit
-/// for bit; further repetitions mix the base seed, the config hash, and
-/// the repetition index through a splitmix64 finalizer, so two jobs
+/// `Network::run` (and a sequential `sweep`) of the same configuration
+/// bit for bit; further repetitions mix the base seed, the config hash,
+/// and the repetition index through a splitmix64 finalizer, so two jobs
 /// sharing a base seed but differing in config still draw independent
 /// seed streams.
 #[must_use]

@@ -41,4 +41,4 @@ pub use job::{
     PointRunner,
 };
 pub use queue::{run_tasks, Task};
-pub use sink::{JsonlSink, MemorySink, ResultSink};
+pub use sink::{json_escape, JsonlSink, MemorySink, ResultSink};

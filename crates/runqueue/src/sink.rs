@@ -140,7 +140,7 @@ impl PointRecord {
             self.seed,
             self.key.load_bits,
             self.load,
-            escape(&self.job),
+            json_escape(&self.job),
         ));
         match self.latency {
             Some(l) => s.push_str(&format!(", \"latency\": {l:?}")),
@@ -225,8 +225,24 @@ impl PointRecord {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// `s` as the body of a JSON string: `"` and `\` get a backslash and
+/// every control character (U+0000–U+001F) becomes a `\u00XX` escape,
+/// so the text can sit between quotes on one JSONL line. Record job
+/// names and `runq`'s provenance footer are both escaped here.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -473,6 +489,29 @@ mod tests {
         assert!(sink.completed().contains(&rec.key));
         assert_eq!(sink.completed().len(), 1);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_escape("plain text é"), "plain text é");
+        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(json_escape("t\tn\nr\r"), r"t\u0009n\u000ar\u000d");
+        assert_eq!(json_escape("\u{0}\u{1f} \u{7f}"), "\\u0000\\u001f \u{7f}");
+    }
+
+    #[test]
+    fn job_names_with_control_characters_stay_one_json_line() {
+        let mut rec = sample(10, 0.45);
+        rec.job = "a\tb\nc".into();
+        let line = rec.to_jsonl();
+        assert_eq!(line.lines().count(), 1);
+        assert!(
+            !line.chars().any(|c| c < ' '),
+            "raw control character in {line:?}"
+        );
+        assert!(line.contains(r#""job": "a\u0009b\u000ac""#), "{line}");
+        let back = PointRecord::from_jsonl(&line).expect("parses");
+        assert_eq!(back.key, rec.key, "the resume key survives");
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! Batch progress metering built on the metrics tap.
+//! Batch progress metering: a completion count and a points/sec rate
+//! over the trailing completions.
 //!
-//! [`ProgressMeter`] is a thin client of the same machinery the engines
-//! use: a [`MetricsRegistry`] with a `points_done` counter and an
-//! `elapsed_ms` gauge, snapshotted into a [`MemoryTap`] on every
-//! completed point. Rates derive from the tap's recent snapshot window
+//! Rates derive from the instants of the last `WINDOW` completions
 //! rather than a single running average, so the displayed points/sec
 //! tracks the current mix of cheap and expensive points.
 
-use crate::{MemoryTap, MetricId, MetricsRegistry, MetricsTap};
-use std::time::Instant;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
-/// How many trailing snapshots the rate window spans.
+/// How many trailing completions the rate window spans.
 const WINDOW: usize = 32;
 
 /// One progress reading, returned by [`ProgressMeter::tick`].
@@ -35,39 +33,34 @@ impl Progress {
 /// point.
 #[derive(Debug)]
 pub struct ProgressMeter {
-    start: Instant,
-    reg: MetricsRegistry,
-    done: MetricId,
-    elapsed_ms: MetricId,
-    tap: MemoryTap,
+    completed: u64,
+    /// The instant the rate window opens — the meter's start, or the
+    /// completion just before the window — followed by the window's
+    /// completions, at most `WINDOW` of them.
+    recent: VecDeque<Instant>,
 }
 
 impl ProgressMeter {
     /// A meter starting now.
     #[must_use]
     pub fn new() -> Self {
-        let mut reg = MetricsRegistry::new();
-        let done = reg.counter("points_done");
-        let elapsed_ms = reg.gauge("elapsed_ms");
+        let mut recent = VecDeque::with_capacity(WINDOW + 1);
+        recent.push_back(Instant::now());
         ProgressMeter {
-            start: Instant::now(),
-            reg,
-            done,
-            elapsed_ms,
-            tap: MemoryTap::default(),
+            completed: 0,
+            recent,
         }
     }
 
     /// Records one completed point and returns the current reading.
     pub fn tick(&mut self) -> Progress {
-        self.reg.add(self.done, 1);
-        let ms = self.start.elapsed().as_millis() as u64;
-        self.reg.set(self.elapsed_ms, ms);
-        let completed = self.reg.get(self.done);
-        let epoch = self.tap.log.len() as u64;
-        self.tap.record(&self.reg.snapshot(completed, epoch));
+        self.completed += 1;
+        if self.recent.len() > WINDOW {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(Instant::now());
         Progress {
-            completed,
+            completed: self.completed,
             per_sec: self.rate(),
         }
     }
@@ -75,38 +68,22 @@ impl ProgressMeter {
     /// Points completed so far.
     #[must_use]
     pub fn completed(&self) -> u64 {
-        self.reg.get(self.done)
+        self.completed
     }
 
-    /// Windowed points/sec over the last `WINDOW` snapshots (the
-    /// whole stream while shorter), or 0 while under a millisecond of
-    /// window has elapsed.
+    /// Windowed points/sec over the last `WINDOW` completions (all of
+    /// them while fewer), or 0 while under a millisecond of window has
+    /// elapsed.
     #[must_use]
     pub fn rate(&self) -> f64 {
-        let log = &self.tap.log;
-        let n = log.len();
-        if n == 0 {
+        let (Some(open), Some(last)) = (self.recent.front(), self.recent.back()) else {
             return 0.0;
-        }
-        let last = n - 1;
-        let base = n.saturating_sub(WINDOW);
-        let done_now = log.value(last, "points_done").unwrap_or(0);
-        let ms_now = log.value(last, "elapsed_ms").unwrap_or(0);
-        // The window base is "just before" its snapshot: for the first
-        // window that is the meter's start (0 points, 0 ms).
-        let (done_base, ms_base) = if base == 0 {
-            (0, 0)
-        } else {
-            (
-                log.value(base - 1, "points_done").unwrap_or(0),
-                log.value(base - 1, "elapsed_ms").unwrap_or(0),
-            )
         };
-        let dt_ms = ms_now.saturating_sub(ms_base);
-        if dt_ms == 0 {
+        let dt = last.duration_since(*open);
+        if dt < Duration::from_millis(1) {
             return 0.0;
         }
-        (done_now - done_base) as f64 * 1_000.0 / dt_ms as f64
+        (self.recent.len() - 1) as f64 / dt.as_secs_f64()
     }
 }
 
