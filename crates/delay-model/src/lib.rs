@@ -21,7 +21,7 @@
 //! Table 1 **exactly** (p = 5, w = 32, v = 2, clk = 20 τ4): 9.6, 8.4, 11.8,
 //! 13.1, 16.9, 10.9 τ4 for SB, XB, VC(Rv/Rp/Rpv), SL, and 14.6/14.6/18.3 τ4
 //! for the combined speculative allocation stage under the three routing
-//! functions. See `DESIGN.md` at the repository root.
+//! functions.
 //!
 //! # Example
 //!

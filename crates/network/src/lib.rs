@@ -54,7 +54,7 @@ pub use routing::RouteTable;
 pub use runqueue::CancelToken;
 pub use sim::{Network, RunResult, CANCEL_BATCH};
 pub use stats::{LatencyStats, PhaseNanos};
-pub use sweep::{sweep, LoadPoint, SweepOptions};
+pub use sweep::LoadPoint;
 // The observability vocabulary the engines speak, re-exported so
 // downstream crates need no direct `telemetry` dependency.
 pub use telemetry::{

@@ -149,9 +149,11 @@ impl JobConfig for NetworkConfig {
 /// producing the incremental record a [`runqueue::ResultSink`] streams.
 ///
 /// The point's configuration is the job's with the load and seed
-/// applied — exactly what [`crate::sweep::sweep`] runs for the same
-/// load, so a one-rep job reproduces a sweep bit for bit; the `repro-*`
-/// figure binaries build every curve this way. A run whose cancellation
+/// applied, so a one-rep job reproduces a direct [`Network::run`] of
+/// each load bit for bit; `runq` and perfbench run every point of their
+/// grids this way. (The `repro-*` figures run the same points without a
+/// record and end each curve at its first saturated load:
+/// `repro_bench::queued::queued_figure`.) A run whose cancellation
 /// token fires mid-flight yields `None`: partial measurements are never
 /// recorded, which is what makes an interrupted batch resumable by key
 /// dedup alone.
@@ -198,8 +200,8 @@ impl PointRunner<NetworkConfig> for NetworkRunner {
             })
             .collect();
         // LoadPoint owns the saturation semantics (undelivered sample or
-        // collapsed throughput); reuse it so `runq` and `sweep` can never
-        // disagree on what "saturated" means.
+        // collapsed throughput); reuse it so `runq` and the figures can
+        // never disagree on what "saturated" means.
         let point = LoadPoint::from(r);
         Some(PointRecord {
             key: PointKey::new(config.config_hash(), seed, load),

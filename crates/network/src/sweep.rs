@@ -1,7 +1,9 @@
-//! Load sweeps: latency–throughput curves and saturation points.
+//! Latency–throughput curves: one point per offered load, and the
+//! saturation throughput of a curve. A curve is built by running one
+//! configuration at each load (`repro_bench::queued::queued_figure`
+//! builds every figure's curves as one batch).
 
-use crate::config::NetworkConfig;
-use crate::sim::{Network, RunResult};
+use crate::sim::RunResult;
 use std::fmt;
 
 /// One point of a latency–throughput curve.
@@ -51,43 +53,6 @@ impl fmt::Display for LoadPoint {
     }
 }
 
-/// Sweep options.
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    /// The offered loads to evaluate, fractions of capacity.
-    pub loads: Vec<f64>,
-    /// Stop sweeping after the first saturated point (the rest of the
-    /// curve is vertical anyway).
-    pub stop_at_saturation: bool,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            loads: (1..=10).map(|i| f64::from(i) / 10.0).collect(),
-            stop_at_saturation: true,
-        }
-    }
-}
-
-/// Runs `base` at every load in `opts.loads`, one point after another,
-/// returning the curve. This is the sequential reference: a one-rep
-/// run-queue job over the same loads ([`crate::NetworkRunner`])
-/// computes the same points bit for bit.
-#[must_use]
-pub fn sweep(base: &NetworkConfig, opts: &SweepOptions) -> Vec<LoadPoint> {
-    let mut curve = Vec::new();
-    for &load in &opts.loads {
-        let point: LoadPoint = Network::new(base.clone().with_injection(load)).run().into();
-        let stop = opts.stop_at_saturation && point.saturated;
-        curve.push(point);
-        if stop {
-            break;
-        }
-    }
-    curve
-}
-
 /// The saturation throughput of a curve: the highest offered load whose
 /// point completed with latency below `threshold × zero-load latency`
 /// (the latency of the lowest-load point). Returns 0.0 for an empty or
@@ -110,7 +75,8 @@ pub fn saturation_throughput(curve: &[LoadPoint], threshold: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RouterKind;
+    use crate::config::{NetworkConfig, RouterKind};
+    use crate::sim::Network;
 
     fn base() -> NetworkConfig {
         NetworkConfig::mesh(
@@ -127,33 +93,15 @@ mod tests {
 
     #[test]
     fn latency_rises_with_load() {
-        let curve = sweep(
-            &base(),
-            &SweepOptions {
-                loads: vec![0.1, 0.5],
-                stop_at_saturation: true,
-            },
-        );
-        assert!(curve.len() >= 2);
-        let low = curve[0].latency.expect("low load completes");
-        let high = curve[1].latency.expect("moderate load completes");
+        let point = |load| LoadPoint::from(Network::new(base().with_injection(load)).run());
+        let (low, high) = (point(0.1), point(0.5));
+        assert!(!low.saturated, "low load does not saturate");
+        let low = low.latency.expect("low load completes");
+        let high = high.latency.expect("moderate load completes");
         assert!(
             high >= low,
             "latency must not drop with load: {low} -> {high}"
         );
-    }
-
-    #[test]
-    fn sweep_stops_at_saturation() {
-        let curve = sweep(
-            &base(),
-            &SweepOptions {
-                loads: vec![0.2, 3.0, 4.0],
-                stop_at_saturation: true,
-            },
-        );
-        assert!(curve.len() <= 2, "must stop after the saturated point");
-        assert!(curve.last().unwrap().saturated);
     }
 
     #[test]

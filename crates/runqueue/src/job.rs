@@ -104,12 +104,11 @@ impl<C: JobConfig> JobSpec<C> {
 }
 
 /// Deterministic per-job seed derivation. Repetition 0 uses the base
-/// seed unchanged, so a one-rep job reproduces a direct
-/// `Network::run` (and a sequential `sweep`) of the same configuration
-/// bit for bit; further repetitions mix the base seed, the config hash,
-/// and the repetition index through a splitmix64 finalizer, so two jobs
-/// sharing a base seed but differing in config still draw independent
-/// seed streams.
+/// seed unchanged, so a one-rep job reproduces a direct `Network::run`
+/// of the same configuration bit for bit; further repetitions mix the
+/// base seed, the config hash, and the repetition index through a
+/// splitmix64 finalizer, so two jobs sharing a base seed but differing
+/// in config still draw independent seed streams.
 #[must_use]
 pub fn derive_seed(base_seed: u64, config_hash: u64, rep: u64) -> u64 {
     if rep == 0 {

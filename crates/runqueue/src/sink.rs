@@ -322,19 +322,35 @@ fn parse_u64_array(body: &str) -> Option<Vec<u64>> {
     body.split(',').map(|t| t.trim().parse().ok()).collect()
 }
 
+/// A string field, unescaped: the inverse of [`json_escape`]. The
+/// string ends at the first unescaped `"`; an escape that
+/// [`json_escape`] never writes, or a missing closing quote, yields
+/// `None`.
 fn field_str(line: &str, key: &str) -> Option<String> {
-    let raw = {
-        let start = line.find(key)? + key.len();
-        line[start..].trim_start()
-    };
-    let inner = raw.strip_prefix('"')?;
-    let end = inner.find('"')?;
-    Some(inner[..end].to_string())
+    let start = line.find(key)? + key.len();
+    let mut chars = line[start..].trim_start().strip_prefix('"')?.chars();
+    let mut out = String::new();
+    loop {
+        match chars.next()? {
+            '"' => return Some(out),
+            '\\' => match chars.next()? {
+                c @ ('"' | '\\') => out.push(c),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    let code = u32::from_str_radix(&hex, 16).ok()?;
+                    out.push(char::from_u32(code)?);
+                }
+                _ => return None,
+            },
+            c => out.push(c),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample(seed: u64, load: f64) -> PointRecord {
         PointRecord {
@@ -510,8 +526,7 @@ mod tests {
             "raw control character in {line:?}"
         );
         assert!(line.contains(r#""job": "a\u0009b\u000ac""#), "{line}");
-        let back = PointRecord::from_jsonl(&line).expect("parses");
-        assert_eq!(back.key, rec.key, "the resume key survives");
+        assert_eq!(PointRecord::from_jsonl(&line), Some(rec));
     }
 
     #[test]
@@ -520,9 +535,40 @@ mod tests {
         rec.job = "we\"ird".into();
         let line = rec.to_jsonl();
         assert_eq!(line.lines().count(), 1);
-        // The parse recovers *a* name (escaping is one-way by design);
-        // the key — what resume relies on — survives exactly.
-        let back = PointRecord::from_jsonl(&line).expect("parses");
-        assert_eq!(back.key, rec.key);
+        assert_eq!(PointRecord::from_jsonl(&line), Some(rec));
+    }
+
+    #[test]
+    fn escapes_json_escape_never_writes_do_not_parse() {
+        let line = sample(9, 0.4).to_jsonl();
+        for job in [r"a\nb", r"a\u00", r"a\uzzzzb", r"a\ud800b"] {
+            let bad = line.replace(r#""smoke""#, &format!("\"{job}\""));
+            assert_eq!(PointRecord::from_jsonl(&bad), None, "{bad}");
+        }
+    }
+
+    const TRICKY: [char; 8] = ['"', '\\', 'u', '0', ',', '}', ':', ' '];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn any_job_name_round_trips(
+            job in proptest::collection::vec(
+                prop_oneof![
+                    // What the escaper and the field scanners must get
+                    // past, control characters, then any character.
+                    (0..TRICKY.len()).prop_map(|i| TRICKY[i]),
+                    (0u32..0x20).prop_map(|c| char::from_u32(c).expect("control")),
+                    (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+                ],
+                0..24,
+            ),
+        ) {
+            let mut rec = sample(12, 0.35);
+            rec.job = job.into_iter().collect();
+            let line = rec.to_jsonl();
+            prop_assert_eq!(line.lines().count(), 1);
+            prop_assert_eq!(PointRecord::from_jsonl(&line), Some(rec));
+        }
     }
 }

@@ -9,30 +9,29 @@
 //!
 //! Run with: `cargo run --release --example credit_stall`
 
-use noc_network::{
-    sweep::{saturation_throughput, sweep, SweepOptions},
-    NetworkConfig, RouterKind,
-};
+use noc_network::{LoadPoint, Network, NetworkConfig, RouterKind};
+use peh_dally::figures::Series;
 
+/// Zero-load latency and saturation throughput of one curve: one run
+/// per load, in load order, ending at the first saturated point.
 fn measure(kind: RouterKind, credit_prop: u64) -> (f64, f64) {
     let base = NetworkConfig::mesh(8, kind)
         .with_credit_prop_delay(credit_prop)
         .with_warmup(1_500)
         .with_sample(2_500)
         .with_max_cycles(250_000);
-    let curve = sweep(
-        &base,
-        &SweepOptions {
-            loads: (1..=15).map(|i| f64::from(i) * 0.05).collect(),
-            stop_at_saturation: true,
-        },
-    );
-    let zero_load = curve
-        .iter()
-        .find(|p| !p.saturated)
-        .and_then(|p| p.latency)
-        .unwrap_or(f64::NAN);
-    (zero_load, saturation_throughput(&curve, 3.0))
+    let mut points: Vec<LoadPoint> = Vec::new();
+    for load in (1..=15).map(|i| f64::from(i) * 0.05) {
+        if points.last().is_some_and(|p| p.saturated) {
+            break;
+        }
+        points.push(Network::new(base.clone().with_injection(load)).run().into());
+    }
+    let curve = Series {
+        label: kind.label(),
+        points,
+    };
+    (curve.zero_load().unwrap_or(f64::NAN), curve.saturation())
 }
 
 fn main() {

@@ -7,10 +7,8 @@
 //! Run with: `cargo run --release --example latency_throughput`
 //! (takes a minute; pass `--quick` for a coarser sweep)
 
-use noc_network::{
-    sweep::{saturation_throughput, sweep, SweepOptions},
-    NetworkConfig, RouterKind,
-};
+use noc_network::{LoadPoint, Network, NetworkConfig, RouterKind};
+use peh_dally::figures::Series;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -57,22 +55,29 @@ fn main() {
                 .with_warmup(warmup)
                 .with_sample(sample)
                 .with_max_cycles(300_000);
-            let curve = sweep(
-                &base,
-                &SweepOptions {
-                    loads: loads.clone(),
-                    stop_at_saturation: true,
-                },
-            );
-            let sat = saturation_throughput(&curve, 3.0);
-            print!("{:<22} |", kind.label());
-            for p in &curve {
+            // One run per load, ending at the first saturated point.
+            let mut points: Vec<LoadPoint> = Vec::new();
+            for &load in &loads {
+                if points.last().is_some_and(|p| p.saturated) {
+                    break;
+                }
+                points.push(Network::new(base.clone().with_injection(load)).run().into());
+            }
+            let curve = Series {
+                label: kind.label(),
+                points,
+            };
+            print!("{:<22} |", curve.label);
+            for p in &curve.points {
                 match (p.latency, p.saturated) {
                     (Some(l), false) => print!(" {l:.0}"),
                     _ => print!(" sat"),
                 }
             }
-            println!("  => saturation ~{:.0}% capacity", sat * 100.0);
+            println!(
+                "  => saturation ~{:.0}% capacity",
+                curve.saturation() * 100.0
+            );
         }
         println!();
     }

@@ -18,7 +18,7 @@
 
 use peh_dally::noc_network::config::EngineKind;
 use peh_dally::noc_network::{
-    sweep, LoadPoint, Network, NetworkConfig, RouterKind, RunResult, SweepOptions, TrafficPattern,
+    LoadPoint, Network, NetworkConfig, RouterKind, RunResult, TrafficPattern,
 };
 use proptest::prelude::*;
 
@@ -89,7 +89,7 @@ fn assert_equivalent(label: &str, cycle: &RunResult, event: &RunResult) {
         cycle.delivered_ratio,
         event.delivered_ratio
     );
-    // The derived sweep point must agree too.
+    // The derived curve point must agree too.
     let a: LoadPoint = LoadPoint::from(cycle.clone());
     let b: LoadPoint = LoadPoint::from(event.clone());
     assert_eq!(a.saturated, b.saturated, "{label}: load point saturation");
@@ -284,7 +284,7 @@ fn engines_agree_with_negative_first_in_three_dims() {
     assert_equivalent("negative-first 3-D shards=3", &event, &sharded);
 }
 
-/// Whole sweeps agree point by point, and the event engine demonstrably
+/// Curves agree point by point, and the event engine demonstrably
 /// skips work at low loads — the speedup is real, not incidental.
 #[test]
 fn sweeps_agree_and_event_engine_skips_work() {
@@ -292,14 +292,15 @@ fn sweeps_agree_and_event_engine_skips_work() {
         vcs: 2,
         buffers_per_vc: 4,
     });
-    let opts = SweepOptions {
-        loads: vec![0.05, 0.2, 0.5],
-        stop_at_saturation: false,
-    };
-    let cycle_curve = sweep(&base.clone().with_engine(EngineKind::CycleDriven), &opts);
-    let event_curve = sweep(&base.clone().with_engine(EngineKind::EventDriven), &opts);
-    assert_eq!(cycle_curve.len(), event_curve.len());
-    for (a, b) in cycle_curve.iter().zip(&event_curve) {
+    for load in [0.05, 0.2, 0.5] {
+        let point = |engine| {
+            let cfg = base.clone().with_injection(load).with_engine(engine);
+            LoadPoint::from(Network::new(cfg).run())
+        };
+        let (a, b) = (
+            point(EngineKind::CycleDriven),
+            point(EngineKind::EventDriven),
+        );
         assert_eq!(a.offered, b.offered);
         assert_eq!(a.latency.map(f64::to_bits), b.latency.map(f64::to_bits));
         assert_eq!(a.accepted.to_bits(), b.accepted.to_bits());

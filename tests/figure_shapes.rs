@@ -1,16 +1,16 @@
 //! Qualitative reproduction of every simulated figure at a reduced scale:
 //! the orderings and crossovers the paper reports must hold.
 
-use peh_dally::noc_network::{
-    sweep::{saturation_throughput, sweep, SweepOptions},
-    NetworkConfig, RouterKind,
-};
+use peh_dally::figures::Series;
+use peh_dally::noc_network::{LoadPoint, Network, NetworkConfig, RouterKind};
 
 struct Curve {
     zero_load: f64,
     saturation: f64,
 }
 
+/// One curve as the figure batch computes it: one `Network::run` per
+/// load, in load order, ending at the first saturated point.
 fn measure(kind: RouterKind, single_cycle: bool, credit_prop: u64) -> Curve {
     let base = NetworkConfig::mesh(8, kind)
         .with_single_cycle(single_cycle)
@@ -18,21 +18,20 @@ fn measure(kind: RouterKind, single_cycle: bool, credit_prop: u64) -> Curve {
         .with_warmup(1_200)
         .with_sample(2_500)
         .with_max_cycles(200_000);
-    let points = sweep(
-        &base,
-        &SweepOptions {
-            loads: (1..=14).map(|i| f64::from(i) * 0.05).collect(),
-            stop_at_saturation: true,
-        },
-    );
-    let zero_load = points
-        .iter()
-        .find(|p| !p.saturated)
-        .and_then(|p| p.latency)
-        .expect("lowest load completes");
+    let mut points: Vec<LoadPoint> = Vec::new();
+    for load in (1..=14).map(|i| f64::from(i) * 0.05) {
+        if points.last().is_some_and(|p| p.saturated) {
+            break;
+        }
+        points.push(Network::new(base.clone().with_injection(load)).run().into());
+    }
+    let series = Series {
+        label: kind.label(),
+        points,
+    };
     Curve {
-        zero_load,
-        saturation: saturation_throughput(&points, 3.0),
+        zero_load: series.zero_load().expect("lowest load completes"),
+        saturation: series.saturation(),
     }
 }
 
