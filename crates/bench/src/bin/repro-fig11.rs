@@ -2,6 +2,7 @@
 //! and (b) speculative virtual-channel routers over the (v, p) grid.
 use peh_dally::{figures, report};
 fn main() {
+    repro_bench::no_args_or_exit();
     print!(
         "{}",
         report::pipeline_bars_text(

@@ -5,6 +5,7 @@
 use delay_model::{canonical, chien, duato, FlowControl, RouterParams, RoutingFunction};
 
 fn main() {
+    repro_bench::no_args_or_exit();
     println!("Per-hop router latency (τ) vs virtual channels, p = 5, clk = 20 τ4 = 100 τ");
     println!(
         "{:>4} {:>14} {:>14} {:>16} {:>16}",

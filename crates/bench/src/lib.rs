@@ -7,6 +7,10 @@
 //! ```text
 //! repro-fig13 [quick|medium|paper] [--csv]
 //! ```
+//!
+//! The closed-form binaries (`repro-table1`, `repro-fig11`,
+//! `repro-fig12`, `repro-models`) take no argument. Every binary exits
+//! with status 2 and a usage line naming the argument it does not know.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,15 +56,38 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOpti
     Ok(opts)
 }
 
+/// Accepts an empty argument list and rejects any argument with an
+/// explanatory `Err`: the closed-form binaries take none.
+pub fn parse_no_args<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> {
+    match args.into_iter().next() {
+        Some(arg) => Err(format!(
+            "unknown argument '{arg}'; usage: takes no arguments"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The parsed process argv, or exit with status 2 and the error (a
+/// usage line) on stderr.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 /// Parses harness options from the process argv, exiting with status 2
 /// (and usage on stderr) when they do not parse — the shared front door
 /// of every simulated-figure binary and `repro-ablations`.
 #[must_use]
 pub fn harness_options_or_exit() -> HarnessOptions {
-    parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+    or_exit(parse_args(std::env::args().skip(1)))
+}
+
+/// Exits with status 2 (and usage on stderr) if the process has any
+/// argument — the front door of the closed-form binaries.
+pub fn no_args_or_exit() {
+    or_exit(parse_no_args(std::env::args().skip(1)));
 }
 
 /// Runs a simulated-figure binary: parses the harness arguments, builds
@@ -150,5 +177,18 @@ mod tests {
             "message must name the argument: {err}"
         );
         assert!(err.contains("usage"), "message must show usage: {err}");
+    }
+
+    #[test]
+    fn no_args_accepts_only_an_empty_argv() {
+        assert_eq!(parse_no_args(Vec::new()), Ok(()));
+        for argv in [&["bogus"][..], &["quick"], &["--csv"], &[""], &["x", "y"]] {
+            let err = parse_no_args(args(argv)).unwrap_err();
+            assert!(
+                err.contains(&format!("'{}'", argv[0])),
+                "message must name the argument: {err}"
+            );
+            assert!(err.contains("usage"), "message must show usage: {err}");
+        }
     }
 }

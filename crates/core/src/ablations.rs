@@ -4,8 +4,9 @@
 //!
 //! An ablation table is the list of labelled configurations its rows
 //! measure, as a simulated figure is (`crate::figures`); `repro-ablations`
-//! runs all four tables as one batch (`repro_bench::queued::queued_figure`)
-//! and turns each curve into an [`AblationRow`].
+//! runs all four tables as one batch (`repro_bench::queued::queued_figure`),
+//! one curve per distinct configuration, and turns each table row's curve
+//! into an [`AblationRow`].
 
 use crate::figures::Series;
 use crate::scale::SimScale;

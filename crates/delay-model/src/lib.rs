@@ -58,7 +58,7 @@ pub use equations::{
 };
 pub use module::{AtomicModule, ModuleDelay, ModuleKind};
 pub use params::RouterParams;
-pub use pipeline::{OverheadPolicy, Pipeline, PipelineStage};
+pub use pipeline::{Pipeline, PipelineStage};
 pub use routing::RoutingFunction;
 
 /// The flow-control method a router implements; determines its canonical

@@ -90,12 +90,6 @@ impl RouterParams {
             self.clk
         );
     }
-
-    /// `p·v`, the total number of virtual channels in the router per side.
-    #[must_use]
-    pub fn total_vcs(&self) -> u32 {
-        self.p * self.v
-    }
 }
 
 impl Default for RouterParams {
@@ -123,7 +117,6 @@ mod tests {
             .with_clock(Tau::new(150.0));
         assert_eq!((p.p, p.v, p.w), (7, 8, 64));
         assert_eq!(p.clk, Tau::new(150.0));
-        assert_eq!(p.total_vcs(), 56);
     }
 
     #[test]

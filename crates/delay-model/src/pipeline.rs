@@ -18,21 +18,6 @@ use crate::params::RouterParams;
 use logical_effort::Tau;
 use std::fmt;
 
-/// How module overhead `h` is charged during packing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverheadPolicy {
-    /// EQ 1 as written: a stage holding modules `a..=b` must satisfy
-    /// `Σ tᵢ + h_b ≤ clk` — only the *last* module's overhead is charged,
-    /// since earlier modules' priority updates overlap downstream logic.
-    /// This is the default and reproduces the paper's depth claims.
-    #[default]
-    Strict,
-    /// Overhead fully overlapped with the next stage's input setup:
-    /// stages must satisfy `Σ tᵢ ≤ clk`. Provided for sensitivity
-    /// analysis.
-    Overlapped,
-}
-
 /// One pipeline stage: the modules (or module fractions) it contains.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineStage {
@@ -85,21 +70,23 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Packs `modules` (in dependency order) into stages of cycle `clk`
-    /// under the given overhead policy.
+    /// Packs `modules` (in dependency order) into stages of cycle `clk`.
+    /// As EQ 1 is written, a stage holding modules `a..=b` must satisfy
+    /// `Σ tᵢ + h_b ≤ clk`: only the *last* module's overhead is charged,
+    /// since earlier modules' priority updates overlap downstream logic.
     ///
     /// # Panics
     ///
     /// Panics if `modules` is empty or `params.clk` is non-positive.
     #[must_use]
-    pub fn pack(modules: &[AtomicModule], params: &RouterParams, policy: OverheadPolicy) -> Self {
+    pub fn pack(modules: &[AtomicModule], params: &RouterParams) -> Self {
         assert!(!modules.is_empty(), "cannot pack an empty module list");
         params.validate();
         let clk = params.clk;
         let mut stages: Vec<PipelineStage> = Vec::new();
         let mut current = PipelineStage::new();
         // Σ tᵢ of the modules already in `current` (occupancy additionally
-        // includes the last module's overhead under the Strict policy).
+        // includes the last module's overhead).
         let mut current_t = Tau::zero();
 
         let flush =
@@ -109,11 +96,6 @@ impl Pipeline {
                 }
                 *current_t = Tau::zero();
             };
-
-        let overhead = |h: Tau| match policy {
-            OverheadPolicy::Strict => h,
-            OverheadPolicy::Overlapped => Tau::zero(),
-        };
 
         for m in modules {
             if m.kind.occupies_full_cycle() {
@@ -126,7 +108,7 @@ impl Pipeline {
                 continue;
             }
 
-            let solo = m.delay.t + overhead(m.delay.h);
+            let solo = m.delay.total();
             if solo > clk {
                 // Atomic module straddles multiple stages (footnote 4).
                 flush(&mut stages, &mut current, &mut current_t);
@@ -149,7 +131,7 @@ impl Pipeline {
             }
             current.entries.push((m.kind, m.delay.t));
             current_t += m.delay.t;
-            current.occupancy = current_t + overhead(m.delay.h);
+            current.occupancy = current_t + m.delay.h;
         }
         flush(&mut stages, &mut current, &mut current_t);
 
@@ -179,12 +161,6 @@ impl Pipeline {
     pub fn stage_of(&self, kind: ModuleKind) -> Option<usize> {
         self.stages.iter().position(|s| s.contains(kind))
     }
-
-    /// Number of stages over which the given module is spread.
-    #[must_use]
-    pub fn stages_spanned(&self, kind: ModuleKind) -> u32 {
-        self.stages.iter().filter(|s| s.contains(kind)).count() as u32
-    }
 }
 
 impl fmt::Display for Pipeline {
@@ -209,11 +185,7 @@ mod tests {
 
     #[test]
     fn single_small_module_is_one_stage() {
-        let p = Pipeline::pack(
-            &[module(ModuleKind::SwitchArbiter, 39.0, 9.0)],
-            &params(),
-            OverheadPolicy::Strict,
-        );
+        let p = Pipeline::pack(&[module(ModuleKind::SwitchArbiter, 39.0, 9.0)], &params());
         assert_eq!(p.depth(), 1);
         assert_eq!(p.stages()[0].occupancy, Tau::new(48.0));
     }
@@ -226,7 +198,6 @@ mod tests {
                 module(ModuleKind::SwitchAllocator, 40.0, 9.0),
             ],
             &params(),
-            OverheadPolicy::Strict,
         );
         assert_eq!(p.depth(), 1, "49 + 49 ≤ 100 must share");
     }
@@ -239,7 +210,6 @@ mod tests {
                 module(ModuleKind::SwitchAllocator, 40.0, 9.0),
             ],
             &params(),
-            OverheadPolicy::Strict,
         );
         assert_eq!(p.depth(), 2, "69 + 49 > 100 must split");
         assert_eq!(p.stage_of(ModuleKind::SwitchAllocator), Some(1));
@@ -254,7 +224,6 @@ mod tests {
                 module(ModuleKind::Crossbar, 42.0, 0.0),
             ],
             &params(),
-            OverheadPolicy::Strict,
         );
         assert_eq!(p.depth(), 3);
         assert_eq!(p.stages()[0].entries[0].0, ModuleKind::RouteDecode);
@@ -266,36 +235,19 @@ mod tests {
 
     #[test]
     fn oversized_atomic_module_straddles() {
-        let p = Pipeline::pack(
-            &[module(ModuleKind::VcAllocator, 145.0, 9.0)],
-            &params(),
-            OverheadPolicy::Strict,
-        );
+        let p = Pipeline::pack(&[module(ModuleKind::VcAllocator, 145.0, 9.0)], &params());
         assert_eq!(p.depth(), 2, "154 τ needs ceil(154/100) = 2 stages");
-        assert_eq!(p.stages_spanned(ModuleKind::VcAllocator), 2);
+        assert!(p
+            .stages()
+            .iter()
+            .all(|s| s.contains(ModuleKind::VcAllocator)));
         assert_eq!(p.stages()[0].occupancy, Tau::new(100.0));
         assert!((p.stages()[1].occupancy.value() - 54.0).abs() < 1e-9);
     }
 
     #[test]
-    fn overlapped_policy_ignores_overhead() {
-        let m = [
-            module(ModuleKind::VcAllocator, 50.0, 9.0),
-            module(ModuleKind::SwitchAllocator, 50.0, 9.0),
-        ];
-        let strict = Pipeline::pack(&m, &params(), OverheadPolicy::Strict);
-        let overlapped = Pipeline::pack(&m, &params(), OverheadPolicy::Overlapped);
-        assert_eq!(strict.depth(), 2, "50+50+9 > 100");
-        assert_eq!(overlapped.depth(), 1, "50+50 ≤ 100");
-    }
-
-    #[test]
     fn utilization_is_fraction_of_clock() {
-        let p = Pipeline::pack(
-            &[module(ModuleKind::SwitchArbiter, 41.0, 9.0)],
-            &params(),
-            OverheadPolicy::Strict,
-        );
+        let p = Pipeline::pack(&[module(ModuleKind::SwitchArbiter, 41.0, 9.0)], &params());
         assert!((p.stages()[0].utilization(Tau::new(100.0)) - 0.5).abs() < 1e-9);
     }
 
@@ -307,7 +259,6 @@ mod tests {
                 module(ModuleKind::SwitchArbiter, 39.0, 9.0),
             ],
             &params(),
-            OverheadPolicy::Strict,
         );
         let s = p.to_string();
         assert!(s.contains("RT"));
@@ -318,6 +269,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty module list")]
     fn empty_module_list_rejected() {
-        let _ = Pipeline::pack(&[], &params(), OverheadPolicy::Strict);
+        let _ = Pipeline::pack(&[], &params());
     }
 }

@@ -2,8 +2,7 @@
 //! parametric equations and structural invariants of EQ-1 packing.
 
 use delay_model::{
-    canonical, equations, FlowControl, ModuleKind, OverheadPolicy, Pipeline, RouterParams,
-    RoutingFunction,
+    canonical, equations, FlowControl, ModuleKind, Pipeline, RouterParams, RoutingFunction,
 };
 use logical_effort::Tau;
 use proptest::prelude::*;
@@ -70,9 +69,9 @@ proptest! {
         }
     }
 
-    /// EQ-1 packing invariants: every stage fits the clock (strict
-    /// policy, full-cycle modules exactly fill theirs), module order is
-    /// preserved, and nothing is dropped.
+    /// EQ-1 packing invariants: every stage fits the clock (full-cycle
+    /// modules exactly fill theirs), module order is preserved, and
+    /// nothing is dropped.
     #[test]
     fn packing_invariants(params in params_strategy()) {
         for fc in [
@@ -81,7 +80,7 @@ proptest! {
             FlowControl::SpeculativeVirtualChannel(RoutingFunction::Rv),
         ] {
             let modules = canonical::critical_path(fc, &params);
-            let pipe = Pipeline::pack(&modules, &params, OverheadPolicy::Strict);
+            let pipe = Pipeline::pack(&modules, &params);
             // Stages fit the clock.
             for stage in pipe.stages() {
                 prop_assert!(stage.occupancy <= params.clk + Tau::new(1e-9));

@@ -1,51 +1,35 @@
-//! Technology-independent circuit delay estimation via the *method of
-//! logical effort* (Sproull & Sutherland; Sutherland, Sproull & Harris).
+//! The delay units and logarithms of the Peh–Dally router delay model
+//! (HPCA 2001).
 //!
-//! This crate is the lowest substrate of the Peh–Dally HPCA 2001 router
-//! delay model reproduction. The paper expresses every atomic-module delay
-//! in τ, the delay of an inverter driving an identical inverter, and uses
-//! τ4 = 5τ (an inverter driving four copies of itself) as the "typical
-//! gate delay" unit; the canonical clock cycle is 20 τ4.
-//!
-//! The method models the delay of a path of logic gates as
-//!
-//! ```text
-//! T = T_eff + T_par = Σ gᵢ·hᵢ + Σ pᵢ        (EQ 2 of the paper)
-//! ```
-//!
-//! where per stage `gᵢ` is the *logical effort* (delay of the gate's logic
-//! function relative to an inverter of identical input capacitance), `hᵢ`
-//! the *electrical effort* (fanout: output/input capacitance), and `pᵢ` the
-//! *parasitic delay* (intrinsic, relative to an inverter's parasitic).
+//! The paper derives every atomic-module delay with the *method of
+//! logical effort* (Sproull & Sutherland; Sutherland, Sproull & Harris)
+//! and states the result as a closed form in τ, the delay of an inverter
+//! driving an identical inverter. Its "typical gate delay" unit is
+//! τ4 = 5τ, an inverter driving four copies of itself (Figure 6:
+//! g·h + p = 1·4 + 1), and its canonical clock cycle is 20 τ4. The
+//! closed forms themselves live in the `delay-model` crate; this crate
+//! holds the units they are written in ([`Tau`], [`Tau4`], [`TAU4`],
+//! [`CLOCK_TAU4`]) and the base-4 and base-8 logarithms their stage
+//! counts take ([`log4`], [`log8`]).
 //!
 //! # Example
 //!
-//! Reproduce the paper's worked example (Figure 6): an inverter driving
-//! four other inverters has delay τ4 = 5τ.
+//! The paper's worked example (Figure 6): an inverter driving four other
+//! inverters has delay τ4 = 5τ, and the 20 τ4 clock is 100 τ.
 //!
 //! ```
-//! use logical_effort::{Gate, Path, Stage, Tau};
+//! use logical_effort::{Tau, CLOCK_TAU4, TAU4};
 //!
-//! let path = Path::new(vec![Stage::new(Gate::Inverter, 4.0)]);
-//! assert_eq!(path.delay(), Tau::new(5.0));
-//! assert_eq!(logical_effort::TAU4, Tau::new(5.0));
+//! let (g, h, p) = (1.0, 4.0, 1.0); // inverter: logical effort, fanout, parasitic
+//! assert_eq!(Tau::new(g * h + p), TAU4);
+//! assert_eq!(CLOCK_TAU4.as_tau(), Tau::new(100.0));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arbiter;
-pub mod fanout;
-pub mod gate;
-pub mod path;
-pub mod sizing;
-pub mod tau;
+mod tau;
 
-pub use arbiter::MatrixArbiterCircuit;
-pub use fanout::FanoutTree;
-pub use gate::Gate;
-pub use path::{Path, Stage};
-pub use sizing::{PathTopology, SizedPath};
 pub use tau::{Tau, Tau4, CLOCK_TAU4, TAU4};
 
 /// Base-4 logarithm, the staple of the paper's parametric equations

@@ -107,13 +107,6 @@ impl Tau4 {
         Tau(self.0 * TAU4.0)
     }
 
-    /// Picoseconds in a given process, e.g. `tau4_ps = 90.0` for the 0.18 µm
-    /// CMOS process the paper grounds its validation in.
-    #[must_use]
-    pub fn picoseconds(self, tau4_ps: f64) -> f64 {
-        self.0 * tau4_ps
-    }
-
     /// Total ordering (delegates to `f64::total_cmp`; `Tau4` is never NaN).
     #[must_use]
     pub fn total_cmp(&self, other: &Self) -> std::cmp::Ordering {
@@ -245,12 +238,6 @@ mod tests {
         assert_eq!(t, Tau::new(10.0));
         let t4: Tau4 = Tau::new(20.0).into();
         assert_eq!(t4, Tau4::new(4.0));
-    }
-
-    #[test]
-    fn picoseconds_in_018um() {
-        // In 0.18 µm, τ4 = 90 ps → a 20 τ4 clock ≈ 1.8 ns (paper: ~2 ns).
-        assert_eq!(CLOCK_TAU4.picoseconds(90.0), 1800.0);
     }
 
     #[test]

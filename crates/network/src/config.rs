@@ -719,8 +719,8 @@ pub struct NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// A k×k mesh with the paper's defaults (scaled-down sample sizes; use
-    /// [`NetworkConfig::paper_scale`] for the full protocol).
+    /// A k×k mesh with the paper's defaults (scaled-down sample sizes;
+    /// `peh_dally::SimScale::paper` applies the full protocol).
     #[must_use]
     pub fn mesh(k: usize, router: RouterKind) -> Self {
         Self::for_mesh(Mesh::new(k, 2), router)
@@ -753,17 +753,6 @@ impl NetworkConfig {
             telemetry: None,
             faults: Vec::new(),
         }
-    }
-
-    /// The paper's full measurement protocol: 8×8 mesh, 10,000 warm-up
-    /// cycles, 100,000 tagged packets.
-    #[must_use]
-    pub fn paper_scale(router: RouterKind) -> Self {
-        let mut cfg = Self::mesh(8, router);
-        cfg.warmup_cycles = 10_000;
-        cfg.sample_packets = 100_000;
-        cfg.max_cycles = 2_000_000;
-        cfg
     }
 
     /// Sets the offered load (fraction of capacity).
@@ -1088,11 +1077,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_scale_matches_protocol() {
-        let cfg = NetworkConfig::paper_scale(RouterKind::Wormhole { buffers: 8 });
+    fn mesh_has_the_paper_network() {
+        let cfg = NetworkConfig::mesh(8, RouterKind::Wormhole { buffers: 8 });
         assert_eq!(cfg.mesh.nodes(), 64);
-        assert_eq!(cfg.warmup_cycles, 10_000);
-        assert_eq!(cfg.sample_packets, 100_000);
         assert_eq!(cfg.packet_len, 5);
         assert_eq!(cfg.link_delay, 1);
     }

@@ -6,7 +6,7 @@
 //!
 //! * [`peh_dally`] — experiment API (one function per table/figure).
 //! * [`delay_model`] — the parametric router delay model.
-//! * [`logical_effort`] — τ-model delay estimation.
+//! * [`logical_effort`] — the τ/τ4 delay units of the delay model.
 //! * [`arbitration`] — matrix arbiters and separable allocators.
 //! * [`router_core`] — cycle-accurate router microarchitectures.
 //! * [`noc_network`] — the mesh network simulator.
