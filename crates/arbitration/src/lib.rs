@@ -10,6 +10,9 @@
 //!
 //! * [`MatrixArbiter`] — the paper's arbiter, with strong fairness
 //!   (least-recently-served wins ties).
+//! * [`MatrixBank`] — `k` matrix arbiters of one width in one block of
+//!   priority rows; [`MatrixArbiter`] is a bank of one, and the
+//!   allocator's stage 2 and a router's switch planes are banks.
 //! * [`RoundRobinArbiter`] — a rotating-pointer arbiter used where the
 //!   paper does not prescribe matrix priority (e.g. candidate-VC selection
 //!   in the network interface).
@@ -49,7 +52,7 @@ pub mod matrix;
 pub mod round_robin;
 pub mod separable;
 
-pub use matrix::MatrixArbiter;
+pub use matrix::{MatrixArbiter, MatrixBank};
 pub use round_robin::RoundRobinArbiter;
 pub use separable::{Grant, SeparableAllocator};
 

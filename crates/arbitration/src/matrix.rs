@@ -10,17 +10,170 @@
 //! Each matrix row is one `u64` (bit `j` of row `i` set when `i` beats
 //! `j`), so the grant test for a requestor is a single mask compare and a
 //! demotion is one OR per row — the word-parallel equivalent of the
-//! circuit's per-bit gates.
+//! circuit's per-bit gates. A [`MatrixBank`] keeps the rows of many
+//! arbiters of one width in a single block, so a router's per-port
+//! arbiters cost one allocation, not one per arbiter.
 
 use crate::{check_width, low_bits, pack};
 use std::fmt;
 
-/// A behavioral `n:1` matrix arbiter, `n <= 64`.
+/// A bank of `k` behavioral matrix arbiters of `n` requestors each,
+/// `n <= 64`, in one block of priority rows: row `i` of arbiter `a` is
+/// word `a * n + i`. The arbitration logic lives here once;
+/// [`MatrixArbiter`] is a bank of one, and a router or allocator that
+/// needs one arbiter per port or per resource keeps them all in a bank.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatrixBank {
+    /// Requestors per arbiter.
+    n: usize,
+    /// Priority rows: bit `j` of row `i` of an arbiter is set when
+    /// requestor `i` has priority over `j` (`i != j`; the diagonal bit is
+    /// always clear).
+    rows: Box<[u64]>,
+}
+
+impl MatrixBank {
+    /// Creates `k` arbiters over `n` requestors each. Initial priority is
+    /// by index: requestor 0 highest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `n > 64`.
+    #[must_use]
+    pub fn new(k: usize, n: usize) -> Self {
+        check_width(n);
+        // Row i beats every higher index.
+        let rows = (0..k * n)
+            .map(|w| low_bits(n) & !low_bits(w % n + 1))
+            .collect();
+        MatrixBank { n, rows }
+    }
+
+    /// Number of arbiters.
+    #[must_use]
+    pub fn arbiters(&self) -> usize {
+        self.rows.len() / self.n
+    }
+
+    /// Requestors per arbiter.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.n
+    }
+
+    /// The priority rows of arbiter `arb`.
+    #[inline]
+    fn rows(&self, arb: usize) -> &[u64] {
+        &self.rows[arb * self.n..][..self.n]
+    }
+
+    /// Combinational arbitration of arbiter `arb` over a request mask
+    /// (bit `i` = requestor `i`; bits at or above [`MatrixBank::width`]
+    /// must be clear): the lowest requestor whose row covers every other
+    /// request. Priority state is untouched.
+    #[inline]
+    #[must_use]
+    pub fn peek_mask(&self, arb: usize, requests: u64) -> Option<usize> {
+        debug_assert_eq!(
+            requests & !low_bits(self.n),
+            0,
+            "request mask {requests:#x} wider than the arbiter ({})",
+            self.n
+        );
+        let rows = self.rows(arb);
+        let mut candidates = requests;
+        while candidates != 0 {
+            let i = candidates.trailing_zeros() as usize;
+            if requests & !(1 << i) & !rows[i] == 0 {
+                return Some(i);
+            }
+            candidates &= candidates - 1;
+        }
+        None
+    }
+
+    /// Demotes `winner` of arbiter `arb` to lowest priority (the `h`
+    /// overhead path of the circuit).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `winner >= self.width()` or `arb` is out of range.
+    #[inline]
+    pub fn demote(&mut self, arb: usize, winner: usize) {
+        assert!(
+            winner < self.n,
+            "requestor {winner} out of range {}",
+            self.n
+        );
+        let rows = &mut self.rows[arb * self.n..][..self.n];
+        for row in rows.iter_mut() {
+            *row |= 1 << winner;
+        }
+        rows[winner] = 0;
+        debug_assert!(self.is_total_order(arb), "matrix must remain a total order");
+    }
+
+    /// Whether `i` currently has priority over `j` in arbiter `arb`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i == j` or any index is out of range.
+    #[must_use]
+    pub fn has_priority(&self, arb: usize, i: usize, j: usize) -> bool {
+        assert!(
+            i != j,
+            "priority between a requestor and itself is undefined"
+        );
+        assert!(i < self.n && j < self.n, "index out of range");
+        self.rows(arb)[i] & (1 << j) != 0
+    }
+
+    /// Invariant check: arbiter `arb`'s matrix encodes a strict total
+    /// order.
+    ///
+    /// Allocation-free — it runs inside a `debug_assert!` on the grant
+    /// path, and the hot tick must not allocate even in debug builds.
+    #[must_use]
+    pub fn is_total_order(&self, arb: usize) -> bool {
+        let n = self.n;
+        let rows = self.rows(arb);
+        // Irreflexive and in range.
+        if (0..n).any(|i| rows[i] & (!low_bits(n) | 1 << i) != 0) {
+            return false;
+        }
+        // Antisymmetric and complete: exactly one of (i, j), (j, i).
+        for i in 0..n {
+            for j in 0..i {
+                if (rows[i] >> j & 1) == (rows[j] >> i & 1) {
+                    return false;
+                }
+            }
+        }
+        // A complete antisymmetric relation is transitive exactly when
+        // its win counts are a permutation of 0..n.
+        let mut seen = 0u64;
+        for &row in rows {
+            seen |= 1 << row.count_ones();
+        }
+        seen == low_bits(n)
+    }
+
+    /// Arbiter `arb`'s current priority ranking, highest first
+    /// (diagnostic).
+    #[must_use]
+    pub fn ranking(&self, arb: usize) -> Vec<usize> {
+        let rows = self.rows(arb);
+        let mut idx: Vec<usize> = (0..self.n).collect();
+        idx.sort_by_key(|&i| std::cmp::Reverse(rows[i].count_ones()));
+        idx
+    }
+}
+
+/// A behavioral `n:1` matrix arbiter, `n <= 64`: a [`MatrixBank`] of
+/// one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixArbiter {
-    /// Priority rows: bit `j` of `rows[i]` is set when requestor `i` has
-    /// priority over `j` (`i != j`; the diagonal bit is always clear).
-    rows: Box<[u64]>,
+    bank: MatrixBank,
 }
 
 impl MatrixArbiter {
@@ -32,16 +185,15 @@ impl MatrixArbiter {
     /// Panics if `n == 0` or `n > 64`.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        check_width(n);
-        // Row i beats every higher index.
-        let rows = (0..n).map(|i| low_bits(n) & !low_bits(i + 1)).collect();
-        MatrixArbiter { rows }
+        MatrixArbiter {
+            bank: MatrixBank::new(1, n),
+        }
     }
 
     /// Number of requestors.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.bank.width()
     }
 
     /// Always false: an arbiter has at least one requestor.
@@ -82,21 +234,7 @@ impl MatrixArbiter {
     #[inline]
     #[must_use]
     pub fn peek_mask(&self, requests: u64) -> Option<usize> {
-        debug_assert_eq!(
-            requests & !low_bits(self.len()),
-            0,
-            "request mask {requests:#x} wider than the arbiter ({})",
-            self.len()
-        );
-        let mut candidates = requests;
-        while candidates != 0 {
-            let i = candidates.trailing_zeros() as usize;
-            if requests & !(1 << i) & !self.rows[i] == 0 {
-                return Some(i);
-            }
-            candidates &= candidates - 1;
-        }
-        None
+        self.bank.peek_mask(0, requests)
     }
 
     /// Demotes `winner` to lowest priority (the `h` overhead path of the
@@ -108,16 +246,7 @@ impl MatrixArbiter {
     /// Panics if `winner >= self.len()`.
     #[inline]
     pub fn demote(&mut self, winner: usize) {
-        assert!(
-            winner < self.len(),
-            "requestor {winner} out of range {}",
-            self.len()
-        );
-        for row in self.rows.iter_mut() {
-            *row |= 1 << winner;
-        }
-        self.rows[winner] = 0;
-        debug_assert!(self.is_total_order(), "matrix must remain a total order");
+        self.bank.demote(0, winner);
     }
 
     /// Whether `i` currently has priority over `j`.
@@ -127,48 +256,20 @@ impl MatrixArbiter {
     /// Panics if `i == j` or either index is out of range.
     #[must_use]
     pub fn has_priority(&self, i: usize, j: usize) -> bool {
-        assert!(
-            i != j,
-            "priority between a requestor and itself is undefined"
-        );
-        assert!(i < self.len() && j < self.len(), "index out of range");
-        self.rows[i] & (1 << j) != 0
+        self.bank.has_priority(0, i, j)
     }
 
-    /// Invariant check: the matrix encodes a strict total order.
-    ///
-    /// Allocation-free — it runs inside a `debug_assert!` on the grant
-    /// path, and the hot tick must not allocate even in debug builds.
+    /// Invariant check: the matrix encodes a strict total order
+    /// (allocation-free).
     #[must_use]
     pub fn is_total_order(&self) -> bool {
-        let n = self.len();
-        // Irreflexive and in range.
-        if (0..n).any(|i| self.rows[i] & (!low_bits(n) | 1 << i) != 0) {
-            return false;
-        }
-        // Antisymmetric and complete: exactly one of (i, j), (j, i).
-        for i in 0..n {
-            for j in 0..i {
-                if (self.rows[i] >> j & 1) == (self.rows[j] >> i & 1) {
-                    return false;
-                }
-            }
-        }
-        // A complete antisymmetric relation is transitive exactly when
-        // its win counts are a permutation of 0..n.
-        let mut seen = 0u64;
-        for &row in self.rows.iter() {
-            seen |= 1 << row.count_ones();
-        }
-        seen == low_bits(n)
+        self.bank.is_total_order(0)
     }
 
     /// The current priority ranking, highest first (diagnostic).
     #[must_use]
     pub fn ranking(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.sort_by_key(|&i| std::cmp::Reverse(self.rows[i].count_ones()));
-        idx
+        self.bank.ranking(0)
     }
 }
 
@@ -276,6 +377,29 @@ mod tests {
     #[should_panic(expected = "64-bit request mask")]
     fn more_than_64_requestors_rejected() {
         let _ = MatrixArbiter::new(65);
+    }
+
+    #[test]
+    fn bank_arbiters_are_independent_matrix_arbiters() {
+        let mut bank = MatrixBank::new(3, 4);
+        let mut solo: Vec<MatrixArbiter> = (0..3).map(|_| MatrixArbiter::new(4)).collect();
+        assert_eq!((bank.arbiters(), bank.width()), (3, 4));
+        for (round, mask) in [0b1111u64, 0b0110, 0b1010, 0b1111, 0b0011]
+            .iter()
+            .enumerate()
+        {
+            let arb = round % 3;
+            let w = bank.peek_mask(arb, *mask);
+            assert_eq!(w, solo[arb].peek_mask(*mask), "round {round}");
+            let w = w.expect("non-empty mask has a winner");
+            bank.demote(arb, w);
+            solo[arb].demote(w);
+            for (a, s) in solo.iter().enumerate() {
+                assert_eq!(bank.ranking(a), s.ranking(), "round {round} arbiter {a}");
+                assert!(bank.is_total_order(a));
+            }
+        }
+        assert!(bank.has_priority(2, 0, 3));
     }
 
     #[test]

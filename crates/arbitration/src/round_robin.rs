@@ -12,6 +12,26 @@
 use crate::{check_width, pack};
 use std::fmt;
 
+/// The round-robin choice over a request mask: the lowest request at or
+/// above pointer `next`, else the lowest request.
+#[inline]
+pub(crate) fn pick(requests: u64, next: usize) -> Option<usize> {
+    let upper = requests & (u64::MAX << next);
+    let pick = if upper != 0 { upper } else { requests };
+    (pick != 0).then(|| pick.trailing_zeros() as usize)
+}
+
+/// The pointer after granting `winner` of `n` requestors.
+#[inline]
+pub(crate) fn after(winner: usize, n: usize) -> usize {
+    assert!(winner < n, "requestor {winner} out of range {n}");
+    if winner + 1 == n {
+        0
+    } else {
+        winner + 1
+    }
+}
+
 /// A behavioral `n:1` round-robin arbiter, `n <= 64`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobinArbiter {
@@ -83,9 +103,7 @@ impl RoundRobinArbiter {
             "request mask {requests:#x} wider than the arbiter ({})",
             self.n
         );
-        let upper = requests & (u64::MAX << self.next);
-        let pick = if upper != 0 { upper } else { requests };
-        (pick != 0).then(|| pick.trailing_zeros() as usize)
+        pick(requests, self.next)
     }
 
     /// Advances the pointer past `winner` (commit of a peeked grant).
@@ -95,12 +113,7 @@ impl RoundRobinArbiter {
     /// Panics if `winner >= self.len()`.
     #[inline]
     pub fn advance_past(&mut self, winner: usize) {
-        assert!(
-            winner < self.n,
-            "requestor {winner} out of range {}",
-            self.n
-        );
-        self.next = if winner + 1 == self.n { 0 } else { winner + 1 };
+        self.next = after(winner, self.n);
     }
 }
 

@@ -18,10 +18,12 @@
 //! Requests are kept as one `u64` row per input (bit `r` = resource `r`)
 //! and stage 1 fills one `u64` contender mask per resource (bit `i` =
 //! input `i`), so each stage visits only the inputs and resources that
-//! are actually requested, and both dimensions are capped at 64.
+//! are actually requested, and both dimensions are capped at 64. The
+//! stage-1 arbiters are their round-robin pointers, one byte per input,
+//! and the stage-2 arbiters are one [`MatrixBank`].
 
-use crate::matrix::MatrixArbiter;
-use crate::round_robin::RoundRobinArbiter;
+use crate::matrix::MatrixBank;
+use crate::round_robin;
 use std::fmt;
 
 /// A granted `(input, resource)` pair.
@@ -37,8 +39,10 @@ pub struct Grant {
 /// `n_in, n_out <= 64`.
 #[derive(Debug, Clone)]
 pub struct SeparableAllocator {
-    stage1: Vec<RoundRobinArbiter>,
-    stage2: Vec<MatrixArbiter>,
+    /// Stage-1 round-robin pointer per input (a resource index).
+    stage1: Box<[u8]>,
+    /// Stage-2 matrix arbiter per resource, over the inputs.
+    stage2: MatrixBank,
     /// Pending request row per input (bit `r` = resource `r`); every row
     /// is zero again after an allocation consumes it.
     rows: Box<[u64]>,
@@ -61,9 +65,10 @@ impl SeparableAllocator {
             n_in > 0 && n_out > 0,
             "allocator dimensions must be positive"
         );
+        crate::check_width(n_out);
         SeparableAllocator {
-            stage1: (0..n_in).map(|_| RoundRobinArbiter::new(n_out)).collect(),
-            stage2: (0..n_out).map(|_| MatrixArbiter::new(n_in)).collect(),
+            stage1: vec![0; n_in].into_boxed_slice(),
+            stage2: MatrixBank::new(n_out, n_in),
             rows: vec![0; n_in].into_boxed_slice(),
             requesting: 0,
             contenders: vec![0; n_out].into_boxed_slice(),
@@ -79,7 +84,7 @@ impl SeparableAllocator {
     /// Number of resources.
     #[must_use]
     pub fn outputs(&self) -> usize {
-        self.stage2.len()
+        self.stage2.arbiters()
     }
 
     /// Performs one allocation. `requests` lists `(input, resource)`
@@ -145,6 +150,13 @@ impl SeparableAllocator {
     /// ascending resource order.
     pub fn allocate_requested(&mut self, grants: &mut Vec<Grant>) {
         grants.clear();
+        self.allocate_with(|g| grants.push(g));
+    }
+
+    /// [`SeparableAllocator::allocate_requested`] handing each grant to
+    /// `grant`, in ascending resource order, instead of collecting them.
+    pub fn allocate_with(&mut self, mut grant: impl FnMut(Grant)) {
+        let n_out = self.outputs();
         // Stage 1: each requesting input picks one candidate resource
         // (peek only; commit on final grant).
         let mut chosen = 0u64;
@@ -153,8 +165,7 @@ impl SeparableAllocator {
             let i = inputs.trailing_zeros() as usize;
             inputs &= inputs - 1;
             let row = std::mem::take(&mut self.rows[i]);
-            let r = self.stage1[i]
-                .peek_mask(row)
+            let r = round_robin::pick(row, usize::from(self.stage1[i]))
                 .expect("a requesting input has a non-empty row");
             self.contenders[r] |= 1 << i;
             chosen |= 1 << r;
@@ -164,12 +175,14 @@ impl SeparableAllocator {
             let r = chosen.trailing_zeros() as usize;
             chosen &= chosen - 1;
             let contenders = std::mem::take(&mut self.contenders[r]);
-            let winner = self.stage2[r]
-                .peek_mask(contenders)
+            let winner = self
+                .stage2
+                .peek_mask(r, contenders)
                 .expect("a chosen resource has a contender");
-            self.stage2[r].demote(winner);
-            self.stage1[winner].advance_past(r);
-            grants.push(Grant {
+            self.stage2.demote(r, winner);
+            // n_out <= 64, so every pointer fits a byte.
+            self.stage1[winner] = round_robin::after(r, n_out) as u8;
+            grant(Grant {
                 input: winner,
                 resource: r,
             });

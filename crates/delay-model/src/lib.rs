@@ -18,10 +18,11 @@
 //!
 //! The equation images in the available paper text are OCR-garbled; each
 //! closed form here was reconstructed to match the numeric model column of
-//! Table 1 **exactly** (p = 5, w = 32, v = 2, clk = 20 τ4): 9.6, 8.4, 11.8,
-//! 13.1, 16.9, 10.9 τ4 for SB, XB, VC(Rv/Rp/Rpv), SL, and 14.6/14.6/18.3 τ4
-//! for the combined speculative allocation stage under the three routing
-//! functions.
+//! Table 1 to within 0.1 τ4 (p = 5, w = 32, v = 2, clk = 20 τ4). The
+//! module rows read as the paper's: 9.6, 8.4, 11.8, 13.1, 16.9, 10.9 τ4
+//! for SB, XB, VC(Rv/Rp/Rpv), SL. The combined speculative allocation
+//! stage reads 14.7/14.7/18.4 τ4 under the three routing functions,
+//! against the paper's 14.6/14.6/18.3.
 //!
 //! # Example
 //!

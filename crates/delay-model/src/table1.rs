@@ -159,18 +159,31 @@ mod tests {
     #[test]
     fn model_stays_within_2_tau4_of_synopsys() {
         // The paper reports its model validated against Synopsys to within
-        // ~2 τ4 in 0.18 µm; our reconstruction inherits that bound.
+        // ~2 τ4 in 0.18 µm. Every row but the crossbar keeps to that (the
+        // widest, Rpv and the combined stages, are 1.6 τ4 off). The
+        // crossbar is 2.1 τ4 under Synopsys, but ours and the paper's
+        // model column both read 8.4 against its 10.5: the gap is the
+        // paper's model's, not the reconstruction's.
+        let mut crossbar = false;
         for row in generate() {
-            if let Some(syn) = row.paper_synopsys {
+            let Some(syn) = row.paper_synopsys else {
+                continue;
+            };
+            let ours = row.ours.value();
+            if row.module == "Crossbar traversal (XB)" {
+                crossbar = true;
+                assert_eq!((row.paper_model, syn), (8.4, 10.5));
+                assert!((ours - 8.4).abs() < 0.05, "crossbar {ours:.3}");
+                assert!((syn - ours - 2.1).abs() < 0.05, "crossbar {ours:.3}");
+            } else {
                 assert!(
-                    (row.ours.value() - syn).abs() <= 2.2,
-                    "{}: {:.2} vs Synopsys {:.1}",
-                    row.module,
-                    row.ours.value(),
-                    syn
+                    (ours - syn).abs() <= 2.0,
+                    "{}: {ours:.2} vs Synopsys {syn:.1}",
+                    row.module
                 );
             }
         }
+        assert!(crossbar, "Table 1 has a crossbar row");
     }
 
     #[test]

@@ -1133,10 +1133,52 @@ mod tests {
             buffers_per_vc: 4,
         }));
         let lat = r.avg_latency.expect("sample completed");
-        // Paper: 36 cycles (one extra stage per hop). Our credit-loop
-        // accounting charges the uncovered 4-buffer credit loop ~2 cycles
-        // more at the source than the paper's (see EXPERIMENTS.md).
+        // Paper: 36 cycles (one extra stage per hop). Ours reads 3.9
+        // cycles more: the 4-buffer credit loop is uncovered
+        // (`vc_zero_load_residual_is_the_4_buffer_credit_loop`).
         assert!((33.0..41.0).contains(&lat), "VC zero-load latency {lat}");
+    }
+
+    /// Average latency at `low_load`'s warm-up and sample and injection
+    /// 0.01, close to zero load.
+    fn near_zero_load(kind: RouterKind) -> f64 {
+        quick(low_load(kind).with_injection(0.01))
+            .avg_latency
+            .expect("sample completed")
+    }
+
+    #[test]
+    fn vc_zero_load_residual_is_the_4_buffer_credit_loop() {
+        // Paper: 36 cycles. With 5 buffers per VC the credit loop is
+        // covered and VC reads 36.15; with the paper's 4 it reads 40.02,
+        // so the whole residual is the uncovered loop.
+        let vc = |buffers_per_vc| {
+            near_zero_load(RouterKind::VirtualChannel {
+                vcs: 2,
+                buffers_per_vc,
+            })
+        };
+        let (four, five) = (vc(4), vc(5));
+        assert!((five - 36.15).abs() < 0.01, "VC 2x5 reads {five}");
+        assert!((four - 40.02).abs() < 0.01, "VC 2x4 reads {four}");
+    }
+
+    #[test]
+    fn spec_zero_load_gap_is_the_4_buffer_credit_loop() {
+        // Paper: specVC 30 vs WH 29, the cycle footnote 15 puts on 4
+        // buffers per VC. With 5 buffers per VC specVC reads within 0.05
+        // cycle of WH (29.70 vs 29.68); with 4 it reads 32.66.
+        let wh = near_zero_load(RouterKind::Wormhole { buffers: 8 });
+        let spec = |buffers_per_vc| {
+            near_zero_load(RouterKind::SpeculativeVc {
+                vcs: 2,
+                buffers_per_vc,
+            })
+        };
+        let (four, five) = (spec(4), spec(5));
+        assert!((wh - 29.68).abs() < 0.01, "WH reads {wh}");
+        assert!((five - wh).abs() < 0.05, "specVC 2x5 {five} vs WH {wh}");
+        assert!((four - 32.66).abs() < 0.01, "specVC 2x4 reads {four}");
     }
 
     #[test]
@@ -1148,8 +1190,9 @@ mod tests {
         }));
         let (a, b) = (wh.avg_latency.unwrap(), spec.avg_latency.unwrap());
         // Paper: 29 vs 30 — the speculative router pays ~1 cycle because 4
-        // buffers/VC do not quite cover the credit loop (footnote 15); our
-        // credit accounting charges ~2. Same pipeline depth otherwise.
+        // buffers/VC do not quite cover the credit loop (footnote 15); ours
+        // pays 2.84 (`spec_zero_load_gap_is_the_4_buffer_credit_loop`).
+        // Same pipeline depth otherwise.
         assert!(b >= a - 0.5, "specVC cannot beat WH: {a} vs {b}");
         assert!(b - a < 4.0, "specVC must stay close to WH: {a} vs {b}");
     }

@@ -11,8 +11,7 @@
 //!
 //! Credit flow control bounds every ring's occupancy by construction,
 //! which is what makes the fixed capacity safe: a push past capacity is
-//! an upstream credit-accounting bug and panics, exactly like the old
-//! `InputVc::enqueue` overflow assert.
+//! an upstream credit-accounting bug and panics.
 
 use crate::flit::{Flit, PacketId};
 
@@ -36,12 +35,18 @@ const EMPTY_SLOT: Flit = Flit {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlitArena {
     slots: Box<[Flit]>,
-    /// Per-ring index of the front flit within the ring's window.
-    head: Box<[u32]>,
-    /// Per-ring occupancy.
-    len: Box<[u32]>,
+    /// Per ring: the index of the front flit within the ring's window,
+    /// and the occupancy.
+    rings: Box<[Ring]>,
     /// Capacity of each ring (the per-VC buffer depth).
     capacity: u32,
+}
+
+/// Where one ring's flits sit in its window.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Ring {
+    head: u32,
+    len: u32,
 }
 
 impl FlitArena {
@@ -61,8 +66,7 @@ impl FlitArena {
             .expect("arena size overflow");
         FlitArena {
             slots: vec![EMPTY_SLOT; total].into_boxed_slice(),
-            head: vec![0; rings].into_boxed_slice(),
-            len: vec![0; rings].into_boxed_slice(),
+            rings: vec![Ring::default(); rings].into_boxed_slice(),
             capacity,
         }
     }
@@ -70,7 +74,7 @@ impl FlitArena {
     /// Number of rings.
     #[must_use]
     pub fn rings(&self) -> usize {
-        self.head.len()
+        self.rings.len()
     }
 
     /// Capacity of every ring, in flits.
@@ -82,25 +86,25 @@ impl FlitArena {
     /// Occupancy of `ring`, in flits.
     #[must_use]
     pub fn len(&self, ring: usize) -> usize {
-        self.len[ring] as usize
+        self.rings[ring].len as usize
     }
 
     /// Whether `ring` holds no flit.
     #[must_use]
     pub fn is_empty(&self, ring: usize) -> bool {
-        self.len[ring] == 0
+        self.rings[ring].len == 0
     }
 
     /// Whether `ring` is at capacity.
     #[must_use]
     pub fn is_full(&self, ring: usize) -> bool {
-        self.len[ring] == self.capacity
+        self.rings[ring].len == self.capacity
     }
 
     /// Total flits buffered across all rings (diagnostics; O(rings)).
     #[must_use]
     pub fn total_len(&self) -> usize {
-        self.len.iter().map(|&l| l as usize).sum()
+        self.rings.iter().map(|r| r.len as usize).sum()
     }
 
     /// The slab index of position `i` within `ring`'s window.
@@ -108,7 +112,7 @@ impl FlitArena {
     fn slot(&self, ring: usize, i: u32) -> usize {
         let cap = self.capacity;
         let wrapped = {
-            let j = self.head[ring] + i;
+            let j = self.rings[ring].head + i;
             if j >= cap {
                 j - cap
             } else {
@@ -122,7 +126,7 @@ impl FlitArena {
     #[inline]
     #[must_use]
     pub fn front(&self, ring: usize) -> Option<&Flit> {
-        if self.len[ring] == 0 {
+        if self.rings[ring].len == 0 {
             None
         } else {
             Some(&self.slots[self.slot(ring, 0)])
@@ -137,7 +141,7 @@ impl FlitArena {
     /// this impossible.
     #[inline]
     pub fn push_back(&mut self, ring: usize, flit: Flit) {
-        let l = self.len[ring];
+        let l = self.rings[ring].len;
         assert!(
             l < self.capacity,
             "input VC buffer overflow: credits out of sync ({l} flits, cap {})",
@@ -145,21 +149,23 @@ impl FlitArena {
         );
         let idx = self.slot(ring, l);
         self.slots[idx] = flit;
-        self.len[ring] = l + 1;
+        self.rings[ring].len = l + 1;
     }
 
     /// Dequeues the front flit of `ring`, if any.
     #[inline]
     pub fn pop_front(&mut self, ring: usize) -> Option<Flit> {
-        let l = self.len[ring];
-        if l == 0 {
+        let r = self.rings[ring];
+        if r.len == 0 {
             return None;
         }
         let idx = self.slot(ring, 0);
         let flit = self.slots[idx];
-        let head = self.head[ring] + 1;
-        self.head[ring] = if head == self.capacity { 0 } else { head };
-        self.len[ring] = l - 1;
+        let head = r.head + 1;
+        self.rings[ring] = Ring {
+            head: if head == self.capacity { 0 } else { head },
+            len: r.len - 1,
+        };
         Some(flit)
     }
 }

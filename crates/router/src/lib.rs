@@ -48,7 +48,6 @@ pub mod arena;
 pub mod config;
 pub mod flit;
 pub mod link;
-pub mod ports;
 pub mod router;
 pub mod stats;
 pub mod trace;

@@ -20,15 +20,21 @@
 //! # The hot path is allocation-free
 //!
 //! A steady-state [`Router::tick_into`] performs **zero heap
-//! allocation** and walks contiguous memory: every input VC buffers its
-//! flits in a ring window of the router's single [`FlitArena`] slab, all
-//! per-phase working sets live in a retained `Scratch` struct (and in
-//! the allocators' own retained buffers), and trace capture is gated
-//! behind an `Option<Box<Trace>>` sink that costs one null test when
-//! disabled. The only allocations left are capacity growth of the
-//! caller's reused [`TickOutput`] and of `pending_st` during warm-up —
-//! both reach a fixed point after a few cycles. The claim is enforced by
-//! the counting-allocator test in `tests/alloc_free.rs`.
+//! allocation** and walks a few small blocks. Every input VC buffers its
+//! flits in a ring window of the router's single [`FlitArena`] slab. The
+//! rest of the router is one array per input channel (the channel's
+//! routed port, held output channel, first bid cycle and permitted output
+//! channels), one per output channel (downstream credits and depth), one
+//! per port (departure count, wormhole holder, and the switch
+//! allocator's per-port request and winner slots), the VC allocator, two
+//! [`MatrixBank`]s of switch arbiters, and `u64` masks. What a tick
+//! hands from one phase to the next is masks in locals, so there is no
+//! scratch buffer to grow. Trace capture is gated behind an
+//! `Option<Box<Trace>>` sink that costs one null test when disabled. The
+//! only allocation left is capacity growth of the caller's reused
+//! [`TickOutput`] during warm-up. The counting-allocator test in
+//! `tests/alloc_free.rs` enforces the claim and counts what
+//! [`Router::new`] allocates.
 //!
 //! # The hot path works on `u64` masks
 //!
@@ -36,28 +42,45 @@
 //! channel index `port * vcs + vc` (or over port numbers), so a router
 //! has at most 64 input channels — [`RouterConfig`] asserts
 //! `ports × vcs <= 64`, and the network configuration reports it as a
-//! typed error. Three channel masks are kept in step with the arena and
-//! the channel states as they change:
+//! typed error. The channel state machine (`invc_state` in the paper) is
+//! two of these masks, and the masks are kept in step with the arena and
+//! the arrays as they change:
 //!
 //! * `occupied` — the ring holds a flit (set on [`Router::accept_flit`],
 //!   cleared when a traversal empties the ring);
-//! * `busy` — the state is not [`VcState::Idle`] (set by RC, cleared by a
-//!   tail's traversal);
-//! * `allocating` — the state is [`VcState::Allocating`] (set by RC,
-//!   cleared by a VA grant or a wormhole hold grant).
+//! * `busy` — the channel is not idle (set by RC, cleared by a tail's
+//!   traversal);
+//! * `allocating` — the channel bids for an output VC, or on hold-based
+//!   routers for its output port (set by RC, cleared by a VA grant or a
+//!   wormhole hold grant); a busy channel that is not allocating is
+//!   active;
+//! * `st` — the channels granted the switch last cycle (see below);
+//! * `may_send` — the output channels that are sinks or have a credit;
+//! * `free` — the output channels no input channel holds;
+//! * `sink` — the output channels of ejection ports.
 //!
 //! So each stage visits only the channels that can act: RC walks
 //! `occupied & !busy`, VA walks `allocating`, and switch allocation's
-//! first stage walks `busy & !allocating & occupied`, port by port. The
-//! arbiters take the request masks directly (see the `arbitration`
-//! crate): a VA bidder adds one request row, its output port's free-VC
-//! mask ANDed with the VCs the routing function permits; SA stage 1 files
-//! each input port's winner under its output port, so stage 2 visits
-//! only requested outputs; and the speculative plane checks bidders and
-//! VA winners by mask. Grants come out in the same order as a scan over
-//! every channel would produce them, so results are bit-identical to it.
-//! Debug builds check the three masks against the arena and the channel
-//! states after every tick.
+//! first stage walks `busy & !allocating & occupied`, port by port,
+//! reading each channel's first bid cycle and held output channel from
+//! its array and the output channel's bit in `may_send`. The arbiters
+//! take the request masks directly (see the `arbitration` crate): a VA
+//! bidder adds one request row, `free` ANDed with the output channels the
+//! routing function permits; SA stage 1 files each input port's winner
+//! under its output port, so stage 2 visits only requested outputs; and
+//! the speculative plane checks bidders and VA winners by mask. Grants
+//! come out in the same order as a scan over every channel would produce
+//! them, so results are bit-identical to it. Debug builds check every
+//! mask and array against the arena and against each other after every
+//! tick.
+//!
+//! # The SA→ST register is a mask
+//!
+//! [`Timing`](crate::Timing) allows an `st_delay` of 0 or 1, so a switch
+//! grant traverses in its own cycle or in the next one. The grants
+//! awaiting traversal are therefore the `st` mask of last cycle's granted
+//! channels, each of which still holds its output channel; the next ST
+//! phase traverses them in channel order.
 //!
 //! # The tick is a side-effect-free compute half
 //!
@@ -65,7 +88,7 @@
 //! deterministic parallel simulator needs:
 //!
 //! * **compute** — [`Router::tick_into`] mutates *only this router's own
-//!   state* (its arena, channel states, arbiters, counters). Everything
+//!   state* (its arena, channel state, arbiters, counters). Everything
 //!   destined for the rest of the world — departures and upstream
 //!   credits — is written into the caller's [`TickOutput`], never pushed
 //!   into a neighbor.
@@ -86,11 +109,10 @@
 
 use crate::arena::FlitArena;
 use crate::config::{FlowControlKind, RouterConfig};
-use crate::flit::Flit;
-use crate::ports::{InputVc, OutputPort, VcState};
+use crate::flit::{Flit, PacketId};
 use crate::stats::RouterStats;
 use crate::trace::{PipelineEvent, Trace, TraceEntry};
-use arbitration::{Grant, MatrixArbiter, SeparableAllocator};
+use arbitration::{low_bits, MatrixBank, SeparableAllocator};
 
 /// The routing function a router consults during route computation.
 ///
@@ -153,54 +175,51 @@ impl TickOutput {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct StEntry {
-    in_port: usize,
-    in_vc: usize,
-    out_port: usize,
-    out_vc: usize,
-    depart_at: u64,
+/// What one input channel is doing (`invc_state` in the paper's Figures
+/// 2–3), each fact once. Whether the channel is idle, allocating or
+/// active is in the router's `busy` and `allocating` masks, and its
+/// buffered flits are its arena ring.
+#[derive(Debug, Clone, Copy, Default)]
+struct VcState {
+    /// The first cycle the front flit may bid. While allocating: for an
+    /// output VC (VC router), for an output VC and the switch at once
+    /// (speculative), or for the output port (hold-based). While active:
+    /// for the switch; hold-based routers flow `st_delay` cycles later.
+    /// With a body or tail flit at the front it is that flit's arrival
+    /// plus `body_sa_delay`.
+    bid_at: u64,
+    /// The output channels the routing function permits, at `out_port`
+    /// (read while allocating).
+    want: u64,
+    /// The output port the routing function chose.
+    out_port: u8,
+    /// The output channel `out_port * vcs + out_vc` held (read while
+    /// active).
+    out_chan: u8,
 }
 
-/// Retained per-phase working buffers: taken out of the router at the
-/// top of a tick, threaded through the phases, and put back — so the
-/// phases can borrow scratch and router state disjointly and no phase
-/// ever allocates in steady state. Channel sets are `u64` masks over the
-/// flattened channel index `port * vcs + vc`; port sets are masks over
-/// port numbers.
-#[derive(Debug, Clone, Default)]
-struct Scratch {
-    /// ST entries due this cycle (drained from `pending_st`).
-    st_due: Vec<StEntry>,
-    /// Channels that presented VA requests this cycle.
-    va_bidders: u64,
-    /// Grants returned by the VC allocator.
-    va_grants: Vec<Grant>,
-    /// Channels that won an output VC this cycle.
-    va_winners: u64,
-    /// SA stage-1 winner per input port: `(vc, out_vc)`, valid for the
-    /// ports that have a bit in some `port_reqs` entry.
-    sa_port_winner: Vec<(usize, usize)>,
-    /// Stage-2 requests per output port (bit = input port), filled by
-    /// stage 1 and zeroed again as stage 2 consumes them.
-    port_reqs: Vec<u64>,
-    /// Input ports consumed by non-speculative grants.
-    in_taken: u64,
-    /// Output ports consumed by non-speculative grants.
-    out_taken: u64,
-    /// Speculative stage-1 winning VC per input port.
-    spec_winner: Vec<usize>,
+/// Downstream buffer accounting of one output channel.
+#[derive(Debug, Clone, Copy, Default)]
+struct Credits {
+    /// Free downstream buffers (ignored at sinks).
+    count: u32,
+    /// The downstream buffer depth, which `count` never exceeds.
+    cap: u32,
 }
 
-impl Scratch {
-    fn new(ports: usize) -> Self {
-        Scratch {
-            sa_port_winner: vec![(0, 0); ports],
-            port_reqs: vec![0; ports],
-            spec_winner: vec![0; ports],
-            ..Scratch::default()
-        }
-    }
+/// Per-port state: the output side's departure count and wormhole
+/// holder, and switch allocation's slots for this port.
+#[derive(Debug, Clone, Copy, Default)]
+struct Port {
+    /// Flits that have left through this output port.
+    departures: u64,
+    /// Stage-2 switch requests for this output port (bit = input port),
+    /// filed by stage 1 and zeroed again as stage 2 consumes them.
+    reqs: u64,
+    /// The input port holding this output (hold-based routers only).
+    holder: Option<u8>,
+    /// The VC this input port's stage-1 arbiter picked this cycle.
+    winner: u8,
 }
 
 /// Iterates the set bits of `mask`, lowest first.
@@ -215,22 +234,63 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Splits channel mask `chans` by input port: yields `(port, vcs)` with
+/// `vcs` the port's channels as a VC mask, ports ascending.
+#[inline]
+fn by_port(mut chans: u64, v: usize) -> impl Iterator<Item = (usize, u64)> {
+    let vc_bits = low_bits(v);
+    std::iter::from_fn(move || {
+        (chans != 0).then(|| {
+            let port = chans.trailing_zeros() as usize / v;
+            let base = port * v;
+            let vcs = chans >> base & vc_bits;
+            chans &= !(vc_bits << base);
+            (port, vcs)
+        })
+    })
+}
+
+/// Records an event of channel `chan` (of a router with `v` VCs per
+/// port) if tracing is on.
+#[inline]
+fn record(
+    trace: &mut Option<Box<Trace>>,
+    v: usize,
+    cycle: u64,
+    chan: usize,
+    packet: PacketId,
+    event: PipelineEvent,
+) {
+    if let Some(t) = trace.as_deref_mut() {
+        t.record(TraceEntry {
+            cycle,
+            in_port: chan / v,
+            in_vc: chan % v,
+            packet,
+            event,
+        });
+    }
+}
+
 /// A cycle-accurate wormhole / VC / speculative-VC router.
 #[derive(Debug, Clone)]
 pub struct Router {
     cfg: RouterConfig,
     /// All input flit buffers: one slab, one ring window per (port, VC).
     arena: FlitArena,
-    /// Flattened channel state, indexed `port * vcs + vc`.
-    inputs: Vec<InputVc>,
-    outputs: Vec<OutputPort>,
+    /// Per input channel `port * vcs + vc` (also its arena ring).
+    chans: Box<[VcState]>,
+    /// Per output channel `port * vcs + vc`.
+    credits: Box<[Credits]>,
+    /// Per port.
+    ports: Box<[Port]>,
     va: SeparableAllocator,
-    sa1: Vec<MatrixArbiter>,
-    sa2: Vec<MatrixArbiter>,
-    spec_sa1: Vec<MatrixArbiter>,
-    spec_sa2: Vec<MatrixArbiter>,
-    pending_st: Vec<StEntry>,
-    scratch: Scratch,
+    /// Switch-allocation stage 1: one arbiter per input port over its
+    /// VCs; arbiters `ports..2 * ports` are the speculative plane's.
+    sa_in: MatrixBank,
+    /// Switch-allocation stage 2: one arbiter per output port over the
+    /// input ports, planes laid out as in `sa_in`.
+    sa_out: MatrixBank,
     stats: RouterStats,
     /// Trace buffer; `None` (the default) costs one null test per event
     /// site — see [`crate::trace`].
@@ -239,16 +299,24 @@ pub struct Router {
     /// Flits currently buffered across all input VCs (wake accounting:
     /// kept in O(1) so [`Router::is_quiescent`] is a cheap field test).
     buffered: usize,
-    /// Channels whose ring holds at least one flit (bit `port * vcs +
-    /// vc`): set by [`Router::accept_flit`], cleared when a traversal
-    /// empties the ring.
+    /// Channels whose ring holds at least one flit: set by
+    /// [`Router::accept_flit`], cleared when a traversal empties the ring.
     occupied: u64,
-    /// Channels whose state is not [`VcState::Idle`]: set by RC, cleared
-    /// by a tail's traversal.
+    /// Channels that are not idle: set by RC, cleared by a tail's
+    /// traversal.
     busy: u64,
-    /// Channels in [`VcState::Allocating`]: set by RC, cleared by a VA
-    /// grant or a wormhole hold grant.
+    /// Channels bidding for an output VC or port: set by RC, cleared by a
+    /// VA grant or a wormhole hold grant.
     allocating: u64,
+    /// Channels granted the switch last cycle, which traverse in this
+    /// cycle's ST phase (the SA→ST register).
+    st: u64,
+    /// Output channels that may take a flit: sinks, or a credit left.
+    may_send: u64,
+    /// Output channels no input channel holds (VC routers).
+    free: u64,
+    /// Output channels of ejection ports.
+    sink: u64,
 }
 
 impl Router {
@@ -258,19 +326,21 @@ impl Router {
     #[must_use]
     pub fn new(cfg: RouterConfig) -> Self {
         let p = cfg.ports;
-        let v = cfg.vcs;
+        let channels = p * cfg.vcs;
+        let planes = if cfg.kind == FlowControlKind::SpeculativeVc {
+            2
+        } else {
+            1
+        };
         Router {
             cfg,
-            arena: FlitArena::new(p * v, cfg.buffers_per_vc),
-            inputs: (0..p * v).map(InputVc::new).collect(),
-            outputs: (0..p).map(|_| OutputPort::new(v)).collect(),
-            va: SeparableAllocator::new(p * v, p * v),
-            sa1: (0..p).map(|_| MatrixArbiter::new(v)).collect(),
-            sa2: (0..p).map(|_| MatrixArbiter::new(p)).collect(),
-            spec_sa1: (0..p).map(|_| MatrixArbiter::new(v)).collect(),
-            spec_sa2: (0..p).map(|_| MatrixArbiter::new(p)).collect(),
-            pending_st: Vec::new(),
-            scratch: Scratch::new(p),
+            arena: FlitArena::new(channels, cfg.buffers_per_vc),
+            chans: vec![VcState::default(); channels].into_boxed_slice(),
+            credits: vec![Credits::default(); channels].into_boxed_slice(),
+            ports: vec![Port::default(); p].into_boxed_slice(),
+            va: SeparableAllocator::new(channels, channels),
+            sa_in: MatrixBank::new(planes * p, cfg.vcs),
+            sa_out: MatrixBank::new(planes * p, p),
             stats: RouterStats::default(),
             trace: None,
             last_tick: None,
@@ -278,6 +348,10 @@ impl Router {
             occupied: 0,
             busy: 0,
             allocating: 0,
+            st: 0,
+            may_send: 0,
+            free: low_bits(channels),
+            sink: 0,
         }
     }
 
@@ -285,6 +359,28 @@ impl Router {
     #[inline]
     fn chan(&self, port: usize, vc: usize) -> usize {
         port * self.cfg.vcs + vc
+    }
+
+    /// The channel mask of every VC of `port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    fn port_chans(&self, port: usize) -> u64 {
+        assert!(
+            port < self.cfg.ports,
+            "port {port} out of range ({} ports)",
+            self.cfg.ports
+        );
+        low_bits(self.cfg.vcs) << (port * self.cfg.vcs)
+    }
+
+    /// Whether hold-based switching (wormhole, cut-through) is in use.
+    fn holds_ports(&self) -> bool {
+        matches!(
+            self.cfg.kind,
+            FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough
+        )
     }
 
     /// The configuration this router was built with.
@@ -317,39 +413,66 @@ impl Router {
     /// port included: every departure passes one switch traversal.
     #[must_use]
     pub fn departures(&self, out_port: usize) -> u64 {
-        self.outputs[out_port].departures
+        self.ports[out_port].departures
     }
 
     #[inline]
-    fn record(
-        &mut self,
-        cycle: u64,
-        in_port: usize,
-        in_vc: usize,
-        packet: crate::flit::PacketId,
-        event: PipelineEvent,
-    ) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.record(TraceEntry {
-                cycle,
-                in_port,
-                in_vc,
-                packet,
-                event,
-            });
-        }
+    fn record(&mut self, cycle: u64, chan: usize, packet: PacketId, event: PipelineEvent) {
+        record(&mut self.trace, self.cfg.vcs, cycle, chan, packet, event);
     }
 
     /// Initializes the credit counters of `out_port` to the downstream
     /// input buffer depth (per VC).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out_port` is out of range or `per_vc` exceeds
+    /// `u32::MAX`.
     pub fn set_output_credits(&mut self, out_port: usize, per_vc: u64) {
-        self.outputs[out_port].set_credits(per_vc);
+        let outs = self.port_chans(out_port);
+        let depth = u32::try_from(per_vc).expect("a credit depth fits u32");
+        for o in bits(outs) {
+            self.credits[o] = Credits {
+                count: depth,
+                cap: depth,
+            };
+        }
+        if depth > 0 {
+            self.may_send |= outs;
+        } else {
+            self.may_send &= !outs | self.sink;
+        }
     }
 
     /// Marks `out_port` as an ejection port with immediate (unbounded)
     /// ejection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out_port` is out of range.
     pub fn mark_sink(&mut self, out_port: usize) {
-        self.outputs[out_port].mark_sink();
+        let outs = self.port_chans(out_port);
+        self.sink |= outs;
+        self.may_send |= outs;
+    }
+
+    /// Consumes one credit of output channel `o` at switch allocation
+    /// (none at a sink).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no credit is left: the allocator must check `may_send`
+    /// first.
+    fn consume_credit(&mut self, o: usize) {
+        if self.sink & 1 << o != 0 {
+            return;
+        }
+        let c = &mut self.credits[o];
+        assert!(c.count > 0, "consuming credit below zero on channel {o}");
+        c.count -= 1;
+        if c.count == 0 {
+            self.may_send &= !(1 << o);
+        }
     }
 
     /// Occupancy of input buffer `(port, vc)` in flits (diagnostics).
@@ -383,7 +506,7 @@ impl Router {
     /// quiescence is [`Router::accept_flit`] — that is the wake-up event.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.buffered == 0 && self.pending_st.is_empty()
+        self.buffered == 0 && self.st == 0
     }
 
     /// Delivers a flit into input `port` during the delivery phase of
@@ -401,17 +524,39 @@ impl Router {
             self.cfg.vcs
         );
         flit.arrival = now;
-        self.record(now, port, flit.vc, flit.packet, PipelineEvent::Arrived);
         let chan = self.chan(port, flit.vc);
+        self.record(now, chan, flit.packet, PipelineEvent::Arrived);
         self.arena.push_back(chan, flit);
+        if self.occupied & 1 << chan == 0 {
+            // The flit is the new front. A body or tail bids
+            // `body_sa_delay` after arriving; RC sets a head's bid.
+            self.chans[chan].bid_at = now + self.cfg.timing.body_sa_delay;
+        }
         self.occupied |= 1 << chan;
         self.buffered += 1;
     }
 
     /// Delivers a credit for downstream VC `vc` of output `port` (the
     /// downstream router freed a buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is out of range, or if the counter would exceed the
+    /// downstream buffer depth — that means a duplicated credit.
     pub fn accept_credit(&mut self, port: usize, vc: usize, _now: u64) {
-        self.outputs[port].return_credit(vc);
+        assert!(
+            vc < self.cfg.vcs,
+            "credit vc {vc} out of range ({} vcs)",
+            self.cfg.vcs
+        );
+        let o = self.chan(port, vc);
+        let c = &mut self.credits[o];
+        assert!(
+            c.count < c.cap,
+            "credit overflow on channel {o}: duplicate credit"
+        );
+        c.count += 1;
+        self.may_send |= 1 << o;
     }
 
     /// Advances one clock cycle. `route` maps a head flit to its output
@@ -441,80 +586,117 @@ impl Router {
     pub fn tick_into(&mut self, now: u64, route: &dyn RoutingOracle, out: &mut TickOutput) {
         if let Some(last) = self.last_tick {
             assert!(now > last, "tick({now}) after tick({last})");
+            debug_assert!(self.st == 0 || now == last + 1, "missed an ST slot");
         }
         self.last_tick = Some(now);
 
         out.clear();
-        let mut s = std::mem::take(&mut self.scratch);
 
         // Phase 1: ST — previously granted traversals.
-        self.phase_st(now, &mut s, out);
+        self.phase_st(now, out);
 
         // Phase 2: RC.
         self.phase_rc(now, route);
 
         // Phase 3: VA (remembering who was bidding, for the speculative
         // plane which runs its SA in parallel with VA).
-        self.phase_va(now, &mut s);
+        let (bidders, va_winners) = self.phase_va(now);
 
         // Phase 4: SA.
         match self.cfg.kind {
             FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough => {
-                self.phase_sa_wormhole(now, &mut s, out);
+                self.phase_sa_wormhole(now, out);
             }
             FlowControlKind::VirtualChannel => {
-                self.phase_sa_vc(now, &mut s, out);
+                self.phase_sa_vc(now, out);
             }
             FlowControlKind::SpeculativeVc => {
-                self.phase_sa_vc(now, &mut s, out);
-                self.phase_sa_speculative(now, &mut s, out);
+                let taken = self.phase_sa_vc(now, out);
+                self.phase_sa_speculative(now, bidders, va_winners, taken, out);
             }
         }
 
-        self.scratch = s;
         debug_assert!(
             self.channel_masks_agree(),
-            "channel masks out of step with the arena and channel states"
+            "router masks out of step with the arena and the channel arrays"
         );
     }
 
-    /// Whether `occupied`, `busy` and `allocating` match the arena and
-    /// every channel's [`VcState`] (the debug-build check of the masks).
+    /// Whether every mask agrees with the arena, the channel, credit and
+    /// port arrays, and the other masks (the debug-build check of the
+    /// flat state). Allocation-free, like the tick it checks.
     fn channel_masks_agree(&self) -> bool {
-        (0..self.inputs.len()).all(|chan| {
-            let bit = |mask: u64| mask >> chan & 1 == 1;
-            let state = self.inputs[chan].state;
-            bit(self.occupied) != self.arena.is_empty(chan)
-                && bit(self.busy) == (state != VcState::Idle)
-                && bit(self.allocating) == matches!(state, VcState::Allocating { .. })
-        })
+        let v = self.cfg.vcs;
+        let channels = self.chans.len();
+        let hold = self.holds_ports();
+        let active = self.busy & !self.allocating;
+        let mut held = 0u64;
+        for chan in 0..channels {
+            let bit = 1u64 << chan;
+            let s = self.chans[chan];
+            let front = self.arena.front(chan);
+            if (self.occupied & bit != 0) != front.is_some() {
+                return false;
+            }
+            // An allocating channel is busy and holds its routed head.
+            if self.allocating & bit != 0
+                && (self.busy & bit == 0 || !front.is_some_and(|f| f.kind.is_head()))
+            {
+                return false;
+            }
+            if active & bit == 0 {
+                continue;
+            }
+            // An active channel's body or tail at the front bids
+            // `body_sa_delay` after it arrived.
+            if front.is_some_and(|f| {
+                !f.kind.is_head() && s.bid_at != f.arrival + self.cfg.timing.body_sa_delay
+            }) {
+                return false;
+            }
+            // It holds one output channel of its routed port, which no
+            // other channel holds.
+            let (out_port, out_chan) = (usize::from(s.out_port), usize::from(s.out_chan));
+            if out_chan / v != out_port || held & 1 << out_chan != 0 {
+                return false;
+            }
+            held |= 1 << out_chan;
+            if hold && self.ports[out_port].holder != Some(chan as u8) {
+                return false;
+            }
+        }
+        let holders = self.ports.iter().filter(|p| p.holder.is_some()).count();
+        let ownership_agrees = if hold {
+            holders == active.count_ones() as usize && self.free == low_bits(channels)
+        } else {
+            holders == 0 && self.free == !held & low_bits(channels)
+        };
+        let credits_agree = self.credits.iter().enumerate().all(|(o, c)| {
+            let sink = self.sink & 1 << o != 0;
+            c.count <= c.cap && (self.may_send & 1 << o != 0) == (sink || c.count > 0)
+        });
+        ownership_agrees
+            && credits_agree
+            && self.allocating & !self.busy == 0
+            && self.st & !(active & self.occupied) == 0
+            && (self.st == 0 || self.cfg.timing.st_delay == 1)
+            && self.ports.iter().all(|p| p.reqs == 0)
+            && (0..self.cfg.ports).all(|p| {
+                let outs = low_bits(v) << (p * v);
+                self.sink & outs == 0 || self.sink & outs == outs
+            })
     }
 
     // ----- ST ---------------------------------------------------------
 
-    fn phase_st(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
-        // Granted per-flit traversals whose time has come.
-        s.st_due.clear();
-        let due = &mut s.st_due;
-        self.pending_st.retain(|e| {
-            if e.depart_at <= now {
-                due.push(*e);
-                false
-            } else {
-                true
-            }
-        });
-        for i in 0..s.st_due.len() {
-            let e = s.st_due[i];
-            debug_assert_eq!(e.depart_at, now, "missed an ST slot");
-            self.traverse(now, e, out);
+    fn phase_st(&mut self, now: u64, out: &mut TickOutput) {
+        // Last cycle's per-flit grants.
+        for chan in bits(std::mem::take(&mut self.st)) {
+            self.traverse(now, chan, out);
         }
 
         // Wormhole/cut-through flow through held outputs.
-        if matches!(
-            self.cfg.kind,
-            FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough
-        ) {
+        if self.holds_ports() {
             for out_port in 0..self.cfg.ports {
                 self.wormhole_flow(now, out_port, out);
             }
@@ -522,89 +704,69 @@ impl Router {
     }
 
     /// Moves one flit of the packet holding `out_port`, if any is eligible
-    /// and a credit is available (wormhole only).
+    /// and a credit is available (hold-based routers, one VC per port, so
+    /// a channel index is its input port).
     fn wormhole_flow(&mut self, now: u64, out_port: usize, out: &mut TickOutput) {
-        let Some(in_port) = self.outputs[out_port].holder else {
+        let Some(chan) = self.ports[out_port].holder else {
             return;
         };
-        let t = self.cfg.timing;
-        let chan = self.chan(in_port, 0);
-        let VcState::Active {
-            sa_request_at: flow_start,
-            ..
-        } = self.inputs[chan].state
-        else {
-            unreachable!("holder without active channel");
-        };
-        let Some(front) = self.arena.front(chan) else {
-            return;
-        };
-        let eligible = now >= flow_start && now >= front.arrival + t.body_sa_delay + t.st_delay;
-        if !eligible || !self.outputs[out_port].has_credit(0) {
+        let chan = usize::from(chan);
+        let eligible = self.occupied & 1 << chan != 0
+            && now >= self.chans[chan].bid_at + self.cfg.timing.st_delay;
+        if !eligible || self.may_send & 1 << out_port == 0 {
             return;
         }
-        self.outputs[out_port].consume_credit(0);
-        self.traverse(
-            now,
-            StEntry {
-                in_port,
-                in_vc: 0,
-                out_port,
-                out_vc: 0,
-                depart_at: now,
-            },
-            out,
-        );
+        self.consume_credit(out_port);
+        self.traverse(now, chan, out);
     }
 
-    /// Executes one switch traversal: pops the flit, rewrites its VC id,
-    /// releases resources on tails, and emits the departure plus the
-    /// upstream credit.
-    fn traverse(&mut self, now: u64, e: StEntry, out: &mut TickOutput) {
-        let chan = self.chan(e.in_port, e.in_vc);
+    /// Executes one switch traversal of channel `chan` through the output
+    /// channel it holds: pops the flit, rewrites its VC id, releases
+    /// resources on tails, and emits the departure plus the upstream
+    /// credit.
+    fn traverse(&mut self, now: u64, chan: usize, out: &mut TickOutput) {
+        let v = self.cfg.vcs;
+        let out_port = usize::from(self.chans[chan].out_port);
+        let out_chan = usize::from(self.chans[chan].out_chan);
         let mut flit = self
             .arena
             .pop_front(chan)
             .expect("granted traversal with empty queue");
         self.buffered -= 1;
-        if self.arena.is_empty(chan) {
-            self.occupied &= !(1 << chan);
+        match self.arena.front(chan) {
+            None => self.occupied &= !(1 << chan),
+            Some(next) => {
+                debug_assert!(
+                    flit.kind.is_tail() || next.packet == flit.packet,
+                    "foreign flit on an active channel"
+                );
+                self.chans[chan].bid_at = next.arrival + self.cfg.timing.body_sa_delay;
+            }
         }
-        if let VcState::Active { packet, .. } = self.inputs[chan].state {
-            debug_assert_eq!(packet, flit.packet, "foreign flit on an active channel");
-        }
-        flit.vc = e.out_vc;
+        let out_vc = out_chan - out_port * v;
+        flit.vc = out_vc;
         flit.arrival = now;
         if flit.kind.is_tail() {
-            match self.cfg.kind {
-                FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough => {
-                    self.outputs[e.out_port].holder = None;
-                }
-                _ => self.outputs[e.out_port].release(e.out_vc),
+            if self.holds_ports() {
+                self.ports[out_port].holder = None;
+            } else {
+                self.free |= 1 << out_chan;
             }
-            self.inputs[chan].state = VcState::Idle;
             self.busy &= !(1 << chan);
         }
         self.stats.flits_switched += 1;
         self.stats.credits_sent += 1;
-        self.outputs[e.out_port].departures += 1;
+        self.ports[out_port].departures += 1;
         self.record(
             now,
-            e.in_port,
-            e.in_vc,
+            chan,
             flit.packet,
-            PipelineEvent::Traversed {
-                out_port: e.out_port,
-                out_vc: e.out_vc,
-            },
+            PipelineEvent::Traversed { out_port, out_vc },
         );
-        out.departures.push(Departure {
-            flit,
-            out_port: e.out_port,
-        });
+        out.departures.push(Departure { flit, out_port });
         out.credits.push(CreditOut {
-            in_port: e.in_port,
-            vc: e.in_vc,
+            in_port: chan / v,
+            vc: chan % v,
         });
     }
 
@@ -613,7 +775,7 @@ impl Router {
     /// Route computation for every idle channel holding a flit — which,
     /// at an idle channel, must be a packet's head.
     fn phase_rc(&mut self, now: u64, route: &dyn RoutingOracle) {
-        let rc_delay = self.cfg.timing.rc_delay;
+        let bid_at = now + self.cfg.timing.rc_delay;
         let ports = self.cfg.ports;
         let v = self.cfg.vcs;
         for chan in bits(self.occupied & !self.busy) {
@@ -627,216 +789,158 @@ impl Router {
             );
             let out_port = route.output_port(front);
             assert!(out_port < ports, "routing returned port {out_port}");
-            let vc_mask = route.vc_mask(front, out_port);
+            let vc_mask = route.vc_mask(front, out_port) & low_bits(v);
             assert!(
-                vc_mask & arbitration::low_bits(v) != 0,
+                vc_mask != 0,
                 "routing permitted no output VC at port {out_port}"
             );
             let packet = front.packet;
-            self.inputs[chan].state = VcState::Allocating {
-                out_port,
-                request_at: now + rc_delay,
-                vc_mask,
+            // ports * vcs <= 64, so every port and channel fits a byte.
+            self.chans[chan] = VcState {
+                bid_at,
+                want: vc_mask << (out_port * v),
+                out_port: out_port as u8,
+                out_chan: (out_port * v) as u8,
             };
             self.busy |= 1 << chan;
             self.allocating |= 1 << chan;
-            self.record(
-                now,
-                chan / v,
-                chan % v,
-                packet,
-                PipelineEvent::RouteComputed { out_port },
-            );
+            self.record(now, chan, packet, PipelineEvent::RouteComputed { out_port });
         }
     }
 
     // ----- VA ---------------------------------------------------------
 
-    /// Runs VC allocation, setting `s.va_bidders` to the channels that
-    /// presented VA requests this cycle and `s.va_winners` to the subset
-    /// that won an output VC — the speculative switch allocator needs
-    /// both. A bidder's request row is its output port's free VCs that
-    /// the routing function permits, placed at that port's resource
-    /// offset.
-    fn phase_va(&mut self, now: u64, s: &mut Scratch) {
-        s.va_bidders = 0;
-        s.va_winners = 0;
-        if matches!(
-            self.cfg.kind,
-            FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough
-        ) {
-            return;
-        }
-        let v = self.cfg.vcs;
+    /// Runs VC allocation and returns the channels that presented VA
+    /// requests this cycle and the subset that won an output VC — the
+    /// speculative switch allocator needs both. A bidder's request row is
+    /// the free output channels the routing function permits it.
+    fn phase_va(&mut self, now: u64) -> (u64, u64) {
+        // The head may bid (non-speculatively) for the switch va_sa_delay
+        // cycles after its VA grant; the speculative router bids in
+        // parallel *this* cycle through the speculative plane and falls
+        // back to non-speculative requests from the next cycle.
+        let sa_request_at = match self.cfg.kind {
+            FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough => return (0, 0),
+            FlowControlKind::VirtualChannel => now + self.cfg.timing.va_sa_delay,
+            FlowControlKind::SpeculativeVc => now + 1,
+        };
+        let mut bidders = 0u64;
         let mut requested = false;
         for chan in bits(self.allocating) {
-            let VcState::Allocating {
-                out_port,
-                request_at,
-                vc_mask,
-            } = self.inputs[chan].state
-            else {
-                unreachable!("allocating mask names a non-allocating channel");
-            };
-            if now < request_at {
+            let s = self.chans[chan];
+            if now < s.bid_at {
                 continue;
             }
-            s.va_bidders |= 1 << chan;
-            let free = self.outputs[out_port].free_vcs() & vc_mask;
+            bidders |= 1 << chan;
+            let free = self.free & s.want;
             if free != 0 {
-                self.va.request(chan, free << (out_port * v));
+                self.va.request(chan, free);
                 requested = true;
             }
         }
         if !requested {
             // Nothing bid (the common case while bodies stream): skip the
             // allocator's stage scans entirely.
-            return;
+            return (bidders, 0);
         }
-        self.va.allocate_requested(&mut s.va_grants);
-        for g in &s.va_grants {
-            let (port, vc) = (g.input / v, g.input % v);
-            let (out_port, out_vc) = (g.resource / v, g.resource % v);
-            self.outputs[out_port].claim(out_vc, (port, vc));
-            let packet = self
-                .arena
-                .front(g.input)
-                .expect("VA bid without a head flit")
-                .packet;
-            // The head may bid (non-speculatively) for the switch
-            // va_sa_delay cycles later; the speculative router bids in
-            // parallel *this* cycle through the speculative plane and
-            // falls back to non-speculative requests from the next cycle.
-            let sa_request_at = match self.cfg.kind {
-                FlowControlKind::VirtualChannel => now + self.cfg.timing.va_sa_delay,
-                FlowControlKind::SpeculativeVc => now + 1,
-                FlowControlKind::Wormhole | FlowControlKind::VirtualCutThrough => {
-                    unreachable!("hold-based routers do not allocate VCs")
-                }
-            };
-            self.inputs[g.input].state = VcState::Active {
-                out_port,
-                out_vc,
-                sa_request_at,
-                packet,
-            };
-            self.allocating &= !(1 << g.input);
-            self.stats.va_grants += 1;
-            self.record(now, port, vc, packet, PipelineEvent::VaGranted { out_vc });
-            s.va_winners |= 1 << g.input;
-        }
+        let v = self.cfg.vcs;
+        let mut winners = 0u64;
+        let (chans, free, stats, trace, arena) = (
+            &mut self.chans,
+            &mut self.free,
+            &mut self.stats,
+            &mut self.trace,
+            &self.arena,
+        );
+        self.va.allocate_with(|g| {
+            *free &= !(1 << g.resource);
+            let s = &mut chans[g.input];
+            s.out_chan = g.resource as u8;
+            s.bid_at = sa_request_at;
+            winners |= 1 << g.input;
+            stats.va_grants += 1;
+            if trace.is_some() {
+                let packet = arena
+                    .front(g.input)
+                    .expect("VA bid without a head flit")
+                    .packet;
+                let event = PipelineEvent::VaGranted {
+                    out_vc: g.resource % v,
+                };
+                record(trace, v, now, g.input, packet, event);
+            }
+        });
+        self.allocating &= !winners;
+        (bidders, winners)
     }
 
     // ----- SA ---------------------------------------------------------
 
-    /// Whether active channel `chan` has a switch request this cycle: an
-    /// eligible front flit and a downstream credit.
-    fn sa_request(&self, now: u64, chan: usize) -> bool {
-        let t = self.cfg.timing;
-        let VcState::Active {
-            out_port,
-            out_vc,
-            sa_request_at,
-            ..
-        } = self.inputs[chan].state
-        else {
-            unreachable!("switch request from a channel that is not active");
-        };
-        let front = self
-            .arena
-            .front(chan)
-            .expect("occupied channel without a front flit");
-        let eligible = if front.kind.is_head() {
-            now >= sa_request_at
-        } else {
-            now >= front.arrival + t.body_sa_delay
-        };
-        eligible && self.outputs[out_port].has_credit(out_vc)
-    }
-
-    /// Splits channel mask `chans` by input port: yields `(port, vcs)`
-    /// with `vcs` the port's channels as a VC mask, ports ascending.
-    fn by_port(&self, mut chans: u64) -> impl Iterator<Item = (usize, u64)> {
-        let v = self.cfg.vcs;
-        let vc_bits = arbitration::low_bits(v);
-        std::iter::from_fn(move || {
-            (chans != 0).then(|| {
-                let port = chans.trailing_zeros() as usize / v;
-                let base = port * v;
-                let vcs = chans >> base & vc_bits;
-                chans &= !(vc_bits << base);
-                (port, vcs)
-            })
-        })
-    }
-
     /// Non-speculative separable switch allocation (VC and speculative
     /// routers; the speculative plane runs after this and never overrides
-    /// its grants). Stage 1 visits only active channels holding a flit
-    /// and files each port's winner under its output in `s.port_reqs`.
-    /// Sets `s.in_taken` / `s.out_taken` to the crossbar connections
-    /// granted this cycle — the ones the speculative plane must avoid.
-    fn phase_sa_vc(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
+    /// its grants). Stage 1 visits only active channels holding a flit:
+    /// one requests when its first bid cycle has come and its output
+    /// channel may send. It files each port's winner under its output
+    /// port. Returns the input and output ports granted this cycle, the
+    /// crossbar connections the speculative plane must avoid.
+    fn phase_sa_vc(&mut self, now: u64, out: &mut TickOutput) -> (u64, u64) {
         let v = self.cfg.vcs;
-        s.in_taken = 0;
-        s.out_taken = 0;
 
         // Stage 1: per input port, pick one requesting VC.
         let mut requested_outs = 0u64;
-        for (port, vcs) in self.by_port(self.busy & !self.allocating & self.occupied) {
+        for (port, vcs) in by_port(self.busy & !self.allocating & self.occupied, v) {
             let base = port * v;
-            let reqs = bits(vcs)
-                .filter(|&vc| self.sa_request(now, base + vc))
-                .fold(0u64, |m, vc| m | 1 << vc);
-            let Some(vc) = self.sa1[port].peek_mask(reqs) else {
+            let mut reqs = 0u64;
+            for vc in bits(vcs) {
+                let s = &self.chans[base + vc];
+                if now >= s.bid_at && self.may_send >> s.out_chan & 1 != 0 {
+                    reqs |= 1 << vc;
+                }
+            }
+            let Some(vc) = self.sa_in.peek_mask(port, reqs) else {
                 continue;
             };
-            let VcState::Active {
-                out_port, out_vc, ..
-            } = self.inputs[base + vc].state
-            else {
-                unreachable!("stage-1 winner is active");
-            };
-            s.sa_port_winner[port] = (vc, out_vc);
-            s.port_reqs[out_port] |= 1 << port;
+            let out_port = usize::from(self.chans[base + vc].out_port);
+            self.ports[port].winner = vc as u8;
+            self.ports[out_port].reqs |= 1 << port;
             requested_outs |= 1 << out_port;
         }
 
         // Stage 2: per requested output port, pick one input port.
+        let (mut in_taken, mut out_taken) = (0u64, 0u64);
         for out_port in bits(requested_outs) {
-            let reqs = std::mem::take(&mut s.port_reqs[out_port]);
-            let win_port = self.sa2[out_port]
-                .peek_mask(reqs)
+            let reqs = std::mem::take(&mut self.ports[out_port].reqs);
+            let win_port = self
+                .sa_out
+                .peek_mask(out_port, reqs)
                 .expect("a requested output has a winner");
-            let (vc, out_vc) = s.sa_port_winner[win_port];
-            self.sa2[out_port].demote(win_port);
-            self.sa1[win_port].demote(vc);
-            let entry = self.st_entry(now, win_port, vc, (out_port, out_vc));
-            self.grant_switch(now, entry, false, out);
+            let vc = usize::from(self.ports[win_port].winner);
+            self.sa_out.demote(out_port, win_port);
+            self.sa_in.demote(win_port, vc);
+            self.grant_switch(now, win_port * v + vc, false, out);
             self.stats.sa_grants += 1;
-            s.in_taken |= 1 << win_port;
-            s.out_taken |= 1 << out_port;
+            in_taken |= 1 << win_port;
+            out_taken |= 1 << out_port;
         }
-    }
-
-    /// The output port a VA bidder speculatively requests: its routed
-    /// port, whether VA failed (still allocating) or succeeded (active).
-    fn spec_target(&self, chan: usize) -> Option<usize> {
-        match self.inputs[chan].state {
-            VcState::Allocating { out_port, .. } | VcState::Active { out_port, .. } => {
-                Some(out_port)
-            }
-            VcState::Idle => None,
-        }
+        (in_taken, out_taken)
     }
 
     /// The speculative switch-allocation plane: channels still bidding for
-    /// an output VC bid for the switch in parallel. A speculative grant is
-    /// used only if the channel also won VA *this cycle* and the granted
-    /// VC has a credit; otherwise the crossbar slot is wasted. Output
-    /// ports and input ports already granted non-speculatively are
-    /// excluded — non-speculative requests have strict priority.
-    fn phase_sa_speculative(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
+    /// an output VC bid for the switch in parallel, each for its routed
+    /// port. A speculative grant is used only if the channel also won VA
+    /// *this cycle* and the granted VC may send; otherwise the crossbar
+    /// slot is wasted. Output ports and input ports already granted
+    /// non-speculatively (`taken`) are excluded — non-speculative
+    /// requests have strict priority.
+    fn phase_sa_speculative(
+        &mut self,
+        now: u64,
+        bidders: u64,
+        va_winners: u64,
+        (in_taken, out_taken): (u64, u64),
+        out: &mut TickOutput,
+    ) {
+        let p = self.cfg.ports;
         let v = self.cfg.vcs;
 
         // Stage 1: per input port not granted non-speculatively this
@@ -844,61 +948,52 @@ impl Router {
         // speculative grant issued now, so they conflict; traversals of
         // *earlier* grants do not), pick one speculatively bidding VC.
         let mut requested_outs = 0u64;
-        for (port, vcs) in self.by_port(s.va_bidders) {
-            if s.in_taken & 1 << port != 0 {
+        for (port, vcs) in by_port(bidders, v) {
+            if in_taken & 1 << port != 0 {
                 continue;
             }
-            let base = port * v;
-            let mut reqs = 0u64;
-            for vc in bits(vcs) {
-                if self.spec_target(base + vc).is_some() {
-                    reqs |= 1 << vc;
-                    self.stats.spec_requests += 1;
-                }
-            }
-            let Some(vc) = self.spec_sa1[port].peek_mask(reqs) else {
-                continue;
-            };
-            let out_port = self.spec_target(base + vc).expect("had target");
-            s.spec_winner[port] = vc;
-            s.port_reqs[out_port] |= 1 << port;
+            self.stats.spec_requests += u64::from(vcs.count_ones());
+            let vc = self
+                .sa_in
+                .peek_mask(p + port, vcs)
+                .expect("a bidding port has a winner");
+            let out_port = usize::from(self.chans[port * v + vc].out_port);
+            self.ports[port].winner = vc as u8;
+            self.ports[out_port].reqs |= 1 << port;
             requested_outs |= 1 << out_port;
         }
 
         // Stage 2: per requested output port not already granted, pick
         // one input port.
         for out_port in bits(requested_outs) {
-            let reqs = std::mem::take(&mut s.port_reqs[out_port]);
-            if s.out_taken & 1 << out_port != 0 {
+            let reqs = std::mem::take(&mut self.ports[out_port].reqs);
+            if out_taken & 1 << out_port != 0 {
                 continue;
             }
-            let win_port = self.spec_sa2[out_port]
-                .peek_mask(reqs)
+            let win_port = self
+                .sa_out
+                .peek_mask(p + out_port, reqs)
                 .expect("a requested output has a winner");
-            let vc = s.spec_winner[win_port];
-            self.spec_sa2[out_port].demote(win_port);
-            self.spec_sa1[win_port].demote(vc);
+            let vc = usize::from(self.ports[win_port].winner);
+            self.sa_out.demote(p + out_port, win_port);
+            self.sa_in.demote(p + win_port, vc);
 
             // Validate the speculation: the channel must have won VA this
-            // very cycle and the granted output VC must have a credit.
+            // very cycle and the granted output VC must be able to send.
             let chan = win_port * v + vc;
-            if s.va_winners & 1 << chan == 0 {
+            if va_winners & 1 << chan == 0 {
                 self.stats.spec_wasted += 1;
                 if let Some(front) = self.arena.front(chan) {
                     let packet = front.packet;
-                    self.record(now, win_port, vc, packet, PipelineEvent::SpecWasted);
+                    self.record(now, chan, packet, PipelineEvent::SpecWasted);
                 }
                 continue;
             }
-            let VcState::Active { out_vc, .. } = self.inputs[chan].state else {
-                unreachable!("VA winner must be active");
-            };
-            if !self.outputs[out_port].has_credit(out_vc) {
+            if self.may_send >> self.chans[chan].out_chan & 1 == 0 {
                 self.stats.spec_wasted += 1;
                 continue;
             }
-            let entry = self.st_entry(now, win_port, vc, (out_port, out_vc));
-            self.grant_switch(now, entry, true, out);
+            self.grant_switch(now, chan, true, out);
             self.stats.spec_hits += 1;
         }
     }
@@ -906,103 +1001,78 @@ impl Router {
     /// Wormhole switch arbitration: channels bid to *hold* a free output
     /// port; held ports then stream flits (see [`Router::wormhole_flow`]).
     /// With one VC per port, a channel index is its input port.
-    fn phase_sa_wormhole(&mut self, now: u64, s: &mut Scratch, out: &mut TickOutput) {
+    fn phase_sa_wormhole(&mut self, now: u64, out: &mut TickOutput) {
         debug_assert_eq!(self.cfg.vcs, 1, "hold-based routers have one VC");
+        let t = self.cfg.timing;
         let mut requested_outs = 0u64;
         for port in bits(self.allocating) {
-            let VcState::Allocating {
-                out_port,
-                request_at,
-                ..
-            } = self.inputs[port].state
-            else {
-                unreachable!("allocating mask names a non-allocating channel");
-            };
-            if now < request_at || self.outputs[out_port].holder.is_some() {
+            let s = self.chans[port];
+            let out_port = usize::from(s.out_port);
+            if now < s.bid_at || self.ports[out_port].holder.is_some() {
                 continue;
             }
             // Cut-through admission: the downstream buffer must have
             // room for the entire packet before it may advance.
             if self.cfg.kind == FlowControlKind::VirtualCutThrough {
                 let head = self.arena.front(port).expect("bid without head");
-                let room = self.outputs[out_port].is_sink()
-                    || self.outputs[out_port].credit_count(0) >= u64::from(head.len);
+                let room =
+                    self.sink & 1 << out_port != 0 || self.credits[out_port].count >= head.len;
                 if !room {
                     continue;
                 }
             }
-            s.port_reqs[out_port] |= 1 << port;
+            self.ports[out_port].reqs |= 1 << port;
             requested_outs |= 1 << out_port;
         }
         for out_port in bits(requested_outs) {
-            let reqs = std::mem::take(&mut s.port_reqs[out_port]);
-            let winner = self.sa2[out_port]
-                .peek_mask(reqs)
+            let reqs = std::mem::take(&mut self.ports[out_port].reqs);
+            let winner = self
+                .sa_out
+                .peek_mask(out_port, reqs)
                 .expect("a requested output has a winner");
-            self.sa2[out_port].demote(winner);
-            let packet = self
+            self.sa_out.demote(out_port, winner);
+            let head = self
                 .arena
                 .front(winner)
-                .expect("switch bid without a head flit")
-                .packet;
-            self.outputs[out_port].holder = Some(winner);
-            self.inputs[winner].state = VcState::Active {
-                out_port,
-                out_vc: 0,
-                sa_request_at: now + self.cfg.timing.st_delay, // flow_start
-                packet,
-            };
+                .expect("switch bid without a head flit");
+            let packet = head.packet;
+            self.ports[out_port].holder = Some(winner as u8);
+            // Flits flow from `st_delay` after the grant, and never before
+            // `body_sa_delay + st_delay` after their own arrival.
+            self.chans[winner].bid_at = now.max(head.arrival + t.body_sa_delay);
             self.allocating &= !(1 << winner);
             self.stats.sa_grants += 1;
             self.record(
                 now,
                 winner,
-                0,
                 packet,
                 PipelineEvent::SaGranted { speculative: false },
             );
         }
         // Single-cycle routers start flowing in the grant cycle itself
         // (every requested output was granted above).
-        if self.cfg.timing.st_delay == 0 {
+        if t.st_delay == 0 {
             for out_port in bits(requested_outs) {
                 self.wormhole_flow(now, out_port, out);
             }
         }
     }
 
-    /// Commits a per-flit switch grant: consumes the credit and schedules
-    /// (or, for single-cycle routers, immediately executes) the traversal
-    /// of `entry` (whose `depart_at` the caller set to `now + st_delay`).
-    fn grant_switch(&mut self, now: u64, entry: StEntry, speculative: bool, out: &mut TickOutput) {
+    /// Commits a per-flit switch grant of channel `chan`: consumes the
+    /// credit of the output channel it holds and schedules (or, for
+    /// single-cycle routers, immediately executes) its traversal.
+    fn grant_switch(&mut self, now: u64, chan: usize, speculative: bool, out: &mut TickOutput) {
         if self.trace.is_some() {
-            if let Some(front) = self.arena.front(self.chan(entry.in_port, entry.in_vc)) {
+            if let Some(front) = self.arena.front(chan) {
                 let packet = front.packet;
-                self.record(
-                    now,
-                    entry.in_port,
-                    entry.in_vc,
-                    packet,
-                    PipelineEvent::SaGranted { speculative },
-                );
+                self.record(now, chan, packet, PipelineEvent::SaGranted { speculative });
             }
         }
-        self.outputs[entry.out_port].consume_credit(entry.out_vc);
+        self.consume_credit(usize::from(self.chans[chan].out_chan));
         if self.cfg.timing.st_delay == 0 {
-            self.traverse(now, entry, out);
+            self.traverse(now, chan, out);
         } else {
-            self.pending_st.push(entry);
-        }
-    }
-
-    /// The [`StEntry`] for a grant issued at `now`.
-    fn st_entry(&self, now: u64, in_port: usize, in_vc: usize, out: (usize, usize)) -> StEntry {
-        StEntry {
-            in_port,
-            in_vc,
-            out_port: out.0,
-            out_vc: out.1,
-            depart_at: now + self.cfg.timing.st_delay,
+            self.st |= 1 << chan;
         }
     }
 }
@@ -1011,7 +1081,7 @@ impl Router {
 mod tests {
     use super::*;
     use crate::config::RouterConfig;
-    use crate::flit::{Flit, FlitKind, PacketId};
+    use crate::flit::FlitKind;
 
     /// Runs `router` from `from` to `to` inclusive, collecting output.
     fn run(router: &mut Router, from: u64, to: u64, route: impl Fn(&Flit) -> usize) -> TickOutput {
@@ -1053,6 +1123,118 @@ mod tests {
             r.set_output_credits(port, credits);
         }
         r
+    }
+
+    #[test]
+    fn channels_start_idle_on_their_own_rings() {
+        let mut r = Router::new(RouterConfig::speculative(5, 2, 4));
+        assert_eq!((r.occupied, r.busy, r.allocating, r.st), (0, 0, 0, 0));
+        assert_eq!(r.free, low_bits(10), "every output channel is free");
+        assert_eq!(r.may_send, 0, "no output channel may send before wiring");
+        assert_eq!(r.arena.rings(), 10, "one arena ring per channel");
+        r.accept_flit(3, Flit::head(PacketId::new(1), 9, 1, 0), 10);
+        assert_eq!(
+            r.arena.len(3 * 2 + 1),
+            1,
+            "channel (3, 1) buffers in ring 7"
+        );
+        assert_eq!(r.input_occupancy(3, 1), 1);
+        assert!(r.channel_masks_agree());
+    }
+
+    #[test]
+    fn credits_consume_and_return() {
+        let mut r = Router::new(RouterConfig::virtual_channel(5, 2, 4));
+        r.set_output_credits(2, 3);
+        let (vc0, vc1) = (r.chan(2, 0), r.chan(2, 1));
+        assert_eq!(r.may_send, 0b11 << vc0);
+        for _ in 0..3 {
+            r.consume_credit(vc0);
+        }
+        assert_eq!(r.may_send, 1 << vc1, "VC 0 ran out, VC 1 did not");
+        r.accept_credit(2, 0, 20);
+        assert_eq!(r.may_send, 0b11 << vc0);
+        assert_eq!(r.credits[vc0].count, 1);
+        assert!(r.channel_masks_agree());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate credit")]
+    fn credit_overflow_panics() {
+        let mut r = wired(RouterConfig::virtual_channel(5, 2, 4), 2);
+        r.accept_credit(1, 1, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "below zero")]
+    fn credit_underflow_panics() {
+        let mut r = wired(RouterConfig::wormhole(5, 8), 0);
+        r.consume_credit(1);
+    }
+
+    #[test]
+    fn sinks_have_infinite_credit() {
+        let mut r = Router::new(RouterConfig::virtual_channel(5, 2, 4));
+        r.mark_sink(4);
+        r.set_output_credits(4, 0);
+        let sink = 0b11 << r.chan(4, 0);
+        assert_eq!(r.may_send, sink);
+        for _ in 0..100 {
+            r.consume_credit(r.chan(4, 1));
+        }
+        assert_eq!(r.may_send, sink, "a sink never runs out");
+        assert!(r.channel_masks_agree());
+    }
+
+    #[test]
+    fn free_vcs_tracks_ownership() {
+        // A 2-flit packet from port 0 to port 2 claims one of port 2's
+        // three output VCs at its VA grant and frees it with its tail.
+        let mut r = wired(RouterConfig::virtual_channel(5, 3, 4), 4);
+        let port2 = low_bits(3) << r.chan(2, 0);
+        for f in Flit::packet(PacketId::new(1), 9, 0, 0, 2) {
+            r.accept_flit(0, f, 10);
+        }
+        let _ = r.tick(10, &|_: &Flit| 2); // RC
+        assert_eq!(r.free & port2, port2);
+        let _ = r.tick(11, &|_: &Flit| 2); // VA
+        let held = usize::from(r.chans[0].out_chan);
+        assert_eq!(r.free & port2, port2 & !(1 << held), "VA claims one VC");
+        let out = run(&mut r, 12, 20, |_: &Flit| 2);
+        assert_eq!(out.departures.len(), 2);
+        assert!(out
+            .departures
+            .iter()
+            .all(|d| d.flit.vc == held - r.chan(2, 0)));
+        assert_eq!(r.free & port2, port2, "the tail's traversal frees it");
+    }
+
+    #[test]
+    fn channel_masks_agree_catches_each_desync() {
+        // Mid-packet on a pipelined specVC router: the head has left, the
+        // body waits in the ST register and the tail is buffered.
+        let mut r = wired(RouterConfig::speculative(5, 2, 4), 4);
+        for f in Flit::packet(PacketId::new(1), 9, 0, 0, 3) {
+            r.accept_flit(0, f, 10);
+        }
+        let _ = run(&mut r, 10, 12, |_: &Flit| 2);
+        assert_ne!(r.st, 0, "a grant awaits traversal");
+        assert!(r.channel_masks_agree());
+        let corruptions: [fn(&mut Router); 8] = [
+            |r| r.occupied ^= 1 << 1,
+            |r| r.allocating |= 1 << 1,
+            |r| r.st |= 1 << 2,
+            |r| r.may_send ^= 1 << 9,
+            |r| r.free = low_bits(10),
+            |r| r.sink |= 1,
+            |r| r.chans[0].bid_at += 1,
+            |r| r.ports[3].reqs = 1,
+        ];
+        for (i, corrupt) in corruptions.iter().enumerate() {
+            let mut bad = r.clone();
+            corrupt(&mut bad);
+            assert!(!bad.channel_masks_agree(), "corruption {i} went unnoticed");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! state: a counting global allocator wraps `System`, the router is
 //! warmed up until every retained buffer has reached its high-water
 //! capacity, and then thousands of fully loaded cycles must perform
-//! **zero** heap allocations — across every flow-control kind.
+//! **zero** heap allocations — across every flow-control kind. The same
+//! counter pins how many heap blocks and bytes `Router::new` takes.
 //!
 //! (This is its own integration-test binary because a `#[global_allocator]`
 //! is per-binary.)
@@ -14,10 +15,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -27,6 +30,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,6 +40,34 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// The heap blocks `Router::new` makes for every kind: the arena's flit
+/// slab and ring array, the per-input-channel, per-output-channel and
+/// per-port arrays, the VC allocator's four blocks and the two banks of
+/// switch arbiters.
+const ROUTER_BLOCKS: u64 = 11;
+
+/// Asserts that `Router::new(cfg)` makes [`ROUTER_BLOCKS`] heap blocks
+/// of at most `max_bytes` bytes in all. The ceilings are what a layout
+/// with vectors per output port and per arbiter took, so flat state may
+/// not buy its block count with fixed 64-wide arrays. Counted as the
+/// minimum over a few constructions: a libtest thread may allocate
+/// concurrently, but never in every one.
+fn assert_router_footprint(cfg: RouterConfig, label: &str, max_bytes: u64) {
+    let (mut blocks, mut bytes) = (u64::MAX, u64::MAX);
+    for _ in 0..5 {
+        let (a, b) = (allocations(), BYTES.load(Ordering::Relaxed));
+        let router = Router::new(cfg);
+        blocks = blocks.min(allocations() - a);
+        bytes = bytes.min(BYTES.load(Ordering::Relaxed) - b);
+        drop(std::hint::black_box(router));
+    }
+    assert_eq!(blocks, ROUTER_BLOCKS, "{label}: Router::new heap blocks");
+    assert!(
+        bytes <= max_bytes,
+        "{label}: Router::new takes {bytes} heap bytes, over {max_bytes}"
+    );
 }
 
 /// Drives `cfg` at full tilt — every port fed a fresh flit whenever its
@@ -107,9 +139,25 @@ fn assert_steady_state_tick_is_allocation_free(cfg: RouterConfig, label: &str) {
 
 /// One serial test (the counter is a process-wide global; concurrent
 /// tests would see each other's warm-up allocations) covering every
-/// flow-control kind plus the unit-latency timing model.
+/// flow-control kind plus the unit-latency timing model: first what
+/// `Router::new` takes at 5 and 7 ports, then the steady-state ticks.
 #[test]
 fn steady_state_ticks_are_allocation_free() {
+    for (ports, hold_bytes, vc_bytes) in [(5, 4_680, 6_080), (7, 6_888, 9_184)] {
+        for (cfg, max_bytes) in [
+            (RouterConfig::wormhole(ports, 8), hold_bytes),
+            (RouterConfig::virtual_cut_through(ports, 8), hold_bytes),
+            (RouterConfig::virtual_channel(ports, 2, 4), vc_bytes),
+            (RouterConfig::speculative(ports, 2, 4), vc_bytes),
+            (
+                RouterConfig::speculative(ports, 2, 4).into_single_cycle(),
+                vc_bytes,
+            ),
+        ] {
+            assert_router_footprint(cfg, &format!("{cfg}"), max_bytes);
+        }
+    }
+
     assert_steady_state_tick_is_allocation_free(RouterConfig::wormhole(5, 8), "wormhole");
     assert_steady_state_tick_is_allocation_free(RouterConfig::virtual_cut_through(5, 8), "VCT");
     assert_steady_state_tick_is_allocation_free(RouterConfig::virtual_channel(5, 2, 4), "VC");
