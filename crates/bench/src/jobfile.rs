@@ -54,8 +54,9 @@ const JOB_KEYS: &[&str] = &[
 ///
 /// # Errors
 ///
-/// Returns a message naming the job and key for any unknown key, wrong
-/// type, or out-of-range value.
+/// Returns a message naming the job (its number, and its `name` when it
+/// has one) and key for any unknown key, wrong type, or out-of-range
+/// value.
 pub fn build_batch(file: &JobFile) -> Result<Batch, String> {
     if file.jobs.is_empty() {
         return Err("job file defines no [[job]] tables".into());
@@ -78,7 +79,11 @@ pub fn build_batch(file: &JobFile) -> Result<Batch, String> {
                 i + 1
             ));
         }
-        jobs.push(build_job(i, table).map_err(|e| format!("job #{}: {e}", i + 1))?);
+        let job = match table.get("name").and_then(|v| v.as_str()) {
+            Some(name) => format!("job #{} `{name}`", i + 1),
+            None => format!("job #{}", i + 1),
+        };
+        jobs.push(build_job(i, table).map_err(|e| format!("{job}: {e}"))?);
     }
     Ok(Batch { jobs, cores })
 }
@@ -99,17 +104,11 @@ fn build_job(index: usize, t: &Table) -> Result<JobSpec<NetworkConfig>, String> 
     }
     // `mesh` is the per-axis radix; `dims` the number of axes (a k-ary
     // n-mesh), so `mesh = 4, dims = 3` is a 64-node 4-ary 3-cube. The
-    // cap matches the route table's adaptive-candidate encoding and
-    // keeps `radix^dims` far from overflow.
+    // cap matches the route table's adaptive-candidate encoding; the
+    // validate() backstop below bounds `radix^dims`.
     let dims = get_u64(t, "dims", 2)? as usize;
     if !(1..=8).contains(&dims) {
         return Err("`dims` must be between 1 and 8".into());
-    }
-    let nodes = (radix as u128).pow(dims as u32);
-    if nodes > (1 << 24) {
-        return Err(format!(
-            "`mesh`^`dims` is {nodes} nodes — larger than any simulable network"
-        ));
     }
     let vcs = get_u64(t, "vcs", 2)? as usize;
     let buffers = get_u64(t, "buffers", 4)? as usize;
@@ -142,14 +141,12 @@ fn build_job(index: usize, t: &Table) -> Result<JobSpec<NetworkConfig>, String> 
     let sample = get_u64(t, "sample", cfg.sample_packets)?;
     let max_cycles = get_u64(t, "max_cycles", cfg.max_cycles)?;
     let credit_prop = get_u64(t, "credit_prop_delay", cfg.credit_prop_delay)?;
-    let pattern = parse_pattern(t, cfg.mesh.nodes())?;
     cfg = cfg
         .with_warmup(warmup)
         .with_sample(sample)
         .with_max_cycles(max_cycles)
         .with_single_cycle(get_bool(t, "single_cycle", false)?)
-        .with_credit_prop_delay(credit_prop)
-        .with_pattern(pattern);
+        .with_credit_prop_delay(credit_prop);
     let base_seed = get_u64(t, "seed", cfg.seed)?;
     cfg = cfg.with_seed(base_seed);
     let shards = get_u64(t, "shards", 1)? as usize;
@@ -207,6 +204,9 @@ fn build_job(index: usize, t: &Table) -> Result<JobSpec<NetworkConfig>, String> 
     // here, at parse time and naming the job — not cycles later inside
     // a worker thread where the panic takes the whole batch down.
     cfg.validate().map_err(|e| e.to_string())?;
+    // After the backstop, which bounds the node count.
+    let pattern = parse_pattern(t, cfg.mesh.nodes())?;
+    let cfg = cfg.with_pattern(pattern);
     Ok(JobSpec::new(name, cfg.clone(), base_seed)
         .with_loads(loads)
         .with_reps(reps)
@@ -370,6 +370,16 @@ priority = 2.5
                 "dateline",
             ),
             ("[[job]]\nloads = [0.1]\nvcs = 13\n", "13 vcs"),
+            ("[[job]]\nloads = [0.1]\nvcs = 0\n", "vcs = 0"),
+            (
+                "[[job]]\nloads = [0.1]\nrouter = \"vc\"\nvcs = 0\n",
+                "vcs = 0",
+            ),
+            ("[[job]]\nloads = [0.1]\nbuffers = 0\n", "buffers"),
+            (
+                "[[job]]\nloads = [0.1]\nrouter = \"wh\"\nbuffers = 0\n",
+                "buffers",
+            ),
         ] {
             let f = spec::parse(body).expect(body);
             let err = build_batch(&f).expect_err(body);
@@ -379,6 +389,13 @@ priority = 2.5
         assert!(build_batch(&spec::parse("cores = 2\n").unwrap())
             .expect_err("no jobs")
             .contains("no [[job]]"));
+        // A named job is named in the message too.
+        let named = "[[job]]\nloads = [0.1]\n\n[[job]]\nname = \"x\"\nvcs = 0\nloads = [0.1]\n";
+        let err = build_batch(&spec::parse(named).unwrap()).expect_err("vcs = 0");
+        assert!(
+            err.starts_with("job #2 `x`: ") && err.contains("vcs = 0"),
+            "{err}"
+        );
         // A per-job `cores` would be silently ignored — it must error.
         let per_job = spec::parse("[[job]]\nloads = [0.1]\ncores = 2\n").unwrap();
         assert!(build_batch(&per_job)

@@ -1,10 +1,15 @@
 //! Network simulation configuration.
 
+use crate::source::SEQ_BITS;
 use crate::topology::Mesh;
 use crate::traffic::TrafficPattern;
 use router_core::{RouterConfig, Timing};
 use runqueue::CancelToken;
 use std::fmt;
+
+/// The most nodes a network may have (2^24): a packet id keeps its
+/// source node in the bits above the per-source sequence number.
+const MAX_NODES: usize = 1 << (64 - SEQ_BITS);
 
 /// Which router microarchitecture populates the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,6 +240,28 @@ pub enum ConfigError {
         /// The configured radix.
         radix: usize,
     },
+    /// More than 2^24 nodes: packet ids keep the source node in their
+    /// top 24 bits, and flits carry the destination in a `u32`.
+    TooManyNodes {
+        /// The configured radix.
+        radix: usize,
+        /// The configured dimension count.
+        dims: usize,
+    },
+    /// A router kind with zero VCs per port.
+    VcsZero,
+    /// Input buffers of zero flits per VC: no flit could ever enter.
+    BuffersZero,
+    /// A packet length outside 1..=255 flits: a flit's sequence number
+    /// and packet length are one byte each.
+    PacketLenOutOfRange {
+        /// The configured packet length.
+        len: u32,
+    },
+    /// Zero-cycle credit propagation plus processing: a credit returns
+    /// `credit_prop_delay + credit_proc_delay - 1` cycles after the
+    /// cycle it is sent, so the sum must be at least 1.
+    CreditDelayZero,
     /// Routers with more than [`RouterConfig::MAX_CHANNELS`] input
     /// channels (`ports × vcs`): the router tick keeps its channel sets
     /// and allocator requests in `u64` masks.
@@ -344,6 +371,31 @@ impl fmt::Display for ConfigError {
                 f,
                 "radix {radix} exceeds the route table's one-byte coordinate encoding \
                  (max 256 nodes per dimension); add a dimension instead"
+            ),
+            ConfigError::TooManyNodes { radix, dims } => write!(
+                f,
+                "a {radix}-ary {dims}-mesh has more than the {MAX_NODES} nodes packet ids \
+                 can name (2^24: an id keeps its source node in 24 bits); use a smaller \
+                 radix or fewer dimensions"
+            ),
+            ConfigError::VcsZero => write!(
+                f,
+                "routers need at least one VC per port, got vcs = 0; set vcs >= 1"
+            ),
+            ConfigError::BuffersZero => write!(
+                f,
+                "input buffers need at least one flit per VC, got 0; set buffers \
+                 (wormhole, cut-through) or buffers_per_vc >= 1"
+            ),
+            ConfigError::PacketLenOutOfRange { len } => write!(
+                f,
+                "packet_len {len} is outside 1..=255 flits (a flit's sequence number \
+                 and packet length are one byte each)"
+            ),
+            ConfigError::CreditDelayZero => write!(
+                f,
+                "credit_prop_delay + credit_proc_delay is 0, but a credit returns \
+                 prop + proc - 1 cycles after the cycle it is sent; set either delay >= 1"
             ),
             ConfigError::TooManyChannels { ports, vcs } => write!(
                 f,
@@ -915,18 +967,41 @@ impl NetworkConfig {
     /// See [`ConfigError`] for the rejected combinations: an offered
     /// load that is not finite and positive, a torus without dateline
     /// VCs, west-first outside a 2-D mesh, a turn model on a torus,
-    /// shapes beyond the route table's compact encoding, and routers
-    /// wider than 64 input channels.
+    /// shapes beyond the route table's compact encoding or the packet
+    /// ids' 2^24 nodes, routers without VCs or buffers or wider than 64
+    /// input channels, packets outside 1..=255 flits, and a credit
+    /// path of zero cycles.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.injection_fraction.is_finite() && self.injection_fraction > 0.0) {
             return Err(ConfigError::InjectionFractionInvalid);
         }
-        if self.mesh.radix() > 256 {
-            return Err(ConfigError::RadixTooLarge {
-                radix: self.mesh.radix(),
-            });
+        let (radix, dims) = (self.mesh.radix(), self.mesh.dims());
+        if radix > 256 {
+            return Err(ConfigError::RadixTooLarge { radix });
+        }
+        // Checked: `Mesh::nodes` would overflow on such a shape.
+        if u32::try_from(dims)
+            .ok()
+            .and_then(|d| radix.checked_pow(d))
+            .is_none_or(|nodes| nodes > MAX_NODES)
+        {
+            return Err(ConfigError::TooManyNodes { radix, dims });
         }
         let (ports, vcs) = (self.mesh.ports(), self.router.vcs());
+        if vcs == 0 {
+            return Err(ConfigError::VcsZero);
+        }
+        if self.router.buffers_per_vc() == 0 {
+            return Err(ConfigError::BuffersZero);
+        }
+        if !(1..=255).contains(&self.packet_len) {
+            return Err(ConfigError::PacketLenOutOfRange {
+                len: self.packet_len,
+            });
+        }
+        if self.credit_prop_delay == 0 && self.credit_proc_delay == 0 {
+            return Err(ConfigError::CreditDelayZero);
+        }
         if ports * vcs > RouterConfig::MAX_CHANNELS {
             return Err(ConfigError::TooManyChannels { ports, vcs });
         }
@@ -1310,6 +1385,102 @@ mod tests {
         assert_eq!(err, ConfigError::InjectionFractionInvalid);
         assert!(err.to_string().contains("finite"), "{err}");
         assert!(crate::sim::Network::try_new(ok.with_injection(2.0)).is_ok());
+    }
+
+    #[test]
+    fn try_new_returns_an_error_where_it_used_to_panic() {
+        // Each of these passed `validate` and then panicked building the
+        // network (zero VCs or buffers, zero-flit packets), at its first
+        // credit (a zero-cycle credit path underflows its latency), or in
+        // `Mesh::nodes` (256^8 overflows).
+        let vc = |vcs, buffers_per_vc| RouterKind::VirtualChannel {
+            vcs,
+            buffers_per_vc,
+        };
+        let base = NetworkConfig::mesh(4, vc(2, 4));
+        let packets = |len| NetworkConfig {
+            packet_len: len,
+            ..base.clone()
+        };
+        let spec_vc = RouterKind::SpeculativeVc {
+            vcs: 0,
+            buffers_per_vc: 4,
+        };
+        let no_credit_delay = NetworkConfig {
+            credit_proc_delay: 0,
+            ..base.clone().with_credit_prop_delay(0)
+        };
+        let cases = [
+            (
+                NetworkConfig::mesh(4, vc(0, 4)),
+                ConfigError::VcsZero,
+                "vcs = 0",
+            ),
+            (
+                NetworkConfig::mesh(4, spec_vc),
+                ConfigError::VcsZero,
+                "vcs = 0",
+            ),
+            (
+                NetworkConfig::mesh(4, vc(2, 0)),
+                ConfigError::BuffersZero,
+                "buffers",
+            ),
+            (
+                NetworkConfig::mesh(4, RouterKind::Wormhole { buffers: 0 }),
+                ConfigError::BuffersZero,
+                "buffers",
+            ),
+            (
+                NetworkConfig::mesh(4, RouterKind::VirtualCutThrough { buffers: 0 }),
+                ConfigError::BuffersZero,
+                "buffers",
+            ),
+            (
+                packets(0),
+                ConfigError::PacketLenOutOfRange { len: 0 },
+                "1..=255",
+            ),
+            (
+                packets(256),
+                ConfigError::PacketLenOutOfRange { len: 256 },
+                "1..=255",
+            ),
+            (no_credit_delay, ConfigError::CreditDelayZero, "delay >= 1"),
+            (
+                NetworkConfig::for_mesh(Mesh::new(256, 8), vc(2, 4)),
+                ConfigError::TooManyNodes {
+                    radix: 256,
+                    dims: 8,
+                },
+                "2^24",
+            ),
+            (
+                NetworkConfig::for_mesh(Mesh::new(2, 25), RouterKind::Wormhole { buffers: 8 }),
+                ConfigError::TooManyNodes { radix: 2, dims: 25 },
+                "2^24",
+            ),
+        ];
+        for (cfg, want, fix) in cases {
+            let Err(err) = crate::sim::Network::try_new(cfg) else {
+                panic!("{want:?}: the network was built");
+            };
+            assert_eq!(err, want);
+            assert!(err.to_string().contains(fix), "{err}");
+        }
+        // The edges of each bound are valid.
+        for len in [1, 255] {
+            assert_eq!(packets(len).validate(), Ok(()), "{len}-flit packets");
+        }
+        let one_cycle_credits = NetworkConfig {
+            credit_proc_delay: 0,
+            ..base.clone().with_credit_prop_delay(1)
+        };
+        assert_eq!(one_cycle_credits.validate(), Ok(()));
+        for mesh in [Mesh::new(256, 3), Mesh::new(2, 24)] {
+            let wh = NetworkConfig::for_mesh(mesh, RouterKind::Wormhole { buffers: 8 });
+            assert_eq!(wh.validate(), Ok(()), "2^24 nodes");
+        }
     }
 
     #[test]

@@ -769,15 +769,16 @@ impl ShardCtx<'_> {
             out.created.extend_from_slice(&step.created);
             if let Some(flit) = step.injected {
                 out.injected += 1;
+                let vc = usize::from(flit.vc);
                 let reason = env.fault.and_then(|fm| {
-                    clip(&mut self.clip_in[i * env.vcs + flit.vc], &flit, || {
-                        fm.injection_drop(self.lo + i, flit.dest, now, flit.packet)
+                    clip(&mut self.clip_in[i * env.vcs + vc], &flit, || {
+                        fm.injection_drop(self.lo + i, flit.dest as usize, now, flit.packet)
                     })
                 });
                 if let Some(reason) = reason {
                     // The flit never enters the network: bounce the
                     // credit the source consumed and account the drop.
-                    self.sources[i].credit(flit.vc);
+                    self.sources[i].credit(vc);
                     self.drops[i].count(reason, flit.kind.is_head());
                     out.drop_stats.count(reason, flit.kind.is_head());
                     if flit.kind.is_head() {
@@ -1010,14 +1011,14 @@ impl ShardCtx<'_> {
         };
         let local = env.cfg.mesh.local_port();
         let i = node - self.lo;
-        let reason = if out_port == local && flit.dest != node {
+        let vc = usize::from(flit.vc);
+        let reason = if out_port == local && flit.dest as usize != node {
             // Stranded: adaptive routing found no live candidate and
             // resolved to the sink. The whole packet routes there, so
             // the per-flit check is consistent without a clip slot.
             Some(DropReason::Stranded)
         } else {
-            let slot =
-                &mut self.clip_out[(i * env.cfg.mesh.ports() + out_port) * env.vcs + flit.vc];
+            let slot = &mut self.clip_out[(i * env.cfg.mesh.ports() + out_port) * env.vcs + vc];
             clip(slot, flit, || {
                 fm.link_drop(node, out_port, now, flit.packet)
             })
@@ -1028,7 +1029,7 @@ impl ShardCtx<'_> {
         if out_port != local {
             // The flit never reaches the downstream buffer; return the
             // credit so the VC refills. Ejection consumes no credit.
-            self.routers[i].accept_credit(out_port, flit.vc, now);
+            self.routers[i].accept_credit(out_port, vc, now);
         }
         self.drops[i].count(reason, flit.kind.is_head());
         out.drop_stats.count(reason, flit.kind.is_head());
@@ -1043,12 +1044,12 @@ impl ShardCtx<'_> {
     /// order-sensitive sample bookkeeping is deferred to the serial
     /// commit via `out.tails`.
     fn eject(&mut self, env: &ShardEnv<'_>, node: usize, flit: Flit, out: &mut ShardOut) {
-        assert_eq!(flit.dest, node, "flit ejected at the wrong node");
+        assert_eq!(flit.dest as usize, node, "flit ejected at the wrong node");
         out.ejected += 1;
         // Index-addressed reassembly: flits of one packet arrive on one
         // ejection VC in order and packets never interleave within a VC
         // (the upstream output VC / wormhole hold is held to the tail).
-        let slot = &mut self.eject_slots[(node - self.lo) * env.vcs + flit.vc];
+        let slot = &mut self.eject_slots[(node - self.lo) * env.vcs + usize::from(flit.vc)];
         if slot.1 == 0 {
             *slot = (flit.packet, 1);
         } else {

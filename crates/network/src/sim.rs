@@ -74,16 +74,15 @@ pub(crate) struct NodeOracle<'a> {
 
 impl RoutingOracle for NodeOracle<'_> {
     fn output_port(&self, flit: &Flit) -> usize {
+        let dest = flit.dest as usize;
         match self.fault {
-            None => self.table.route(self.node, flit.dest, flit.packet.value()),
-            Some((fm, epoch)) => {
-                fm.route(self.table, epoch, self.node, flit.dest, flit.packet.value())
-            }
+            None => self.table.route(self.node, dest, flit.packet.value()),
+            Some((fm, epoch)) => fm.route(self.table, epoch, self.node, dest, flit.packet.value()),
         }
     }
 
     fn vc_mask(&self, flit: &Flit, _out_port: usize) -> u64 {
-        self.table.vc_mask(self.node, flit.dest)
+        self.table.vc_mask(self.node, flit.dest as usize)
     }
 }
 
@@ -445,8 +444,10 @@ impl Network {
         }
 
         let rate = cfg.packets_per_node_cycle();
+        let packet_len =
+            u8::try_from(cfg.packet_len).expect("validate bounds packet_len to a byte");
         let sources = (0..nodes)
-            .map(|node| Source::new(node, rate, cfg.packet_len, rcfg.vcs, buffers, cfg.seed))
+            .map(|node| Source::new(node, rate, packet_len, rcfg.vcs, buffers, cfg.seed))
             .collect();
 
         let route_table = RouteTable::new(mesh, cfg.routing, rcfg.vcs);
@@ -1107,6 +1108,11 @@ mod tests {
 
     fn quick(cfg: NetworkConfig) -> RunResult {
         Network::new(cfg).run()
+    }
+
+    #[test]
+    fn a_link_event_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<LinkEvent>(), 32);
     }
 
     fn low_load(kind: RouterKind) -> NetworkConfig {

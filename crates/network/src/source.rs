@@ -7,6 +7,18 @@
 //! virtual channels exactly as a network interface would. Packet latency
 //! is measured from *creation* (entering the source queue), so source
 //! queueing time counts, per the paper.
+//!
+//! # The queue holds 16-byte records
+//!
+//! Past saturation a source's queue grows without bound (hundreds of
+//! packets per source by the end of a saturated run), so a queued
+//! packet is only what cannot be recomputed: its creation cycle and
+//! destination. Its id is not stored. Every created packet draws the
+//! next sequence number and joins the back of the queue, and a
+//! permutation fixed point (a packet addressed to its own node) is
+//! skipped before it draws one, so the queue holds consecutive sequence
+//! numbers. A packet that claims an injection VC takes the front one,
+//! and only then becomes a [`PacketFlits`] cursor.
 
 use arbitration::RoundRobinArbiter;
 use rand::rngs::SmallRng;
@@ -34,6 +46,17 @@ pub(crate) fn packet_seq(id: PacketId) -> u64 {
     id.value() & ((1u64 << SEQ_BITS) - 1)
 }
 
+/// A packet waiting in a source's queue: 16 bytes, where a
+/// [`PacketFlits`] cursor takes 24. The id is rebuilt when the packet
+/// claims an injection VC (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    /// The cycle the packet was created.
+    created: u64,
+    /// The destination node.
+    dest: u32,
+}
+
 /// What a source did in one cycle.
 #[derive(Debug, Clone, Default)]
 pub struct SourceStep {
@@ -48,13 +71,16 @@ pub struct SourceStep {
 pub struct Source {
     node: usize,
     rate: f64,
-    packet_len: u32,
+    packet_len: u8,
     accum: f64,
     next_seq: u64,
     rng: SmallRng,
-    /// Whole packets waiting for an injection VC — allocation-free flit
-    /// cursors, not materialized flit vectors.
-    queue: VecDeque<PacketFlits>,
+    /// Whole packets waiting for an injection VC, oldest first; the
+    /// front one has sequence number `front_seq` and the rest follow it
+    /// consecutively (see the module docs).
+    queue: VecDeque<Queued>,
+    /// The sequence number of the packet at the front of `queue`.
+    front_seq: u64,
     /// The packet occupying each injection VC, if any (remaining flits
     /// are generated on demand).
     slots: Vec<Option<PacketFlits>>,
@@ -81,7 +107,7 @@ impl Source {
     pub fn new(
         node: usize,
         rate: f64,
-        packet_len: u32,
+        packet_len: u8,
         vcs: usize,
         credits_per_vc: u64,
         seed: u64,
@@ -103,6 +129,7 @@ impl Source {
             next_seq: 0,
             rng,
             queue: VecDeque::new(),
+            front_seq: 0,
             slots: vec![None; vcs],
             credits: vec![credits_per_vc; vcs],
             vc_pick: RoundRobinArbiter::new(vcs),
@@ -116,6 +143,11 @@ impl Source {
     #[must_use]
     pub fn node(&self) -> usize {
         self.node
+    }
+
+    /// The id of this source's packet with sequence number `seq`.
+    fn packet_id(&self, seq: u64) -> PacketId {
+        PacketId::new(((self.node as u64) << SEQ_BITS) | seq)
     }
 
     /// Packets queued or mid-injection (backlog; grows without bound past
@@ -173,23 +205,32 @@ impl Source {
             if dest == self.node {
                 continue; // permutation fixed point: nothing to send
             }
-            let id = PacketId::new(((self.node as u64) << SEQ_BITS) | self.next_seq);
+            out.created.push(self.packet_id(self.next_seq));
             self.next_seq += 1;
             self.packets_created += 1;
-            self.queue
-                .push_back(PacketFlits::new(id, dest, 0, now, self.packet_len));
-            out.created.push(id);
+            // `NetworkConfig::validate` caps the mesh at 2^24 nodes.
+            self.queue.push_back(Queued {
+                created: now,
+                dest: dest as u32,
+            });
         }
 
-        // Claim free VCs for waiting packets.
+        // Claim free VCs for waiting packets, front of the queue first.
         for vc in 0..self.slots.len() {
             if self.slots[vc].is_none() {
-                if let Some(mut packet) = self.queue.pop_front() {
-                    packet.set_vc(vc);
-                    self.slots[vc] = Some(packet);
-                } else {
+                let Some(q) = self.queue.pop_front() else {
                     break;
-                }
+                };
+                let id = self.packet_id(self.front_seq);
+                self.front_seq += 1;
+                // At most 64 VCs per port, so a VC id fits a byte.
+                self.slots[vc] = Some(PacketFlits::new(
+                    id,
+                    q.dest,
+                    vc as u8,
+                    q.created,
+                    self.packet_len,
+                ));
             }
         }
 
@@ -407,6 +448,99 @@ mod tests {
             .sum();
         assert_eq!(created, 100, "full configured rate off the diagonal");
         assert!(s.flits_injected > 0);
+    }
+
+    #[test]
+    fn a_queued_packet_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Queued>(), 16);
+    }
+
+    #[test]
+    fn backlogged_transpose_sources_inject_what_a_packet_flits_queue_would() {
+        // Every node of a 4x4 mesh under transpose, backlogged at one
+        // 5-flit packet per cycle; the diagonal nodes are fixed points.
+        // The reference keeps each created packet whole, as a
+        // `PacketFlits` cursor with the id it was created with, and
+        // claims VCs by the source's rule; every injected flit (id, seq,
+        // dest, created, vc) must be the one the reference's cursor on
+        // that VC produces.
+        let m = mesh();
+        for node in 0..m.nodes() {
+            let c = m.coords(node);
+            let dest = m.node_at(&[c[1], c[0]]) as u32;
+            let mut s = Source::new(node, 1.0, 5, 2, 1_000, 3);
+            let mut queue: VecDeque<PacketFlits> = VecDeque::new();
+            let mut slots: [Option<PacketFlits>; 2] = [None; 2];
+            let mut injected = 0;
+            for now in 0..300 {
+                let step = s.step(now, &m, &TrafficPattern::Transpose);
+                for &id in &step.created {
+                    queue.push_back(PacketFlits::new(id, dest, 0, now, 5));
+                }
+                for (vc, slot) in slots.iter_mut().enumerate() {
+                    if slot.is_none_or(|p| p.is_exhausted()) {
+                        let Some(mut p) = queue.pop_front() else {
+                            break;
+                        };
+                        p.set_vc(vc as u8);
+                        *slot = Some(p);
+                    }
+                }
+                if let Some(flit) = step.injected {
+                    let want = slots[usize::from(flit.vc)]
+                        .as_mut()
+                        .and_then(Iterator::next);
+                    assert_eq!(Some(flit), want, "node {node}, cycle {now}");
+                    injected += 1;
+                }
+            }
+            if dest as usize == node {
+                assert_eq!((injected, s.packets_created), (0, 0), "node {node}");
+            } else {
+                assert_eq!(injected, 300, "node {node} injects every cycle");
+                assert!(s.backlog() > 200, "node {node} is backlogged");
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_points_draw_no_sequence_number() {
+        // A hotspot on the source's own node makes about half of its
+        // draws fixed points, interleaved with real packets. Created ids
+        // stay consecutive, and each injected head carries the id its
+        // packet was created with (one crossing per cycle, so the
+        // creation cycle names the packet).
+        let node = 5;
+        let pattern = TrafficPattern::Hotspot {
+            hotspot: node,
+            hotness: 0.5,
+        };
+        let mut s = Source::new(node, 1.0, 4, 2, 1_000, 11);
+        let mut created_at = std::collections::HashMap::new();
+        let mut heads = 0;
+        for now in 0..400 {
+            let step = s.step(now, &mesh(), &pattern);
+            for &id in &step.created {
+                assert_eq!(packet_source(id), node);
+                assert_eq!(
+                    packet_seq(id),
+                    created_at.len() as u64,
+                    "ids are consecutive"
+                );
+                created_at.insert(id, now);
+            }
+            if let Some(f) = step.injected.filter(|f| f.kind.is_head()) {
+                assert_eq!(created_at.get(&f.packet), Some(&f.created), "{f}");
+                assert_ne!(f.dest as usize, node);
+                heads += 1;
+            }
+        }
+        assert!(
+            (100..300).contains(&created_at.len()),
+            "{} of 400 draws were real packets",
+            created_at.len()
+        );
+        assert!(heads >= 100, "one flit per cycle injects {heads} heads");
     }
 
     #[test]

@@ -1,4 +1,18 @@
 //! Flits — the flow-control digits packets are divided into.
+//!
+//! A [`Flit`] carries what the paper's flit carries on the wire — its
+//! packet, type, VC id and the head's route (the destination) — plus
+//! the packet's creation cycle for latency statistics. Everything that
+//! depends on when the flit reached a router belongs to the router's
+//! input VC (`invc_state` in the paper's Figures 2–3), so the flit has
+//! no arrival field: the [`crate::FlitArena`] stores each buffered
+//! flit's arrival cycle beside it. The fields are as narrow as the
+//! simulator allows, which makes a flit 24 bytes:
+//!
+//! * `dest: u32` — packet ids keep the source node in 24 bits, so no
+//!   network this simulator builds has more nodes than a `u32` holds;
+//! * `seq` and `len: u8` — packets have 1 to 255 flits;
+//! * `vc: u8` — a router has at most 64 input channels.
 
 use std::fmt;
 
@@ -54,76 +68,74 @@ impl FlitKind {
     }
 }
 
-/// A flit in flight.
+/// A flit in flight: 24 bytes, copied on every hop.
+///
+/// Only what travels on the wire is here. The cycle a flit entered its
+/// current input buffer is router state: the [`crate::FlitArena`] keeps
+/// it beside the flit, so departures and link events never carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// The packet this flit belongs to.
     pub packet: PacketId,
-    /// Flit type.
-    pub kind: FlitKind,
-    /// Destination node id (decoded from the head; carried on every flit
-    /// for simulator convenience — real body flits inherit it from state).
-    pub dest: usize,
-    /// Virtual-channel id field; rewritten at each hop to the output VC.
-    pub vc: usize,
     /// Cycle the packet was created at the source (for latency stats).
     pub created: u64,
-    /// Cycle this flit was delivered into the current input buffer
-    /// (maintained by the router; used for pipeline eligibility).
-    pub arrival: u64,
+    /// Destination node id (decoded from the head; carried on every flit
+    /// for simulator convenience — real body flits inherit it from state).
+    pub dest: u32,
     /// Position of the flit within its packet, 0 for the head.
-    pub seq: u32,
+    pub seq: u8,
     /// Total packet length in flits (carried in the head's size field;
     /// replicated on every flit for simulator convenience). Needed by
     /// virtual cut-through admission. Low-level constructors default it
     /// to `seq + 1`; [`Flit::packet`] sets it correctly.
-    pub len: u32,
+    pub len: u8,
+    /// Flit type.
+    pub kind: FlitKind,
+    /// Virtual-channel id field; rewritten at each hop to the output VC.
+    pub vc: u8,
 }
 
 impl Flit {
     /// Creates a head flit (packet length defaults to 1; use
     /// [`Flit::packet`] or set `len` for multi-flit packets).
     #[must_use]
-    pub fn head(packet: PacketId, dest: usize, vc: usize, created: u64) -> Self {
+    pub fn head(packet: PacketId, dest: u32, vc: u8, created: u64) -> Self {
         Flit {
             packet,
-            kind: FlitKind::Head,
-            dest,
-            vc,
             created,
-            arrival: 0,
+            dest,
             seq: 0,
             len: 1,
+            kind: FlitKind::Head,
+            vc,
         }
     }
 
     /// Creates a body flit.
     #[must_use]
-    pub fn body(packet: PacketId, dest: usize, vc: usize, created: u64, seq: u32) -> Self {
+    pub fn body(packet: PacketId, dest: u32, vc: u8, created: u64, seq: u8) -> Self {
         Flit {
             packet,
-            kind: FlitKind::Body,
-            dest,
-            vc,
             created,
-            arrival: 0,
+            dest,
             seq,
             len: seq + 1,
+            kind: FlitKind::Body,
+            vc,
         }
     }
 
     /// Creates a tail flit.
     #[must_use]
-    pub fn tail(packet: PacketId, dest: usize, vc: usize, created: u64, seq: u32) -> Self {
+    pub fn tail(packet: PacketId, dest: u32, vc: u8, created: u64, seq: u8) -> Self {
         Flit {
             packet,
-            kind: FlitKind::Tail,
-            dest,
-            vc,
             created,
-            arrival: 0,
+            dest,
             seq,
             len: seq + 1,
+            kind: FlitKind::Tail,
+            vc,
         }
     }
 
@@ -137,7 +149,7 @@ impl Flit {
     ///
     /// Panics if `len == 0`.
     #[must_use]
-    pub fn packet(packet: PacketId, dest: usize, vc: usize, created: u64, len: u32) -> Vec<Flit> {
+    pub fn packet(packet: PacketId, dest: u32, vc: u8, created: u64, len: u8) -> Vec<Flit> {
         PacketFlits::new(packet, dest, vc, created, len).collect()
     }
 }
@@ -146,17 +158,17 @@ impl Flit {
 ///
 /// Where [`Flit::packet`] materializes a `Vec<Flit>` per packet — one heap
 /// allocation on every injection, millions over a sweep — `PacketFlits` is
-/// a `Copy` cursor that synthesizes each flit on demand. Traffic sources
-/// keep one per pending packet and pop flits as credits allow, so the flit
-/// path performs no per-packet allocation.
+/// a 24-byte `Copy` cursor that synthesizes each flit on demand. A traffic
+/// source keeps one per injection VC and pops flits as credits allow, so
+/// the flit path performs no per-packet allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketFlits {
     packet: PacketId,
-    dest: usize,
-    vc: usize,
     created: u64,
-    len: u32,
-    next: u32,
+    dest: u32,
+    vc: u8,
+    len: u8,
+    next: u8,
 }
 
 impl PacketFlits {
@@ -166,13 +178,13 @@ impl PacketFlits {
     ///
     /// Panics if `len == 0`.
     #[must_use]
-    pub fn new(packet: PacketId, dest: usize, vc: usize, created: u64, len: u32) -> Self {
+    pub fn new(packet: PacketId, dest: u32, vc: u8, created: u64, len: u8) -> Self {
         assert!(len >= 1, "a packet needs at least one flit");
         PacketFlits {
             packet,
+            created,
             dest,
             vc,
-            created,
             len,
             next: 0,
         }
@@ -187,7 +199,7 @@ impl PacketFlits {
     /// Flits not yet generated.
     #[must_use]
     pub fn remaining(&self) -> u32 {
-        self.len - self.next
+        u32::from(self.len - self.next)
     }
 
     /// Whether every flit has been generated.
@@ -198,7 +210,7 @@ impl PacketFlits {
 
     /// Rewrites the VC id stamped on the remaining flits (sources assign
     /// the injection VC when a packet claims one).
-    pub fn set_vc(&mut self, vc: usize) {
+    pub fn set_vc(&mut self, vc: u8) {
         self.vc = vc;
     }
 }
@@ -223,13 +235,12 @@ impl Iterator for PacketFlits {
         };
         Some(Flit {
             packet: self.packet,
-            kind,
-            dest: self.dest,
-            vc: self.vc,
             created: self.created,
-            arrival: 0,
+            dest: self.dest,
             seq,
             len: self.len,
+            kind,
+            vc: self.vc,
         })
     }
 
@@ -271,7 +282,10 @@ mod tests {
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert!(flits[1..4].iter().all(|f| f.kind == FlitKind::Body));
         assert_eq!(flits[4].kind, FlitKind::Tail);
-        assert!(flits.iter().enumerate().all(|(i, f)| f.seq == i as u32));
+        assert!(flits
+            .iter()
+            .enumerate()
+            .all(|(i, f)| usize::from(f.seq) == i));
         assert!(flits.iter().all(|f| f.dest == 9 && f.created == 100));
     }
 
@@ -290,7 +304,7 @@ mod tests {
 
     #[test]
     fn packet_flits_matches_vec_constructor() {
-        for len in [1u32, 2, 5, 9] {
+        for len in [1u8, 2, 5, 9] {
             let gen: Vec<Flit> = PacketFlits::new(PacketId::new(7), 3, 1, 42, len).collect();
             assert_eq!(gen, Flit::packet(PacketId::new(7), 3, 1, 42, len));
         }
@@ -316,6 +330,12 @@ mod tests {
     #[should_panic(expected = "at least one flit")]
     fn packet_flits_rejects_zero_length() {
         let _ = PacketFlits::new(PacketId::new(1), 0, 0, 0, 0);
+    }
+
+    #[test]
+    fn flit_and_cursor_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<Flit>(), 24);
+        assert_eq!(std::mem::size_of::<PacketFlits>(), 24);
     }
 
     #[test]

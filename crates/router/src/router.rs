@@ -516,17 +516,16 @@ impl Router {
     ///
     /// Panics if the flit's VC is out of range or its buffer overflows
     /// (i.e. the upstream violated credit flow control).
-    pub fn accept_flit(&mut self, port: usize, mut flit: Flit, now: u64) {
+    pub fn accept_flit(&mut self, port: usize, flit: Flit, now: u64) {
+        let vc = usize::from(flit.vc);
         assert!(
-            flit.vc < self.cfg.vcs,
-            "flit vc {} out of range ({} vcs)",
-            flit.vc,
+            vc < self.cfg.vcs,
+            "flit vc {vc} out of range ({} vcs)",
             self.cfg.vcs
         );
-        flit.arrival = now;
-        let chan = self.chan(port, flit.vc);
+        let chan = self.chan(port, vc);
         self.record(now, chan, flit.packet, PipelineEvent::Arrived);
-        self.arena.push_back(chan, flit);
+        self.arena.push_back(chan, flit, now);
         if self.occupied & 1 << chan == 0 {
             // The flit is the new front. A body or tail bids
             // `body_sa_delay` after arriving; RC sets a head's bid.
@@ -640,7 +639,7 @@ impl Router {
             }
             // An allocating channel is busy and holds its routed head.
             if self.allocating & bit != 0
-                && (self.busy & bit == 0 || !front.is_some_and(|f| f.kind.is_head()))
+                && (self.busy & bit == 0 || !front.is_some_and(|(f, _)| f.kind.is_head()))
             {
                 return false;
             }
@@ -649,8 +648,8 @@ impl Router {
             }
             // An active channel's body or tail at the front bids
             // `body_sa_delay` after it arrived.
-            if front.is_some_and(|f| {
-                !f.kind.is_head() && s.bid_at != f.arrival + self.cfg.timing.body_sa_delay
+            if front.is_some_and(|(f, arrival)| {
+                !f.kind.is_head() && s.bid_at != arrival + self.cfg.timing.body_sa_delay
             }) {
                 return false;
             }
@@ -728,24 +727,24 @@ impl Router {
         let v = self.cfg.vcs;
         let out_port = usize::from(self.chans[chan].out_port);
         let out_chan = usize::from(self.chans[chan].out_chan);
-        let mut flit = self
+        let (mut flit, _) = self
             .arena
             .pop_front(chan)
             .expect("granted traversal with empty queue");
         self.buffered -= 1;
         match self.arena.front(chan) {
             None => self.occupied &= !(1 << chan),
-            Some(next) => {
+            Some((next, arrival)) => {
                 debug_assert!(
                     flit.kind.is_tail() || next.packet == flit.packet,
                     "foreign flit on an active channel"
                 );
-                self.chans[chan].bid_at = next.arrival + self.cfg.timing.body_sa_delay;
+                self.chans[chan].bid_at = arrival + self.cfg.timing.body_sa_delay;
             }
         }
         let out_vc = out_chan - out_port * v;
-        flit.vc = out_vc;
-        flit.arrival = now;
+        // vcs <= 64, so a VC id fits a byte.
+        flit.vc = out_vc as u8;
         if flit.kind.is_tail() {
             if self.holds_ports() {
                 self.ports[out_port].holder = None;
@@ -779,7 +778,7 @@ impl Router {
         let ports = self.cfg.ports;
         let v = self.cfg.vcs;
         for chan in bits(self.occupied & !self.busy) {
-            let front = self
+            let (front, _) = self
                 .arena
                 .front(chan)
                 .expect("occupied channel without a front flit");
@@ -863,6 +862,7 @@ impl Router {
                 let packet = arena
                     .front(g.input)
                     .expect("VA bid without a head flit")
+                    .0
                     .packet;
                 let event = PipelineEvent::VaGranted {
                     out_vc: g.resource % v,
@@ -983,7 +983,7 @@ impl Router {
             let chan = win_port * v + vc;
             if va_winners & 1 << chan == 0 {
                 self.stats.spec_wasted += 1;
-                if let Some(front) = self.arena.front(chan) {
+                if let Some((front, _)) = self.arena.front(chan) {
                     let packet = front.packet;
                     self.record(now, chan, packet, PipelineEvent::SpecWasted);
                 }
@@ -1014,9 +1014,9 @@ impl Router {
             // Cut-through admission: the downstream buffer must have
             // room for the entire packet before it may advance.
             if self.cfg.kind == FlowControlKind::VirtualCutThrough {
-                let head = self.arena.front(port).expect("bid without head");
-                let room =
-                    self.sink & 1 << out_port != 0 || self.credits[out_port].count >= head.len;
+                let (head, _) = self.arena.front(port).expect("bid without head");
+                let room = self.sink & 1 << out_port != 0
+                    || self.credits[out_port].count >= u32::from(head.len);
                 if !room {
                     continue;
                 }
@@ -1031,7 +1031,7 @@ impl Router {
                 .peek_mask(out_port, reqs)
                 .expect("a requested output has a winner");
             self.sa_out.demote(out_port, winner);
-            let head = self
+            let (head, arrival) = self
                 .arena
                 .front(winner)
                 .expect("switch bid without a head flit");
@@ -1039,7 +1039,7 @@ impl Router {
             self.ports[out_port].holder = Some(winner as u8);
             // Flits flow from `st_delay` after the grant, and never before
             // `body_sa_delay + st_delay` after their own arrival.
-            self.chans[winner].bid_at = now.max(head.arrival + t.body_sa_delay);
+            self.chans[winner].bid_at = now.max(arrival + t.body_sa_delay);
             self.allocating &= !(1 << winner);
             self.stats.sa_grants += 1;
             self.record(
@@ -1063,7 +1063,7 @@ impl Router {
     /// single-cycle routers, immediately executes) its traversal.
     fn grant_switch(&mut self, now: u64, chan: usize, speculative: bool, out: &mut TickOutput) {
         if self.trace.is_some() {
-            if let Some(front) = self.arena.front(chan) {
+            if let Some((front, _)) = self.arena.front(chan) {
                 let packet = front.packet;
                 self.record(now, chan, packet, PipelineEvent::SaGranted { speculative });
             }
@@ -1123,6 +1123,11 @@ mod tests {
             r.set_output_credits(port, credits);
         }
         r
+    }
+
+    #[test]
+    fn a_departure_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Departure>(), 32);
     }
 
     #[test]
@@ -1205,7 +1210,7 @@ mod tests {
         assert!(out
             .departures
             .iter()
-            .all(|d| d.flit.vc == held - r.chan(2, 0)));
+            .all(|d| usize::from(d.flit.vc) == held - r.chan(2, 0)));
         assert_eq!(r.free & port2, port2, "the tail's traversal frees it");
     }
 
@@ -1342,8 +1347,7 @@ mod tests {
         // Both packets leave through output 2 on different output VCs.
         let out = run(&mut r, 10, 40, |_: &Flit| 2);
         assert_eq!(out.departures.len(), 6);
-        let vcs: std::collections::HashSet<usize> =
-            out.departures.iter().map(|d| d.flit.vc).collect();
+        let vcs: std::collections::HashSet<u8> = out.departures.iter().map(|d| d.flit.vc).collect();
         assert_eq!(vcs.len(), 2, "two output VCs in use");
     }
 
@@ -1572,7 +1576,7 @@ mod tests {
                 // Credits loop straight back, as a sharded commit phase
                 // would deliver them.
                 for dep in &buf.departures {
-                    r.accept_credit(dep.out_port, dep.flit.vc, now);
+                    r.accept_credit(dep.out_port, usize::from(dep.flit.vc), now);
                 }
                 all.departures.append(&mut buf.departures);
                 all.credits.append(&mut buf.credits);

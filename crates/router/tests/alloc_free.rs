@@ -49,12 +49,12 @@ fn allocations() -> u64 {
 const ROUTER_BLOCKS: u64 = 11;
 
 /// Asserts that `Router::new(cfg)` makes [`ROUTER_BLOCKS`] heap blocks
-/// of at most `max_bytes` bytes in all. The ceilings are what a layout
-/// with vectors per output port and per arbiter took, so flat state may
-/// not buy its block count with fixed 64-wide arrays. Counted as the
-/// minimum over a few constructions: a libtest thread may allocate
-/// concurrently, but never in every one.
-fn assert_router_footprint(cfg: RouterConfig, label: &str, max_bytes: u64) {
+/// of exactly `want_bytes` bytes in all. The pins are exact so that the
+/// footprint can neither grow back unnoticed nor shrink without its new
+/// size being recorded here. Counted as the minimum over a few
+/// constructions: a libtest thread may allocate concurrently, but never
+/// in every one.
+fn assert_router_footprint(cfg: RouterConfig, label: &str, want_bytes: u64) {
     let (mut blocks, mut bytes) = (u64::MAX, u64::MAX);
     for _ in 0..5 {
         let (a, b) = (allocations(), BYTES.load(Ordering::Relaxed));
@@ -64,10 +64,7 @@ fn assert_router_footprint(cfg: RouterConfig, label: &str, max_bytes: u64) {
         drop(std::hint::black_box(router));
     }
     assert_eq!(blocks, ROUTER_BLOCKS, "{label}: Router::new heap blocks");
-    assert!(
-        bytes <= max_bytes,
-        "{label}: Router::new takes {bytes} heap bytes, over {max_bytes}"
-    );
+    assert_eq!(bytes, want_bytes, "{label}: Router::new heap bytes");
 }
 
 /// Drives `cfg` at full tilt — every port fed a fresh flit whenever its
@@ -81,7 +78,7 @@ fn assert_steady_state_tick_is_allocation_free(cfg: RouterConfig, label: &str) {
         router.set_output_credits(port, buffers as u64);
     }
     // Constant crossing traffic: input i -> output (i + 1) % ports.
-    let route = move |f: &Flit| (f.dest) % ports;
+    let route = move |f: &Flit| f.dest as usize % ports;
     let mut out = TickOutput::default();
     let mut next_packet = 1u64;
     let drive = |router: &mut Router, out: &mut TickOutput, now: u64, next_packet: &mut u64| {
@@ -90,7 +87,7 @@ fn assert_steady_state_tick_is_allocation_free(cfg: RouterConfig, label: &str) {
                 // Single-flit packets (head+tail at once), built without
                 // the Vec of `Flit::packet` — the harness must not
                 // allocate either. Routed to (port + 1) % ports.
-                let dest = port + 1;
+                let dest = port as u32 + 1;
                 let mut flit = Flit::head(PacketId::new(*next_packet), dest, 0, now);
                 flit.kind = FlitKind::HeadTail;
                 *next_packet += 1;
@@ -102,12 +99,12 @@ fn assert_steady_state_tick_is_allocation_free(cfg: RouterConfig, label: &str) {
         // so the router stays saturated with work each cycle.
         for d in 0..out.departures.len() {
             let dep = out.departures[d];
-            router.accept_credit(dep.out_port, dep.flit.vc, now);
+            router.accept_credit(dep.out_port, usize::from(dep.flit.vc), now);
         }
     };
 
-    // Warm-up: let every retained buffer (scratch, pending ST, tick
-    // output, allocator internals) reach its high-water mark.
+    // Warm-up: let the one retained buffer, the caller's tick output,
+    // reach its high-water mark.
     for now in 0..200 {
         drive(&mut router, &mut out, now, &mut next_packet);
     }
@@ -143,18 +140,24 @@ fn assert_steady_state_tick_is_allocation_free(cfg: RouterConfig, label: &str) {
 /// `Router::new` takes at 5 and 7 ports, then the steady-state ticks.
 #[test]
 fn steady_state_ticks_are_allocation_free() {
-    for (ports, hold_bytes, vc_bytes) in [(5, 4_680, 6_080), (7, 6_888, 9_184)] {
-        for (cfg, max_bytes) in [
+    // Bytes per kind: wormhole and cut-through, VC, speculative VC (the
+    // speculative plane doubles the switch arbiters). Each router's 40
+    // or 56 buffer slots of 32 bytes (a flit and its arrival cycle) are
+    // the largest block.
+    for (ports, hold_bytes, vc_bytes, spec_bytes) in
+        [(5, 2_125, 3_050, 3_330), (7, 3_199, 4_830, 5_334)]
+    {
+        for (cfg, bytes) in [
             (RouterConfig::wormhole(ports, 8), hold_bytes),
             (RouterConfig::virtual_cut_through(ports, 8), hold_bytes),
             (RouterConfig::virtual_channel(ports, 2, 4), vc_bytes),
-            (RouterConfig::speculative(ports, 2, 4), vc_bytes),
+            (RouterConfig::speculative(ports, 2, 4), spec_bytes),
             (
                 RouterConfig::speculative(ports, 2, 4).into_single_cycle(),
-                vc_bytes,
+                spec_bytes,
             ),
         ] {
-            assert_router_footprint(cfg, &format!("{cfg}"), max_bytes);
+            assert_router_footprint(cfg, &format!("{cfg}"), bytes);
         }
     }
 

@@ -1,8 +1,10 @@
 //! Property tests for the [`FlitArena`] ring buffers: random
 //! interleavings of push/pop/peek across rings must match a
-//! `VecDeque<Flit>`-per-ring model exactly, including wraparound and the
-//! full/empty edges, and the credit accounting that guards every push
-//! must keep `occupancy + credits == capacity` at all times.
+//! `VecDeque<(Flit, arrival)>`-per-ring model exactly, including
+//! wraparound and the full/empty edges — each flit's arrival cycle comes
+//! back with it however often its ring has wrapped — and the credit
+//! accounting that guards every push must keep
+//! `occupancy + credits == capacity` at all times.
 
 use proptest::prelude::*;
 use router_core::arena::FlitArena;
@@ -34,14 +36,18 @@ proptest! {
     #[test]
     fn arena_matches_vecdeque_model(ops in proptest::collection::vec(op_strategy(), 0..400)) {
         let mut arena = FlitArena::new(RINGS, CAP);
-        let mut model: Vec<VecDeque<Flit>> = (0..RINGS).map(|_| VecDeque::new()).collect();
+        let mut model: Vec<VecDeque<(Flit, u64)>> =
+            (0..RINGS).map(|_| VecDeque::new()).collect();
         // Credit flow control: one credit per free slot, consumed on
         // push, returned on pop — exactly the contract the router's
         // upstream obeys, and what makes the overflow panic unreachable.
         let mut credits = [CAP; RINGS];
         let mut next_id = 0u64;
 
-        for op in ops {
+        // The operation index is the arrival cycle: unrelated to the
+        // flit's id and creation cycle, so a slot that returned another
+        // flit's arrival (or a stale one after wrapping) would show.
+        for (now, op) in (1_000u64..).zip(ops) {
             match op {
                 Op::Push(ring) => {
                     if credits[ring] == 0 {
@@ -53,8 +59,8 @@ proptest! {
                     credits[ring] -= 1;
                     let flit = Flit::head(PacketId::new(next_id), 1, 0, next_id);
                     next_id += 1;
-                    arena.push_back(ring, flit);
-                    model[ring].push_back(flit);
+                    arena.push_back(ring, flit, now);
+                    model[ring].push_back((flit, now));
                 }
                 Op::Pop(ring) => {
                     let got = arena.pop_front(ring);
@@ -66,7 +72,7 @@ proptest! {
                 }
                 Op::Peek(ring) => {
                     prop_assert_eq!(
-                        arena.front(ring).copied(),
+                        arena.front(ring).map(|(f, arrival)| (*f, arrival)),
                         model[ring].front().copied(),
                         "peek mismatch on ring {}", ring
                     );

@@ -52,19 +52,19 @@ impl Bench {
             for port in 0..self.feeds.len() {
                 let can = self.feeds[port]
                     .front()
-                    .is_some_and(|f| self.in_credits[port][f.vc] > 0);
+                    .is_some_and(|f| self.in_credits[port][usize::from(f.vc)] > 0);
                 if can {
                     let f = self.feeds[port].pop_front().unwrap();
-                    self.in_credits[port][f.vc] -= 1;
+                    self.in_credits[port][usize::from(f.vc)] -= 1;
                     self.router.accept_flit(port, f, now);
                 }
             }
-            let out = self.router.tick(now, &|f: &Flit| f.dest % ports);
+            let out = self.router.tick(now, &|f: &Flit| f.dest as usize % ports);
             for dep in out.departures {
                 self.downstream_credits.push_back((
                     now + self.credit_delay,
                     dep.out_port,
-                    dep.flit.vc,
+                    usize::from(dep.flit.vc),
                 ));
                 self.departures.push(dep.flit);
             }
@@ -87,7 +87,7 @@ impl Bench {
 /// Builds randomized per-port packet feeds. Destinations index output
 /// ports via `dest % ports`.
 fn feeds_strategy(ports: usize, vcs: usize) -> impl Strategy<Value = Vec<VecDeque<Flit>>> {
-    let packet = (0usize..64, 1u32..7);
+    let packet = (0u32..64, 1u8..7);
     let per_port = proptest::collection::vec(packet, 0..5);
     proptest::collection::vec(per_port, ports).prop_map(move |spec| {
         let mut next_id = 0u64;
@@ -97,7 +97,7 @@ fn feeds_strategy(ports: usize, vcs: usize) -> impl Strategy<Value = Vec<VecDequ
                 for (i, (dest, len)) in packets.into_iter().enumerate() {
                     let id = PacketId::new(next_id);
                     next_id += 1;
-                    let vc = i % vcs;
+                    let vc = (i % vcs) as u8;
                     feed.extend(Flit::packet(id, dest, vc, 0, len));
                 }
                 feed
@@ -200,14 +200,14 @@ proptest! {
             for (port, feed) in feeds.iter_mut().enumerate() {
                 if router.input_occupancy(port, now as usize % 2) < 4 {
                     if let Some(f) = feed.front().copied() {
-                        if router.input_occupancy(port, f.vc) < 4 {
+                        if router.input_occupancy(port, usize::from(f.vc)) < 4 {
                             feed.pop_front();
                             router.accept_flit(port, f, now);
                         }
                     }
                 }
             }
-            let out = router.tick(now, &|f: &Flit| f.dest % 5);
+            let out = router.tick(now, &|f: &Flit| f.dest as usize % 5);
             let mut seen = [false; 5];
             for dep in &out.departures {
                 prop_assert!(!seen[dep.out_port], "two flits on one output in a cycle");

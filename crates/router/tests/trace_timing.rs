@@ -13,11 +13,11 @@ fn wired(cfg: RouterConfig) -> Router {
 }
 
 fn run(r: &mut Router, from: u64, to: u64) {
-    let route = |f: &Flit| f.dest % r.config().ports;
+    let route = |f: &Flit| f.dest as usize % r.config().ports;
     let _ = route; // silence per-iteration capture warnings
     for now in from..=to {
         let ports = r.config().ports;
-        let _ = r.tick(now, &move |f: &Flit| f.dest % ports);
+        let _ = r.tick(now, &move |f: &Flit| f.dest as usize % ports);
     }
 }
 

@@ -72,7 +72,7 @@ fn packets_with_disjoint_masks_share_a_port() {
     for f in Flit::packet(PacketId::new(2), 9, 0, 0, 2) {
         r.accept_flit(2, f, 10 + u64::from(f.seq));
     }
-    let mut by_packet: std::collections::HashMap<u64, Vec<usize>> = Default::default();
+    let mut by_packet: std::collections::HashMap<u64, Vec<u8>> = Default::default();
     for now in 10..25 {
         for d in r.tick(now, &PerPacket).departures {
             by_packet

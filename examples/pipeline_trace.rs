@@ -21,7 +21,7 @@ fn walk(title: &str, cfg: RouterConfig) {
         r.accept_flit(0, f, 100 + i as u64);
     }
     for now in 100..110 {
-        let _ = r.tick(now, &|f: &Flit| f.dest);
+        let _ = r.tick(now, &|f: &Flit| f.dest as usize);
     }
     print!("{}", r.trace().render());
     println!();
@@ -40,7 +40,7 @@ fn contention_demo() {
     r.accept_flit(0, Flit::packet(PacketId::new(1), 2, 0, 0, 4)[0], 100);
     r.accept_flit(1, Flit::head(PacketId::new(2), 2, 0, 0), 101);
     for now in 100..108 {
-        let _ = r.tick(now, &|f: &Flit| f.dest);
+        let _ = r.tick(now, &|f: &Flit| f.dest as usize);
     }
     print!("{}", r.trace().render());
     println!();
