@@ -200,13 +200,11 @@ fn build_job(index: usize, t: &Table) -> Result<JobSpec<NetworkConfig>, String> 
         Some(v) => v.as_num().ok_or("`priority` must be a number")?,
         None => 0.0,
     };
+    let cfg = cfg.with_pattern(parse_pattern(t)?);
     // Backstop: anything the simulator itself would reject must fail
     // here, at parse time and naming the job — not cycles later inside
     // a worker thread where the panic takes the whole batch down.
     cfg.validate().map_err(|e| e.to_string())?;
-    // After the backstop, which bounds the node count.
-    let pattern = parse_pattern(t, cfg.mesh.nodes())?;
-    let cfg = cfg.with_pattern(pattern);
     Ok(JobSpec::new(name, cfg.clone(), base_seed)
         .with_loads(loads)
         .with_reps(reps)
@@ -216,7 +214,7 @@ fn build_job(index: usize, t: &Table) -> Result<JobSpec<NetworkConfig>, String> 
         .with_priority(priority))
 }
 
-fn parse_pattern(t: &Table, nodes: usize) -> Result<TrafficPattern, String> {
+fn parse_pattern(t: &Table) -> Result<TrafficPattern, String> {
     let Some(v) = t.get("pattern") else {
         return Ok(TrafficPattern::Uniform);
     };
@@ -227,19 +225,12 @@ fn parse_pattern(t: &Table, nodes: usize) -> Result<TrafficPattern, String> {
         "tornado" => Ok(TrafficPattern::Tornado),
         "neighbor" => Ok(TrafficPattern::NearestNeighbor),
         "hotspot" => {
+            // The validate() backstop range-checks both.
             let hotspot = get_u64(t, "hotspot_node", 0)? as usize;
-            if hotspot >= nodes {
-                return Err(format!(
-                    "`hotspot_node` {hotspot} outside the {nodes}-node mesh"
-                ));
-            }
             let hotness = match t.get("hotness") {
                 Some(v) => v.as_num().ok_or("`hotness` must be a number")?,
                 None => 0.1,
             };
-            if !(0.0..=1.0).contains(&hotness) {
-                return Err("`hotness` must be in [0, 1]".into());
-            }
             Ok(TrafficPattern::Hotspot { hotspot, hotness })
         }
         other => Err(format!(
@@ -360,7 +351,7 @@ priority = 2.5
             ),
             (
                 "[[job]]\nloads = [0.1]\npattern = \"hotspot\"\nhotspot_node = 999\n",
-                "hotspot_node",
+                "hotspot node 999 is outside the mesh",
             ),
             // NetworkConfig::validate() failures surface at parse time
             // with the job named, instead of panicking in a worker.

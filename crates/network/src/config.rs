@@ -271,6 +271,17 @@ pub enum ConfigError {
         /// The configured VCs per port.
         vcs: usize,
     },
+    /// A [`TrafficPattern::Hotspot`] whose hot node the mesh does not
+    /// have.
+    HotspotOutOfRange {
+        /// The configured hot node.
+        node: usize,
+        /// Nodes in the configured mesh.
+        nodes: usize,
+    },
+    /// A [`TrafficPattern::Hotspot`] whose `hotness` is not a fraction
+    /// in [0, 1]: NaN, negative or above 1.
+    HotnessInvalid,
     /// A zero-cycle rebalance epoch: the work meter needs at least one
     /// executed cycle per decision window.
     RebalanceEpochZero,
@@ -403,6 +414,16 @@ impl fmt::Display for ConfigError {
                  the {} a router's u64 masks hold; use fewer vcs or fewer dimensions",
                 ports * vcs,
                 RouterConfig::MAX_CHANNELS
+            ),
+            ConfigError::HotspotOutOfRange { node, nodes } => write!(
+                f,
+                "hotspot node {node} is outside the mesh, whose nodes are 0..{nodes}; \
+                 pick a hot node below {nodes} or grow the mesh"
+            ),
+            ConfigError::HotnessInvalid => write!(
+                f,
+                "hotspot hotness must be the fraction of packets sent to the hot \
+                 node, in [0, 1]; got NaN or a value outside it"
             ),
             ConfigError::RebalanceEpochZero => write!(
                 f,
@@ -969,8 +990,9 @@ impl NetworkConfig {
     /// VCs, west-first outside a 2-D mesh, a turn model on a torus,
     /// shapes beyond the route table's compact encoding or the packet
     /// ids' 2^24 nodes, routers without VCs or buffers or wider than 64
-    /// input channels, packets outside 1..=255 flits, and a credit
-    /// path of zero cycles.
+    /// input channels, packets outside 1..=255 flits, a credit path of
+    /// zero cycles, and hotspot traffic aimed off the mesh or with a
+    /// hotness outside [0, 1].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.injection_fraction.is_finite() && self.injection_fraction > 0.0) {
             return Err(ConfigError::InjectionFractionInvalid);
@@ -1029,6 +1051,18 @@ impl NetworkConfig {
                         dims: self.mesh.dims(),
                     });
                 }
+            }
+        }
+        if let TrafficPattern::Hotspot { hotspot, hotness } = self.pattern {
+            let nodes = self.mesh.nodes();
+            if hotspot >= nodes {
+                return Err(ConfigError::HotspotOutOfRange {
+                    node: hotspot,
+                    nodes,
+                });
+            }
+            if !(0.0..=1.0).contains(&hotness) {
+                return Err(ConfigError::HotnessInvalid);
             }
         }
         if let Some(rb) = self.rebalance {
@@ -1480,6 +1514,47 @@ mod tests {
         for mesh in [Mesh::new(256, 3), Mesh::new(2, 24)] {
             let wh = NetworkConfig::for_mesh(mesh, RouterKind::Wormhole { buffers: 8 });
             assert_eq!(wh.validate(), Ok(()), "2^24 nodes");
+        }
+    }
+
+    #[test]
+    fn validate_gates_hotspot_traffic() {
+        // A hot node off the mesh used to pass `validate` and then panic
+        // routing the first hot packet.
+        let hotspot = |hotspot, hotness| {
+            NetworkConfig::mesh(
+                4,
+                RouterKind::SpeculativeVc {
+                    vcs: 2,
+                    buffers_per_vc: 4,
+                },
+            )
+            .with_pattern(TrafficPattern::Hotspot { hotspot, hotness })
+        };
+        let Err(err) = crate::sim::Network::try_new(hotspot(99, 0.5)) else {
+            panic!("a hot node off the mesh must be rejected");
+        };
+        assert_eq!(
+            err,
+            ConfigError::HotspotOutOfRange {
+                node: 99,
+                nodes: 16
+            }
+        );
+        assert!(err.to_string().contains("hotspot node 99"), "{err}");
+        for bad in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            let Err(err) = crate::sim::Network::try_new(hotspot(5, bad)) else {
+                panic!("hotness {bad} must be rejected");
+            };
+            assert_eq!(err, ConfigError::HotnessInvalid, "hotness {bad}");
+            assert!(err.to_string().contains("[0, 1]"), "{err}");
+        }
+        for (node, hotness) in [(0, 0.0), (15, 1.0), (5, 0.5)] {
+            assert_eq!(
+                hotspot(node, hotness).validate(),
+                Ok(()),
+                "{node}, {hotness}"
+            );
         }
     }
 

@@ -19,17 +19,21 @@
 //!    whether the next cycles can be **fast-forwarded**: every shard
 //!    votes (via a `fetch_min` register) the earliest future cycle at
 //!    which it has any work — pending link events, staged boundary mail,
-//!    active routers, or a source about to cross its injection threshold
+//!    active routers, or the earliest wake cycle on its source calendar
 //!    — and when the minimum lies beyond the next cycle, the skipped
 //!    cycles are provably no-ops for *every* shard and are elided. The
 //!    gate is a central sense-reversing spin barrier (`SpinBarrier`) that
-//!    spins briefly then yields; with one party it never blocks.
+//!    spins briefly then yields; with one party it never blocks. Its
+//!    arrival count, generation word and vote register each own a
+//!    `LINE_PAIR`, as does every per-shard record the fused phase
+//!    writes, so no two shards write one cache line pair.
 //! 2. **Fused compute** (parallel, no internal barrier) — each shard:
 //!    schedules the boundary flits and credits other shards published
 //!    onto its own link wheel (each carries its absolute due cycle),
-//!    delivers the wheel's events due this cycle, steps its sources in
-//!    node order, and ticks its active routers in node order. A shard's
-//!    wheel holds exactly the `LinkEvent`s that target its own nodes:
+//!    delivers the wheel's events due this cycle, steps the sources its
+//!    wake calendar holds due this cycle in node order, and ticks its
+//!    active routers in node order. A shard's wheel holds exactly the
+//!    `LinkEvent`s that target its own nodes:
 //!    departures and credits bound for another shard are staged in
 //!    per-shard-pair mailboxes **at emission time**, stamped with the
 //!    cycle they are due (≥ the next cycle), so the receiver can schedule
@@ -54,17 +58,20 @@
 //! interact through links with ≥ 1 cycle of latency. Ticking only the
 //! active set elides provable no-ops: a quiescent router's tick changes
 //! no state (arbiter priorities move only on grants), and a credit needs
-//! no wake-up (see `LinkEvent::deliver`). Fast-forwarded cycles are
-//! cycles in which no shard would deliver, inject, or tick anything —
-//! sources advance their fractional accumulators by pure repeated
-//! addition ([`Source::fast_forward`]), exactly the operations the
-//! skipped steps would have performed, so even the floating-point state
-//! is identical. The only order-sensitive state — the global tagging
-//! counter and the tagged-sample log — never leaves the serial commit,
-//! and the latency statistics are folded over that log once the run
-//! ends. `tests/engine_equivalence.rs` enforces the claim
-//! against the cycle-driven oracle, and `tests/golden_results.rs` pins
-//! exact results across commits.
+//! no wake-up (see `LinkEvent::deliver`). The source wake calendar
+//! elides provable no-ops too: between two threshold crossings an idle
+//! constant-rate source only adds `rate` to its accumulator, so right
+//! after its step it performs those additions at once — the same
+//! additions in the same order, so even the floating-point state is
+//! identical — and is not stepped again until the crossing, while a
+//! source holding a packet is due every cycle. Fast-forwarded cycles are
+//! cycles in which no shard would deliver, inject, or tick anything, and
+//! no source is due in them. The only order-sensitive state — the global
+//! tagging counter and the tagged-sample log — never leaves the serial
+//! commit, and the latency statistics are folded over that log once the
+//! run ends. `tests/engine_equivalence.rs` enforces the claim against
+//! the cycle-driven oracle (which steps every source every cycle), and
+//! `tests/golden_results.rs` pins exact results across commits.
 //!
 //! Everything here is allocation-free in steady state: mailboxes,
 //! wheels, scratch buffers, and the per-cycle record vectors are
@@ -108,16 +115,40 @@ use crate::source::{Source, SourceStep};
 use crate::stats::PhaseNanos;
 use crate::topology::Mesh;
 use router_core::{EventWheel, Flit, PacketId, Router, TickOutput};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Cap on how far ahead one quiescence vote scans a source's injection
-/// accumulator ([`Source::quiet_horizon`]). Bounds the per-vote cost on
-/// near-zero-rate sources; a longer quiet stretch is simply covered by
-/// several consecutive fast-forwards, each re-voted after one executed
-/// cycle.
-const SRC_SCAN_CAP: u64 = 4096;
+/// The bytes a value written by one shard must own so that no other
+/// shard's writes touch its cache lines: two 64-byte lines, because the
+/// adjacent-line prefetcher of x86-64 cores fetches lines in pairs
+/// (crossbeam's `CachePadded` uses 128 there for the same reason).
+/// [`Padded`], [`ShardAux`] and [`ShardOut`] are aligned to it; a unit
+/// test checks each against this constant.
+pub(crate) const LINE_PAIR: usize = 128;
+
+/// A value on a [`LINE_PAIR`] of its own: aligned to it, and padded to a
+/// multiple of it. Each mailbox slot and each word of the gate that
+/// changes every round (arrival count, generation, vote) is one.
+#[derive(Debug)]
+#[repr(align(128))]
+pub(crate) struct Padded<T>(pub(crate) T);
+
+impl<T> Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+// `repr(align)` takes only a literal: hold each one to the constant.
+const _: () = assert!(
+    std::mem::align_of::<Padded<u8>>() == LINE_PAIR
+        && std::mem::align_of::<ShardAux>() == LINE_PAIR
+        && std::mem::align_of::<ShardOut>() == LINE_PAIR
+);
 
 /// Work-meter weight of one router tick relative to one flit delivery
 /// or departure. A tick runs route computation, VC and switch
@@ -176,8 +207,10 @@ fn spin_or_yield(spins: &mut u32) {
 #[derive(Debug)]
 pub(crate) struct SpinBarrier {
     parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
+    /// Written by every worker once a round, spun on by the leader.
+    arrived: Padded<AtomicUsize>,
+    /// Written by the leader once a round, spun on by every worker.
+    generation: Padded<AtomicUsize>,
     poisoned: AtomicBool,
 }
 
@@ -186,8 +219,8 @@ impl SpinBarrier {
         assert!(parties >= 1, "a gate needs at least one party");
         SpinBarrier {
             parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
+            arrived: Padded(AtomicUsize::new(0)),
+            generation: Padded(AtomicUsize::new(0)),
             poisoned: AtomicBool::new(false),
         }
     }
@@ -259,7 +292,7 @@ pub(crate) struct Lockstep {
     pub(crate) skip_to: AtomicU64,
     /// Workers → leader: `fetch_min` of every shard's earliest future
     /// cycle with work. Read and reset by the leader at the gate.
-    pub(crate) next_work: AtomicU64,
+    pub(crate) next_work: Padded<AtomicU64>,
     /// Workers → leader: each shard's work-EWMA total, published at the
     /// end of every rebalance epoch (each shard folds its own slice of
     /// the per-node meters, and the gate's happens-before makes the
@@ -274,7 +307,7 @@ impl Lockstep {
             gate: SpinBarrier::new(parties),
             stop: AtomicBool::new(false),
             skip_to: AtomicU64::new(0),
-            next_work: AtomicU64::new(u64::MAX),
+            next_work: Padded(AtomicU64::new(u64::MAX)),
             shard_work: (0..parties).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -318,7 +351,7 @@ pub(crate) type Mail = (u64, LinkEvent);
 #[derive(Debug)]
 pub(crate) struct Mailboxes {
     shards: usize,
-    slots: Vec<Mutex<Vec<Mail>>>,
+    slots: Vec<Padded<Mutex<Vec<Mail>>>>,
 }
 
 impl Mailboxes {
@@ -326,7 +359,7 @@ impl Mailboxes {
         Mailboxes {
             shards,
             slots: (0..shards * shards)
-                .map(|_| Mutex::new(Vec::new()))
+                .map(|_| Padded(Mutex::new(Vec::new())))
                 .collect(),
         }
     }
@@ -365,7 +398,10 @@ impl Mailboxes {
 /// serial commit, so concatenating the shards in index order replays the
 /// one-shard schedule's exact event sequence. The rest are running
 /// totals, never reset, that the telemetry boundary sums in shard order.
+/// Every field is written by its shard each cycle, so each record owns
+/// its [`LINE_PAIR`]s.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub(crate) struct ShardOut {
     /// Packets created this cycle, in node order.
     pub created: Vec<PacketId>,
@@ -398,8 +434,10 @@ pub(crate) struct ShardOut {
 }
 
 /// Per-shard state that persists across cycles (the shard's half of the
-/// event-driven machinery plus its outbound mailbox staging).
+/// event-driven machinery plus its outbound mailbox staging). Its shard
+/// writes it every cycle, so each one owns its [`LINE_PAIR`]s.
 #[derive(Debug)]
+#[repr(align(128))]
 pub(crate) struct ShardAux {
     /// Every flit and credit in flight to this shard's nodes, keyed by
     /// delivery cycle.
@@ -414,11 +452,6 @@ pub(crate) struct ShardAux {
     /// shards and partition-independent; rebalance epoch boundaries are
     /// measured against it (and it counts only while metering is on).
     pub(crate) executed: u64,
-    /// Cached earliest cycle at which one of this shard's sources can
-    /// cross its injection threshold; valid until reached (a quiet
-    /// source's crossing schedule is pure accumulator arithmetic, so it
-    /// cannot move earlier). Recomputed lazily by [`ShardCtx::vote`].
-    src_next: u64,
     /// Whether this cycle's tick left any router active.
     busy: bool,
     /// Whether this cycle staged any outbound boundary mail.
@@ -434,7 +467,6 @@ impl ShardAux {
             tick_buf: TickOutput::default(),
             step_buf: SourceStep::default(),
             executed: 0,
-            src_next: 0,
             busy: false,
             sent_mail: false,
             out_mail: (0..shards).map(|_| Vec::new()).collect(),
@@ -646,13 +678,10 @@ impl ShardSet {
         let rebal = &mut self.rebal;
         debug_assert_eq!(rebal.new_ranges.len(), self.ranges.len());
         // 1. Strip every shard's wheel and the staged boundary mail into
-        //    the scratch, due cycles intact. The cached source horizons
-        //    are partition scoped only in the sense that a new owner
-        //    re-votes them; reset forces that re-vote.
+        //    the scratch, due cycles intact.
         rebal.events.clear();
         for aux in &mut self.aux {
             aux.wheel.drain_pending_into(&mut rebal.events);
-            aux.src_next = 0;
         }
         self.mail.drain_all(&mut rebal.events);
         // 2. Install the new partition.
@@ -721,6 +750,9 @@ pub(crate) struct ShardCtx<'a> {
     /// Per-node drop counters of this shard's nodes.
     pub drops: &'a mut [DropStats],
     pub active: &'a mut [bool],
+    /// The cycle each of this shard's sources is next due to step (the
+    /// source wake calendar; see [`ShardCtx::phase_sources`]).
+    pub wake: &'a mut [u64],
     pub aux: &'a mut ShardAux,
     /// This shard's slice of the per-node work meters (current epoch).
     pub work_epoch: &'a mut [u64],
@@ -756,16 +788,30 @@ impl ShardCtx<'_> {
         self.aux.wheel.restore(now, due);
     }
 
-    /// Phase 1b: steps this shard's sources in node order (every
-    /// executed cycle: constant-rate accumulation must add `rate` exactly
-    /// once per cycle), recording the created packet ids for the serial
-    /// tagging commit.
+    /// Phase 1b: steps this shard's sources that are due at `now`, in
+    /// node order, recording the created packet ids for the serial
+    /// tagging commit. After its step a source goes back on the wake
+    /// calendar: an idle one adds `rate` for each quiet cycle up to its
+    /// next threshold crossing at once and sleeps until then, one holding
+    /// a packet is due the next cycle (`Source::sleep`). Constant-rate
+    /// accumulation thus still adds `rate` exactly once per cycle, in
+    /// cycle order. Under `tick_all` every source steps every cycle and
+    /// none sleeps, so the cycle-driven oracle checks the calendar.
     pub(crate) fn phase_sources(&mut self, env: &ShardEnv<'_>, now: u64, out: &mut ShardOut) {
         let mesh = env.cfg.mesh;
         let local = mesh.local_port();
         let mut step = std::mem::take(&mut self.aux.step_buf);
         for i in 0..self.sources.len() {
+            if !env.tick_all {
+                debug_assert!(self.wake[i] >= now, "source {} overslept", self.lo + i);
+                if self.wake[i] != now {
+                    continue;
+                }
+            }
             self.sources[i].step_into(now, &mesh, &env.cfg.pattern, &mut step);
+            if !env.tick_all {
+                self.wake[i] = self.sources[i].sleep(now, env.cfg.max_cycles);
+            }
             out.created.extend_from_slice(&step.created);
             if let Some(flit) = step.injected {
                 out.injected += 1;
@@ -889,27 +935,14 @@ impl ShardCtx<'_> {
     /// the earliest future cycle at which it has any work. A busy shard
     /// (active routers, or mail published this cycle that the receiver
     /// must schedule next round) votes `now + 1`; an idle one votes the
-    /// earliest of its pending link events and the next possible
-    /// source-injection crossing (cached — a quiet
-    /// source's crossing schedule is fixed arithmetic, so the cache
-    /// stays valid until reached).
-    fn vote(&mut self, lockstep: &Lockstep, now: u64) {
+    /// earliest of its pending link events and its sources' wake cycles.
+    fn vote(&self, lockstep: &Lockstep, now: u64) {
         let next = if self.aux.busy || self.aux.sent_mail {
             now + 1
         } else {
-            let v = self.aux.wheel.next_due().unwrap_or(u64::MAX);
-            if now + 1 >= self.aux.src_next {
-                let mut s = u64::MAX;
-                for src in self.sources.iter() {
-                    let q = src.quiet_horizon(SRC_SCAN_CAP);
-                    s = s.min(now + 1 + q);
-                    if q == 0 {
-                        break; // cannot vote earlier than now + 1
-                    }
-                }
-                self.aux.src_next = s;
-            }
-            v.min(self.aux.src_next)
+            let wheel = self.aux.wheel.next_due().unwrap_or(u64::MAX);
+            let sources = self.wake.iter().copied().min().unwrap_or(u64::MAX);
+            wheel.min(sources)
         };
         lockstep.next_work.fetch_min(next, Ordering::AcqRel);
     }
@@ -976,15 +1009,16 @@ impl ShardCtx<'_> {
     }
 
     /// Fast-forwards this shard over the quiescent cycles
-    /// `[now, target)`: sources advance their accumulators by pure
-    /// repeated addition (bit-identical to stepping them through cycles
-    /// that inject nothing), and the wheel skips ahead (debug-asserting
-    /// that no pending event is jumped — the vote guarantees it).
+    /// `[now, target)`: the wheel skips ahead (debug-asserting that no
+    /// pending event is jumped — the vote guarantees it). Sources need
+    /// nothing: every one sleeps until `target` or later, its
+    /// accumulator already advanced through the skipped cycles.
     pub(crate) fn fast_forward(&mut self, now: u64, target: u64) {
         debug_assert!(target > now, "fast-forward must move forward");
-        for src in self.sources.iter_mut() {
-            src.fast_forward(target - now);
-        }
+        debug_assert!(
+            self.wake.iter().all(|&w| w >= target),
+            "fast-forward past a source's wake cycle"
+        );
         self.aux.wheel.advance_to(target - 1);
     }
 
@@ -1132,6 +1166,39 @@ mod tests {
                 gate.release();
             }
         });
+    }
+
+    #[test]
+    fn shard_records_and_gate_words_own_their_line_pairs() {
+        use std::mem::{align_of, size_of};
+        let lockstep = Lockstep::new(2);
+        let mail = Mailboxes::new(2);
+        let line = |addr: usize| addr / LINE_PAIR;
+        // The words a round writes: each on a line pair of its own.
+        let words = [
+            std::ptr::from_ref(&*lockstep.gate.arrived) as usize,
+            std::ptr::from_ref(&*lockstep.gate.generation) as usize,
+            std::ptr::from_ref(&*lockstep.next_work) as usize,
+        ];
+        for (i, a) in words.iter().enumerate() {
+            assert_eq!(a % LINE_PAIR, 0, "gate word {i}");
+            for b in &words[i + 1..] {
+                assert_ne!(line(*a), line(*b), "gate words share a line pair");
+            }
+        }
+        for slot in &mail.slots {
+            assert_eq!(std::ptr::from_ref(slot) as usize % LINE_PAIR, 0);
+        }
+        assert!(align_of::<Padded<Mutex<Vec<Mail>>>>() >= LINE_PAIR);
+        assert!(align_of::<Padded<AtomicUsize>>() >= LINE_PAIR);
+        assert!(align_of::<Padded<AtomicU64>>() >= LINE_PAIR);
+        assert!(align_of::<ShardAux>() >= LINE_PAIR);
+        assert!(align_of::<ShardOut>() >= LINE_PAIR);
+        assert!(align_of::<Mutex<ShardOut>>() >= LINE_PAIR);
+        // Alignment rounds each size up, so array neighbours never share.
+        assert_eq!(size_of::<ShardAux>() % LINE_PAIR, 0);
+        assert_eq!(size_of::<Mutex<ShardOut>>() % LINE_PAIR, 0);
+        assert_eq!(size_of::<Padded<Mutex<Vec<Mail>>>>(), LINE_PAIR);
     }
 
     #[test]

@@ -282,6 +282,11 @@ pub struct Network {
     /// Routers with work pending; every kind but the cycle-driven oracle
     /// ticks only these, each cycle until quiescent.
     router_active: Vec<bool>,
+    /// The source wake calendar: the cycle each node's source is next
+    /// due to step. Every kind but the cycle-driven oracle steps only the
+    /// sources due (see [`crate::shard`]). Node-indexed, hence
+    /// shard-split, so a migration leaves it as it is.
+    source_wake: Vec<u64>,
     /// The engine state: shard partition, per-shard link wheels,
     /// exchange and lockstep (one shard for the serial kinds; see
     /// [`crate::shard`]).
@@ -482,6 +487,7 @@ impl Network {
             now: 0,
             credit_latency,
             router_active: vec![false; nodes],
+            source_wake: vec![0; nodes],
             shards,
             meas: Measurement {
                 tagged_ranges: vec![(0, 0); nodes],
@@ -601,6 +607,7 @@ impl Network {
             &mut self.clip_in,
             &mut self.drops,
             &mut self.router_active,
+            &mut self.source_wake,
             &mut set.aux,
             &mut set.work_epoch,
             &mut set.work_ewma,
@@ -855,6 +862,7 @@ fn split_shards<'a>(
     mut clip_in: &'a mut [ClipSlot],
     mut drops: &'a mut [DropStats],
     mut active: &'a mut [bool],
+    mut wake: &'a mut [u64],
     aux: &'a mut [ShardAux],
     mut work_epoch: &'a mut [u64],
     mut work_ewma: &'a mut [u64],
@@ -875,6 +883,7 @@ fn split_shards<'a>(
                 clip_in: take_front(&mut clip_in, n * vcs),
                 drops: take_front(&mut drops, n),
                 active: take_front(&mut active, n),
+                wake: take_front(&mut wake, n),
                 aux,
                 work_epoch: take_front(&mut work_epoch, n),
                 work_ewma: take_front(&mut work_ewma, n),
@@ -1405,6 +1414,35 @@ mod tests {
                 assert!(!sent.is_empty() && credits > 0, "{engine}: no traffic");
                 assert_eq!(sent, arrived, "{engine}: link_delay {link_delay}");
             }
+        }
+    }
+
+    #[test]
+    fn the_quiescence_vote_skips_a_pinned_count_of_cycles() {
+        // At load 0.01 most cycles are idle: every one the vote lets the
+        // engine skip is counted. A vote that woke later than the
+        // sources' next crossing would break results; one that woke
+        // earlier, or a calendar that kept a source awake, would skip
+        // fewer cycles. Either moves these counts.
+        let cfg = NetworkConfig::mesh(
+            4,
+            RouterKind::SpeculativeVc {
+                vcs: 2,
+                buffers_per_vc: 4,
+            },
+        )
+        .with_injection(0.01)
+        .with_warmup(200)
+        .with_sample(300)
+        .with_phase_timing(true);
+        for (engine, skipped) in [
+            (EngineKind::EventDriven, 5_234),
+            (EngineKind::parallel(2), 5_210),
+        ] {
+            let r = quick(cfg.clone().with_engine(engine));
+            assert!(!r.saturated, "{engine}");
+            let phases = r.phases.expect("phase timing is on");
+            assert_eq!(phases.fast_forwarded, skipped, "{engine}");
         }
     }
 

@@ -254,53 +254,33 @@ impl Source {
         }
     }
 
-    /// How many consecutive future cycles (up to `cap`) are guaranteed to
-    /// take [`Source::step_into`]'s pure-accumulation fast path: the
-    /// source has nothing queued or mid-injection and the rate
-    /// accumulator cannot cross 1.0 within that many further additions.
+    /// Puts the source on the wake calendar after its step at `now`,
+    /// returning the cycle it must next be stepped at.
     ///
-    /// Returns 0 if the very next step might do work. The count is exact
-    /// up to `cap` because it replays the same `accum + rate` additions
-    /// the fast path performs — the prediction and the execution are the
-    /// same floating-point sequence, which is what lets an engine skip
-    /// those cycles without perturbing bit-identical results. Crossing
-    /// cycles are never included: the slow path consumes RNG state (even
-    /// for permutation fixed points), so the horizon stops strictly
-    /// before the first possible crossing.
-    #[must_use]
-    pub fn quiet_horizon(&self, cap: u64) -> u64 {
-        if self.queue.is_empty() && self.slots.iter().all(Option::is_none) {
-            let mut accum = self.accum;
-            let mut quiet = 0;
-            // A denormal-small rate can make `accum + rate == accum`,
-            // so bound the scan by `cap` rather than by progress.
-            while quiet < cap && accum + self.rate < 1.0 {
-                accum += self.rate;
-                quiet += 1;
-            }
-            quiet
-        } else {
-            0
+    /// A source holding a packet, queued or mid-injection, is due at
+    /// `now + 1`. An idle one would take [`Source::step_into`]'s
+    /// pure-accumulation fast path every cycle until its accumulator
+    /// crosses 1.0, so it performs those cycles' `accum + rate` additions
+    /// here, at once — the same additions in the same order, each done
+    /// once, so the accumulator is bit-identical to stepping — and wakes
+    /// on the cycle whose addition would cross (a crossing consumes RNG
+    /// state, so that step is never done early). The additions stop at
+    /// cycle `end` (the run's cycle limit), which then wakes the source.
+    /// A rate too small to move the accumulator (0, or a denormal) never
+    /// crosses, and the source never wakes.
+    pub(crate) fn sleep(&mut self, now: u64, end: u64) -> u64 {
+        if !(self.queue.is_empty() && self.slots.iter().all(Option::is_none)) {
+            return now + 1;
         }
-    }
-
-    /// Replays `cycles` pure-accumulation steps at once — the engine-side
-    /// half of [`Source::quiet_horizon`]. Each skipped cycle performs the
-    /// identical `accum += rate` addition the fast path would have, so
-    /// the accumulator lands on the bit-exact same value.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that every skipped step really was a fast-path step;
-    /// callers must not skip past the horizon.
-    pub fn fast_forward(&mut self, cycles: u64) {
-        debug_assert!(
-            cycles <= self.quiet_horizon(cycles),
-            "fast-forwarding {cycles} cycles past the quiet horizon"
-        );
-        for _ in 0..cycles {
+        if self.accum + self.rate == self.accum {
+            return u64::MAX;
+        }
+        let mut wake = now + 1;
+        while wake < end && self.accum + self.rate < 1.0 {
             self.accum += self.rate;
+            wake += 1;
         }
+        wake
     }
 }
 
@@ -469,21 +449,20 @@ mod tests {
             let c = m.coords(node);
             let dest = m.node_at(&[c[1], c[0]]) as u32;
             let mut s = Source::new(node, 1.0, 5, 2, 1_000, 3);
-            let mut queue: VecDeque<PacketFlits> = VecDeque::new();
+            let mut queue: VecDeque<(PacketId, u64)> = VecDeque::new();
             let mut slots: [Option<PacketFlits>; 2] = [None; 2];
             let mut injected = 0;
             for now in 0..300 {
                 let step = s.step(now, &m, &TrafficPattern::Transpose);
                 for &id in &step.created {
-                    queue.push_back(PacketFlits::new(id, dest, 0, now, 5));
+                    queue.push_back((id, now));
                 }
                 for (vc, slot) in slots.iter_mut().enumerate() {
                     if slot.is_none_or(|p| p.is_exhausted()) {
-                        let Some(mut p) = queue.pop_front() else {
+                        let Some((id, created)) = queue.pop_front() else {
                             break;
                         };
-                        p.set_vc(vc as u8);
-                        *slot = Some(p);
+                        *slot = Some(PacketFlits::new(id, dest, vc as u8, created, 5));
                     }
                 }
                 if let Some(flit) = step.injected {
@@ -544,45 +523,70 @@ mod tests {
     }
 
     #[test]
-    fn quiet_horizon_matches_stepped_execution() {
-        // The horizon must name exactly the cycles the fast path would
-        // take: replaying that many accumulations and then stepping must
-        // land on the same state as stepping cycle by cycle.
-        for rate in [0.0, 0.01, 0.24999, 0.3, 0.9] {
+    fn sleeping_replays_the_stepped_accumulator() {
+        // One source steps every cycle; its clone steps only when its
+        // wake calendar says so. At every cycle the sleeper steps, both
+        // must create the same packets and inject the same flit, and the
+        // skipped cycles must have done nothing but accumulate. The
+        // cycle limit stops the last sleep, so the two end on the same
+        // accumulator bits.
+        let end = 3_000;
+        for rate in [0.01, 0.24999, 0.3, 0.9, 1.5] {
             let mut stepped = Source::new(3, rate, 5, 2, 100, 42);
-            let mut skipped = stepped.clone();
-            let mut now = 0u64;
-            for _ in 0..5 {
-                let quiet = skipped.quiet_horizon(10_000);
-                if rate == 0.0 {
-                    assert_eq!(quiet, 10_000, "zero rate is quiet forever");
-                    return;
-                }
-                for _ in 0..quiet {
-                    let step = stepped.step(now, &mesh(), &TrafficPattern::Uniform);
-                    assert!(step.created.is_empty(), "horizon overshot a crossing");
-                    now += 1;
-                }
-                skipped.fast_forward(quiet);
-                assert_eq!(skipped.accum.to_bits(), stepped.accum.to_bits());
-                // The next cycle crosses: both paths take the slow step.
-                assert_eq!(skipped.quiet_horizon(10_000), 0);
+            let mut sleeper = stepped.clone();
+            let mut wake = 0;
+            let mut woken = 0;
+            for now in 0..end {
                 let a = stepped.step(now, &mesh(), &TrafficPattern::Uniform);
-                let b = skipped.step(now, &mesh(), &TrafficPattern::Uniform);
-                assert_eq!(a.created, b.created);
-                now += 1;
+                if now < wake {
+                    assert!(a.created.is_empty() && a.injected.is_none(), "rate {rate}");
+                    continue;
+                }
+                assert_eq!(now, wake, "rate {rate}: a wake cycle was skipped");
+                let b = sleeper.step(now, &mesh(), &TrafficPattern::Uniform);
+                assert_eq!(a.created, b.created, "rate {rate}, cycle {now}");
+                assert_eq!(a.injected, b.injected, "rate {rate}, cycle {now}");
+                wake = sleeper.sleep(now, end);
+                woken += 1;
             }
+            assert_eq!(wake, end, "rate {rate}: the cycle limit wakes");
+            assert_eq!(
+                sleeper.accum.to_bits(),
+                stepped.accum.to_bits(),
+                "rate {rate}"
+            );
+            assert_eq!(sleeper.packets_created, stepped.packets_created);
+            if rate == 0.01 {
+                // 0.05 flits per cycle: the source sleeps most cycles.
+                assert!(woken < end / 2, "rate {rate}: woke {woken} times");
+            }
+        }
+        // A rate that cannot move the accumulator never wakes, however
+        // far off the cycle limit is, and leaves the accumulator alone.
+        for rate in [0.0, 1e-320] {
+            let mut s = Source::new(3, rate, 5, 2, 100, 42);
+            let _ = s.step(0, &mesh(), &TrafficPattern::Uniform);
+            let accum = s.accum.to_bits();
+            assert_eq!(s.sleep(0, 1 << 40), u64::MAX, "rate {rate}");
+            assert_eq!(s.accum.to_bits(), accum, "rate {rate}");
         }
     }
 
     #[test]
-    fn quiet_horizon_is_zero_while_draining() {
+    fn a_source_holding_a_packet_wakes_next_cycle() {
         let mut s = Source::new(0, 0.5, 3, 1, 100, 1);
-        // Force a crossing so a packet occupies a slot.
-        while s.backlog() == 0 {
-            let _ = s.step(0, &mesh(), &TrafficPattern::Uniform);
+        // Step until a crossing puts a packet in a slot.
+        let mut now = 0;
+        loop {
+            let _ = s.step(now, &mesh(), &TrafficPattern::Uniform);
+            if s.backlog() > 0 {
+                break;
+            }
+            now += 1;
         }
-        assert_eq!(s.quiet_horizon(1000), 0, "mid-injection is never quiet");
+        let accum = s.accum.to_bits();
+        assert_eq!(s.sleep(now, u64::MAX), now + 1, "mid-injection is due");
+        assert_eq!(s.accum.to_bits(), accum, "a due source accumulates nothing");
     }
 
     #[test]

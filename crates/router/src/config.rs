@@ -95,19 +95,6 @@ impl Timing {
         }
     }
 
-    /// Per-hop head latency through an unloaded router, in cycles
-    /// (pipeline stage count: arrival cycle through departure cycle,
-    /// inclusive; excludes the link).
-    #[must_use]
-    pub fn head_latency(&self, kind: FlowControlKind) -> u64 {
-        let va = if kind == FlowControlKind::VirtualChannel {
-            self.va_sa_delay
-        } else {
-            0
-        };
-        self.rc_delay + va + self.st_delay + 1
-    }
-
     fn validate(&self) {
         assert!(self.st_delay <= 1, "st_delay > 1 is not supported");
         assert!(self.rc_delay <= 4 && self.va_sa_delay <= 4 && self.body_sa_delay <= 8);
@@ -218,12 +205,6 @@ impl RouterConfig {
     /// tick keeps its channel sets and VA request rows in `u64` masks.
     pub const MAX_CHANNELS: usize = arbitration::MAX_WIDTH;
 
-    /// Total flit buffers per input port.
-    #[must_use]
-    pub fn buffers_per_port(&self) -> usize {
-        self.vcs * self.buffers_per_vc
-    }
-
     fn validate(&self) {
         assert!(self.ports >= 2, "need at least 2 ports, got {}", self.ports);
         assert!(self.vcs >= 1, "need at least 1 VC, got {}", self.vcs);
@@ -277,13 +258,28 @@ mod tests {
 
     #[test]
     fn head_latency_matches_stage_counts() {
+        // An unloaded head spends RC, then VA on the VC router only (the
+        // speculative router overlaps it with SA), then ST, plus its
+        // arrival cycle: the pipeline's stage count.
+        let head_latency = |t: Timing, kind| {
+            let va = if kind == FlowControlKind::VirtualChannel {
+                t.va_sa_delay
+            } else {
+                0
+            };
+            t.rc_delay + va + t.st_delay + 1
+        };
         for (kind, stages) in [
             (FlowControlKind::Wormhole, 3),
             (FlowControlKind::VirtualChannel, 4),
             (FlowControlKind::SpeculativeVc, 3),
         ] {
-            assert_eq!(Timing::pipelined(kind).head_latency(kind), stages, "{kind}");
-            assert_eq!(Timing::single_cycle().head_latency(kind), 1, "{kind}");
+            assert_eq!(
+                head_latency(Timing::pipelined(kind), kind),
+                stages,
+                "{kind}"
+            );
+            assert_eq!(head_latency(Timing::single_cycle(), kind), 1, "{kind}");
         }
     }
 
@@ -307,12 +303,6 @@ mod tests {
             RouterConfig::speculative(5, 2, 4).kind,
             FlowControlKind::SpeculativeVc
         );
-    }
-
-    #[test]
-    fn buffers_per_port_multiplies() {
-        assert_eq!(RouterConfig::virtual_channel(5, 2, 4).buffers_per_port(), 8);
-        assert_eq!(RouterConfig::wormhole(5, 8).buffers_per_port(), 8);
     }
 
     #[test]

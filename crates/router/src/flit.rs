@@ -207,12 +207,6 @@ impl PacketFlits {
     pub fn is_exhausted(&self) -> bool {
         self.next >= self.len
     }
-
-    /// Rewrites the VC id stamped on the remaining flits (sources assign
-    /// the injection VC when a packet claims one).
-    pub fn set_vc(&mut self, vc: u8) {
-        self.vc = vc;
-    }
 }
 
 impl Iterator for PacketFlits {
@@ -318,12 +312,20 @@ mod tests {
         let head = p.next().unwrap();
         assert_eq!(head.kind, FlitKind::Head);
         assert_eq!(head.vc, 0);
-        p.set_vc(2);
-        assert_eq!(p.next().unwrap().vc, 2);
         assert!(!p.is_exhausted());
+        let _ = p.next().unwrap();
         assert_eq!(p.next().unwrap().kind, FlitKind::Tail);
         assert!(p.is_exhausted());
         assert_eq!(p.next(), None);
+        // A source stamps the injection VC by building the cursor when
+        // the packet claims one: on another VC it yields the same flits
+        // but for their VC.
+        let on_vc0 = PacketFlits::new(PacketId::new(1), 9, 0, 0, 3);
+        let on_vc2 = PacketFlits::new(PacketId::new(1), 9, 2, 0, 3);
+        for (a, b) in on_vc0.zip(on_vc2) {
+            assert_eq!(b.vc, 2);
+            assert_eq!(Flit { vc: 0, ..b }, a);
+        }
     }
 
     #[test]
